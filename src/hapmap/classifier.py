@@ -85,7 +85,7 @@ def to_labeling_class(name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Input canonicalization and augmentation
+# Input canonicalization
 # ---------------------------------------------------------------------------
 
 def normalize_unit_sphere(cloud: np.ndarray) -> np.ndarray:
@@ -101,24 +101,6 @@ def normalize_unit_sphere(cloud: np.ndarray) -> np.ndarray:
     if radius == 0.0:
         return centered
     return centered / radius
-
-
-def augment(cloud: np.ndarray, rng: np.random.Generator, sigma: float = 0.01,
-            clip: float = 0.05, angle: float | None = None) -> np.ndarray:
-    """Random yaw rotation plus clipped Gaussian jitter on a normalized cloud.
-
-    angle overrides the uniform [0, 2*pi) draw when given (mainly for tests).
-    """
-    pts = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
-    if angle is None:
-        angle = float(rng.uniform(0.0, 2.0 * np.pi))
-    c, s = np.cos(angle), np.sin(angle)
-    out = pts.copy()
-    out[:, 0] = pts[:, 0] * c + pts[:, 2] * s
-    out[:, 2] = -pts[:, 0] * s + pts[:, 2] * c
-    if sigma > 0:
-        out += np.clip(rng.normal(0.0, sigma, out.shape), -clip, clip)
-    return out
 
 
 def resample_points(cloud: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:

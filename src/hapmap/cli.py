@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 
 from . import classifier as clf
-from . import dcgd, depthio, geomfeat, scenegen, segment as seg
+from . import dcgd, depthio, scenegen
 from .config import OUTPUT_FORMATS, PipelineConfig, format_config, parse_config
-from .pipeline import StageError, run_pipeline
-from .synthgrid import AreaGeometry, emit, rasterize_raw
+from .pipeline import (StageError, analyze_scene, area_geometry,
+                       camera_intrinsics, load_inputs, run_pipeline)
+from .synthgrid import emit, rasterize_raw
 
 CONFIG_ENV = "HAPMAP_CONFIG"
 
@@ -29,16 +30,6 @@ def _load_config(args) -> PipelineConfig:
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
-
-
-def _intrinsics(cfg: PipelineConfig) -> depthio.Intrinsics:
-    if cfg.intrinsics_path:
-        return depthio.load_intrinsics(Path(cfg.intrinsics_path).read_text())
-    return depthio.DEFAULT_INTRINSICS
-
-
-def _load_frame(path: str) -> depthio.DepthFrame:
-    return depthio.load_depth_pgm(Path(path).read_bytes())
 
 
 def _load_cloud(path: str, n_points: int, rng) -> np.ndarray:
@@ -64,8 +55,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_ground(args) -> int:
     cfg = _load_config(args)
-    frame = _load_frame(args.depth)
-    k = _intrinsics(cfg)
+    frame, k = load_inputs(cfg, args.depth)
     mask = dcgd.detect_ground(frame, k, cfg.dcgd)
     Path(args.out).write_bytes(depthio.mask_to_pgm(mask))
     if args.cuts:
@@ -81,43 +71,24 @@ def _cmd_ground(args) -> int:
     return 0
 
 
-def _occupied_segments(cfg: PipelineConfig, frame):
-    k = _intrinsics(cfg)
-    ground = dcgd.detect_ground(frame, k, cfg.dcgd)
-    cloud = depthio.backproject(frame, k)
-    flat_valid = np.flatnonzero(frame.data.ravel())
-    on_ground = ground.ravel()[flat_valid]
-    in_band = (cloud[:, 2] >= cfg.zmin) & (cloud[:, 2] <= cfg.zmax)
-    occupied = cloud[in_band & ~on_ground]
-    down = seg.voxel_downsample(occupied, cfg.voxel_leaf)
-    labels = seg.dbscan(down, cfg.dbscan_eps, cfg.dbscan_min_pts)
-    if ground.any():
-        ground_y = dcgd.ground_elevation(frame, k, ground)
-    else:
-        ground_y = float(np.percentile(cloud[in_band, 1], 2.0)) if in_band.any() else 0.0
-    return k, down, labels, seg.extract_segments(down, labels), ground_y
-
-
 def _cmd_segment(args) -> int:
     cfg = _load_config(args)
-    _, down, labels, _, _ = _occupied_segments(cfg, _load_frame(args.depth))
+    scene = analyze_scene(cfg, *load_inputs(cfg, args.depth))
     lines = [f"{p[0]:.1f} {p[1]:.1f} {p[2]:.1f} {lab}"
-             for p, lab in zip(down, labels.labels)]
+             for p, lab in zip(scene.voxels, scene.segmentation.labels)]
     Path(args.out).write_text("\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_features(args) -> int:
     cfg = _load_config(args)
-    _, _, _, segments, ground_y = _occupied_segments(cfg, _load_frame(args.depth))
+    scene = analyze_scene(cfg, *load_inputs(cfg, args.depth))
     print("# segment\theight_mm\tarea_m2\theight_class\tarea_class\tbarycenter")
-    for s in segments:
-        fp = geomfeat.footprint(s.points)
-        h = geomfeat.height_p90(s.points, ground_y)
-        geom = geomfeat.classify_geometry(h, fp.area_m2, cfg.thresholds)
+    for s, fp, geom in zip(scene.segments, scene.footprints, scene.geometries):
         b = fp.barycenter
-        print(f"{s.id}\t{h:.1f}\t{fp.area_m2:.4f}\t{geom.height_class}"
-              f"\t{geom.area_class}\t{b[0]:.1f},{b[1]:.1f},{b[2]:.1f}")
+        print(f"{s.id}\t{geom.height_mm:.1f}\t{geom.area_m2:.4f}"
+              f"\t{geom.height_class}\t{geom.area_class}"
+              f"\t{b[0]:.1f},{b[1]:.1f},{b[2]:.1f}")
     return 0
 
 
@@ -174,17 +145,10 @@ def _cmd_train(args) -> int:
 def _cmd_synth(args) -> int:
     cfg = _load_config(args)
     if args.raw:
-        frame = _load_frame(args.depth)
-        k = _intrinsics(cfg)
-        geometry = AreaGeometry.from_intrinsics(
-            k, frame.width, near=cfg.grid_near, far=cfg.grid_far,
-            small_basis=cfg.grid_small_basis, rows=cfg.grid_rows,
-            cols=cfg.grid_cols)
-        cloud = depthio.passthrough_filter(depthio.backproject(frame, k),
-                                           cfg.zmin, cfg.zmax)
-        ground = dcgd.detect_ground(frame, k, cfg.dcgd)
-        ground_y = dcgd.ground_elevation(frame, k, ground) if ground.any() else None
-        grid = rasterize_raw(cloud, geometry, ground_y=ground_y)
+        frame, k = load_inputs(cfg, args.depth)
+        scene = analyze_scene(cfg, frame, k)
+        grid = rasterize_raw(scene.cloud, area_geometry(cfg, k, frame.width),
+                             ground_y=scene.ground_y)
         Path(args.out).write_bytes(emit(grid, cfg.output_format))
         return 0
     cfg = replace(cfg, model_path="")   # geometry-only synthesis
@@ -196,7 +160,7 @@ def _cmd_synth(args) -> int:
 def _cmd_scenegen(args) -> int:
     cfg = _load_config(args)
     spec = scenegen.parse_scene_spec(Path(args.scene).read_text())
-    k = _intrinsics(cfg)
+    k = camera_intrinsics(cfg)
     frame, truth = scenegen.render_depth(spec, k, args.width, args.height)
     blob = depthio.depth_to_flat(frame) if args.flat else depthio.depth_to_pgm(frame)
     Path(args.out).write_bytes(blob)

@@ -6,6 +6,7 @@ Every tunable constant of the pipeline appears here with its default, so
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .dcgd import DcgdParams
@@ -25,7 +26,6 @@ class PipelineConfig:
     dbscan_min_pts: int = 10
     model_path: str = ""
     confidence_threshold: float = 0.85
-    classifier_points: int = 256
     thresholds: GeometryThresholds = GeometryThresholds()
     grid_near: float = 800.0
     grid_far: float = 4000.0
@@ -41,14 +41,13 @@ class PipelineConfig:
             "passthrough.zmin": self.zmin, "passthrough.zmax": self.zmax,
             "voxel.leaf": self.voxel_leaf, "dbscan.eps": self.dbscan_eps,
             "dbscan.min_pts": self.dbscan_min_pts,
-            "classifier.n_points": self.classifier_points,
             "grid.near": self.grid_near, "grid.far": self.grid_far,
             "grid.small_basis": self.grid_small_basis,
             "grid.rows": self.grid_rows, "grid.cols": self.grid_cols,
         }
         for key, value in positives.items():
-            if value <= 0:
-                raise ValueError(f"{key} must be positive")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{key} must be positive and finite")
         if self.zmin >= self.zmax:
             raise ValueError("passthrough.zmin must be below passthrough.zmax")
         if not 0.0 < self.confidence_threshold < 1.0:
@@ -57,40 +56,42 @@ class PipelineConfig:
             raise ValueError(f"output.format must be one of {OUTPUT_FORMATS}")
 
 
+#: config keys, each with the PipelineConfig field it sets and its type
+SCALAR_KEYS = {
+    "intrinsics.path": ("intrinsics_path", str),
+    "passthrough.zmin": ("zmin", float),
+    "passthrough.zmax": ("zmax", float),
+    "voxel.leaf": ("voxel_leaf", float),
+    "dbscan.eps": ("dbscan_eps", float),
+    "dbscan.min_pts": ("dbscan_min_pts", int),
+    "model.path": ("model_path", str),
+    "classifier.threshold": ("confidence_threshold", float),
+    "grid.near": ("grid_near", float),
+    "grid.far": ("grid_far", float),
+    "grid.small_basis": ("grid_small_basis", int),
+    "grid.rows": ("grid_rows", int),
+    "grid.cols": ("grid_cols", int),
+    "glyphs.path": ("glyphs_path", str),
+    "output.format": ("output_format", str),
+    "seed": ("seed", int),
+}
+#: float keys of the nested DcgdParams
+DCGD_KEYS = {"dcgd.z0": "z0", "dcgd.zf": "zf", "dcgd.dz": "dz",
+             "dcgd.baseline_tol": "baseline_tol",
+             "dcgd.include_tol": "include_tol"}
+#: float keys of the nested GeometryThresholds: (pair field, index)
+THRESHOLD_KEYS = {"geometry.height_low": ("height_mm", 0),
+                  "geometry.height_high": ("height_mm", 1),
+                  "geometry.area_low": ("area_m2", 0),
+                  "geometry.area_high": ("area_m2", 1)}
+
+
 def parse_config(text: str) -> PipelineConfig:
     """Parse `section.key=value` lines; '#' starts a comment; unknown keys fail."""
     cfg = PipelineConfig()
     dcgd_kw = {}
     thr_kw: dict = {}
     updates: dict = {}
-
-    scalar = {
-        "intrinsics.path": ("intrinsics_path", str),
-        "passthrough.zmin": ("zmin", float),
-        "passthrough.zmax": ("zmax", float),
-        "voxel.leaf": ("voxel_leaf", float),
-        "dbscan.eps": ("dbscan_eps", float),
-        "dbscan.min_pts": ("dbscan_min_pts", int),
-        "model.path": ("model_path", str),
-        "classifier.threshold": ("confidence_threshold", float),
-        "classifier.n_points": ("classifier_points", int),
-        "grid.near": ("grid_near", float),
-        "grid.far": ("grid_far", float),
-        "grid.small_basis": ("grid_small_basis", int),
-        "grid.rows": ("grid_rows", int),
-        "grid.cols": ("grid_cols", int),
-        "glyphs.path": ("glyphs_path", str),
-        "output.format": ("output_format", str),
-        "seed": ("seed", int),
-    }
-    dcgd_keys = {"dcgd.z0": "z0", "dcgd.zf": "zf", "dcgd.dz": "dz",
-                 "dcgd.baseline_tol": "baseline_tol",
-                 "dcgd.include_tol": "include_tol"}
-    thr_keys = {"geometry.height_low": ("height_mm", 0),
-                "geometry.height_high": ("height_mm", 1),
-                "geometry.area_low": ("area_m2", 0),
-                "geometry.area_high": ("area_m2", 1)}
-
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -100,13 +101,13 @@ def parse_config(text: str) -> PipelineConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key in scalar:
-            attr, conv = scalar[key]
+        if key in SCALAR_KEYS:
+            attr, conv = SCALAR_KEYS[key]
             updates[attr] = conv(value)
-        elif key in dcgd_keys:
-            dcgd_kw[dcgd_keys[key]] = float(value)
-        elif key in thr_keys:
-            field_name, idx = thr_keys[key]
+        elif key in DCGD_KEYS:
+            dcgd_kw[DCGD_KEYS[key]] = float(value)
+        elif key in THRESHOLD_KEYS:
+            field_name, idx = THRESHOLD_KEYS[key]
             pair = list(thr_kw.get(field_name,
                                    getattr(cfg.thresholds, field_name)))
             pair[idx] = float(value)
@@ -122,32 +123,11 @@ def parse_config(text: str) -> PipelineConfig:
 
 
 def format_config(cfg: PipelineConfig) -> str:
-    lines = [
-        f"intrinsics.path={cfg.intrinsics_path}",
-        f"passthrough.zmin={cfg.zmin}",
-        f"passthrough.zmax={cfg.zmax}",
-        f"dcgd.z0={cfg.dcgd.z0}",
-        f"dcgd.zf={cfg.dcgd.zf}",
-        f"dcgd.dz={cfg.dcgd.dz}",
-        f"dcgd.baseline_tol={cfg.dcgd.baseline_tol}",
-        f"dcgd.include_tol={cfg.dcgd.include_tol}",
-        f"voxel.leaf={cfg.voxel_leaf}",
-        f"dbscan.eps={cfg.dbscan_eps}",
-        f"dbscan.min_pts={cfg.dbscan_min_pts}",
-        f"model.path={cfg.model_path}",
-        f"classifier.threshold={cfg.confidence_threshold}",
-        f"classifier.n_points={cfg.classifier_points}",
-        f"geometry.height_low={cfg.thresholds.height_mm[0]}",
-        f"geometry.height_high={cfg.thresholds.height_mm[1]}",
-        f"geometry.area_low={cfg.thresholds.area_m2[0]}",
-        f"geometry.area_high={cfg.thresholds.area_m2[1]}",
-        f"grid.near={cfg.grid_near}",
-        f"grid.far={cfg.grid_far}",
-        f"grid.small_basis={cfg.grid_small_basis}",
-        f"grid.rows={cfg.grid_rows}",
-        f"grid.cols={cfg.grid_cols}",
-        f"glyphs.path={cfg.glyphs_path}",
-        f"output.format={cfg.output_format}",
-        f"seed={cfg.seed}",
-    ]
+    """Every key with its value, one per line; parse_config reads it back."""
+    lines = [f"{key}={getattr(cfg, attr)}"
+             for key, (attr, _) in SCALAR_KEYS.items()]
+    lines += [f"{key}={getattr(cfg.dcgd, attr)}"
+              for key, attr in DCGD_KEYS.items()]
+    lines += [f"{key}={getattr(cfg.thresholds, name)[idx]}"
+              for key, (name, idx) in THRESHOLD_KEYS.items()]
     return "\n".join(lines) + "\n"

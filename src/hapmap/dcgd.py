@@ -36,10 +36,11 @@ class DcgdParams:
     include_tol: float = 20.0
 
     def __post_init__(self):
-        if self.z0 >= self.zf:
-            raise ValueError("z0 must be below zf")
-        if self.dz <= 0 or self.baseline_tol <= 0 or self.include_tol <= 0:
-            raise ValueError("dz and tolerances must be positive")
+        if not -np.inf < self.z0 < self.zf < np.inf:
+            raise ValueError("z0 and zf must be finite with z0 below zf")
+        for value in (self.dz, self.baseline_tol, self.include_tol):
+            if not 0 < value < np.inf:
+                raise ValueError("dz and tolerances must be positive and finite")
 
     @property
     def n_cuts(self) -> int:
@@ -183,12 +184,12 @@ def detect_ground(frame: DepthFrame, k: Intrinsics,
     return mask
 
 
-def ground_elevation(frame: DepthFrame, k: Intrinsics,
-                     mask: np.ndarray) -> float:
-    """Detected ground elevation: median y over the mask's pixels (mm)."""
-    if not mask.any():
+def ground_elevation(cloud: np.ndarray, on_ground: np.ndarray) -> float:
+    """Detected ground elevation: median y of the ground points (mm).
+
+    on_ground flags the rows of the back-projected cloud, i.e. the ground
+    mask taken at the frame's valid pixels.
+    """
+    if not on_ground.any():
         raise ValueError("empty ground mask")
-    z = frame.data.astype(np.float64) * k.depth_scale
-    vs = np.arange(frame.height, dtype=np.float64)[:, None]
-    y = (k.cy - vs) * z / k.fy
-    return float(np.median(y[mask]))
+    return float(np.median(cloud[on_ground, 1]))

@@ -41,10 +41,10 @@ class Intrinsics:
     depth_scale: float = 1.0
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
-        if self.depth_scale <= 0:
-            raise ValueError("depth_scale must be positive")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise ValueError("focal lengths must be positive and finite")
+        if not 0 < self.depth_scale < np.inf:
+            raise ValueError("depth_scale must be positive and finite")
 
 
 #: Typical 640x480 structured-light sensor; used when no intrinsics file is given.

@@ -17,10 +17,10 @@ class GeometryThresholds:
     area_m2: tuple[float, float] = (0.25, 1.0)
 
     def __post_init__(self):
-        if not (0 < self.height_mm[0] < self.height_mm[1]):
-            raise ValueError("height thresholds must be strictly increasing")
-        if not (0 < self.area_m2[0] < self.area_m2[1]):
-            raise ValueError("area thresholds must be strictly increasing")
+        if not 0 < self.height_mm[0] < self.height_mm[1] < np.inf:
+            raise ValueError("height thresholds must be finite and strictly increasing")
+        if not 0 < self.area_m2[0] < self.area_m2[1] < np.inf:
+            raise ValueError("area thresholds must be finite and strictly increasing")
 
 
 DEFAULT_THRESHOLDS = GeometryThresholds()

@@ -72,38 +72,68 @@ def format_report(descriptors, pins) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_pipeline(config: PipelineConfig, depth_path: str | Path) -> PipelineResult:
-    """Run every stage on one depth frame.
+@dataclass(frozen=True)
+class SceneAnalysis:
+    """One frame's front end, read by run_pipeline and the stage subcommands."""
 
-    Without a model file the pipeline degrades to geometry-only output:
-    every object keeps its footprint and geometric classes, no glyphs.
-    Given identical config and inputs the result is byte-stable.
-    """
+    ground_mask: np.ndarray                     # (h, w) bool
+    ground_y: float                             # ground elevation, mm
+    cloud: np.ndarray                           # in-band points, ground included
+    voxels: np.ndarray                          # downsampled occupied points
+    segmentation: seg.Segmentation              # one label per voxel
+    segments: list[seg.Segment]
+    footprints: list[geomfeat.Footprint]        # one per segment
+    geometries: list[geomfeat.GeometricClass]   # one per segment
+
+
+def camera_intrinsics(config: PipelineConfig) -> depthio.Intrinsics:
+    """The configured intrinsics file, else DEFAULT_INTRINSICS."""
+    if config.intrinsics_path:
+        return depthio.load_intrinsics(Path(config.intrinsics_path).read_text())
+    return depthio.DEFAULT_INTRINSICS
+
+
+def area_geometry(config: PipelineConfig, k: depthio.Intrinsics,
+                  width: int) -> AreaGeometry:
+    """The configured synthesis area for a camera of the given image width."""
+    return AreaGeometry.from_intrinsics(
+        k, width, near=config.grid_near, far=config.grid_far,
+        small_basis=config.grid_small_basis, rows=config.grid_rows,
+        cols=config.grid_cols)
+
+
+def load_inputs(config: PipelineConfig, depth_path: str | Path):
+    """(frame, intrinsics) for one depth file, under the depthio stage."""
     with _stage("depthio"):
         frame = depthio.load_depth_pgm(Path(depth_path).read_bytes())
-        if config.intrinsics_path:
-            k = depthio.load_intrinsics(Path(config.intrinsics_path).read_text())
-        else:
-            k = depthio.DEFAULT_INTRINSICS
+        return frame, camera_intrinsics(config)
 
+
+def analyze_scene(config: PipelineConfig, frame: depthio.DepthFrame,
+                  k: depthio.Intrinsics) -> SceneAnalysis:
+    """Ground, occupied-space segments and their geometric features.
+
+    Without detected ground, ground_y is the 2nd percentile of the in-band
+    elevations (0 when the band is empty).
+    """
     with _stage("dcgd"):
         ground = dcgd.detect_ground(frame, k, config.dcgd)
 
     with _stage("segment"):
         cloud = depthio.backproject(frame, k)
-        flat_valid = np.flatnonzero(frame.data.ravel())
-        on_ground = ground.ravel()[flat_valid]
-        in_band = (cloud[:, 2] >= config.zmin) & (cloud[:, 2] <= config.zmax)
-        if ground.any():
-            ground_y = dcgd.ground_elevation(frame, k, ground)
-        elif in_band.any():
-            ground_y = float(np.percentile(cloud[in_band, 1], 2.0))
+        on_ground = ground[frame.valid_mask]
+        band = depthio.passthrough_filter(cloud, config.zmin, config.zmax)
+        if on_ground.any():
+            ground_y = dcgd.ground_elevation(cloud, on_ground)
+        elif len(band):
+            ground_y = float(np.percentile(band[:, 1], 2.0))
         else:
             ground_y = 0.0
-        occupied = cloud[in_band & ~on_ground]
-        down = seg.voxel_downsample(occupied, config.voxel_leaf)
-        labels = seg.dbscan(down, config.dbscan_eps, config.dbscan_min_pts)
-        segments = seg.extract_segments(down, labels)
+        occupied = depthio.passthrough_filter(cloud[~on_ground], config.zmin,
+                                              config.zmax)
+        voxels = seg.voxel_downsample(occupied, config.voxel_leaf)
+        labels = seg.dbscan(voxels, config.dbscan_eps, config.dbscan_min_pts)
+        segments = seg.extract_segments(voxels, labels)
 
     with _stage("features"):
         footprints = [geomfeat.footprint(s.points) for s in segments]
@@ -114,6 +144,21 @@ def run_pipeline(config: PipelineConfig, depth_path: str | Path) -> PipelineResu
             for s, fp in zip(segments, footprints)
         ]
 
+    return SceneAnalysis(ground_mask=ground, ground_y=ground_y, cloud=band,
+                         voxels=voxels, segmentation=labels, segments=segments,
+                         footprints=footprints, geometries=geometries)
+
+
+def run_pipeline(config: PipelineConfig, depth_path: str | Path) -> PipelineResult:
+    """Run every stage on one depth frame.
+
+    Without a model file the pipeline degrades to geometry-only output:
+    every object keeps its footprint and geometric classes, no glyphs.
+    Given identical config and inputs the result is byte-stable.
+    """
+    frame, k = load_inputs(config, depth_path)
+    scene = analyze_scene(config, frame, k)
+
     model = None
     if config.model_path:
         with _stage("classifier"):
@@ -121,7 +166,8 @@ def run_pipeline(config: PipelineConfig, depth_path: str | Path) -> PipelineResu
 
     descriptors: list[ObjectDescriptor] = []
     with _stage("classifier"):
-        for s, fp, geom in zip(segments, footprints, geometries):
+        for s, fp, geom in zip(scene.segments, scene.footprints,
+                               scene.geometries):
             label = None
             confidence = None
             direction = None
@@ -133,7 +179,8 @@ def run_pipeline(config: PipelineConfig, depth_path: str | Path) -> PipelineResu
                 if pred.accepted:
                     label = clf.to_labeling_class(pred.label)
                     if label == "stairs":
-                        direction = stairs_direction(s.points, ground_y)
+                        direction = stairs_direction(s.points,
+                                                     scene.ground_y)
             descriptors.append(ObjectDescriptor(
                 segment_id=s.id, footprint=fp, geometry=geom,
                 label=label, stairs_dir=direction, confidence=confidence))
@@ -142,10 +189,7 @@ def run_pipeline(config: PipelineConfig, depth_path: str | Path) -> PipelineResu
         sheet = builtin_sheet()
         if config.glyphs_path:
             sheet = parse_glyph_sheet(Path(config.glyphs_path).read_text())
-        geometry = AreaGeometry.from_intrinsics(
-            k, frame.width, near=config.grid_near, far=config.grid_far,
-            small_basis=config.grid_small_basis, rows=config.grid_rows,
-            cols=config.grid_cols)
+        geometry = area_geometry(config, k, frame.width)
         grid = rasterize_scene([], descriptors, geometry, sheet)
         pins = []
         for desc in descriptors:
@@ -157,4 +201,4 @@ def run_pipeline(config: PipelineConfig, depth_path: str | Path) -> PipelineResu
     return PipelineResult(grid=grid, emitted=emitted,
                           report=format_report(descriptors, pins),
                           descriptors=descriptors, pins=pins,
-                          ground_mask=ground)
+                          ground_mask=scene.ground_mask)

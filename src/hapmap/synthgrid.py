@@ -269,25 +269,19 @@ def rasterize_scene(ground_holes, objects: list[ObjectDescriptor],
     return grid
 
 
-def rasterize_raw(cloud: np.ndarray, g: AreaGeometry,
-                  ground_y: float | None = None, n_levels: int = 5,
-                  max_height: float = 2000.0) -> PinGrid:
+def rasterize_raw(cloud: np.ndarray, g: AreaGeometry, ground_y: float,
+                  n_levels: int = 5, max_height: float = 2000.0) -> PinGrid:
     """Map raw points straight onto the grid, pin level from height bands.
 
     Heights above ground quantize into n_levels - 1 equal bands over
     [0, max_height] (ground itself is band 0, level 1); each pin keeps the
     maximum level of the points that land on it.  Points outside the view
-    field are dropped; when ground_y is not given, the 2nd percentile of
-    the cloud's elevations stands in for the ground.
+    field are dropped.
     """
     if n_levels < 2 or n_levels > 5:
         raise ValueError("n_levels must lie in 2..5")
     grid = PinGrid.empty(g)
     pts = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
-    if pts.shape[0] == 0:
-        return grid
-    if ground_y is None:
-        ground_y = float(np.percentile(pts[:, 1], 2.0))
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     keep = (z >= g.near) & (z <= g.far) & (np.abs(x) <= z * g.half_tan)
     x, y, z = x[keep], y[keep], z[keep]

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from hapmap import classifier as clf
-from hapmap import dcgd, depthio, scenegen, segment as seg
+from hapmap import dcgd, depthio, scenegen
 from hapmap.classifier import TrainConfig, forward, gate, grad_check, init_model, train
-from hapmap.config import parse_config
+from hapmap.config import PipelineConfig, parse_config
 from hapmap.geomfeat import height_p90
 from hapmap.labeling import glyph_for
-from hapmap.pipeline import run_pipeline
+from hapmap.pipeline import analyze_scene, run_pipeline
 from hapmap.segment import dbscan
 from hapmap.synthgrid import (AreaGeometry, emit, map_to_area, parse_grid_json,
                               rasterize_scene, trapezoid_mask)
@@ -37,20 +37,6 @@ def _sample_visible_box(rng, height=None):
     z = float(rng.uniform(max(2250.0, z_front_min + d / 2), 3500.0))
     x = float(rng.uniform(-300, 300))
     return scenegen.BoxSpec(x, z, w, d, h)
-
-
-def _segments_of(frame, cfg_text="") -> tuple[list, float]:
-    cfg = parse_config(cfg_text)
-    ground = dcgd.detect_ground(frame, K, cfg.dcgd)
-    ground_y = dcgd.ground_elevation(frame, K, ground)
-    cloud = depthio.backproject(frame, K)
-    flat_valid = np.flatnonzero(frame.data.ravel())
-    on_ground = ground.ravel()[flat_valid]
-    in_band = (cloud[:, 2] >= cfg.zmin) & (cloud[:, 2] <= cfg.zmax)
-    occupied = cloud[in_band & ~on_ground]
-    down = seg.voxel_downsample(occupied, cfg.voxel_leaf)
-    labels = seg.dbscan(down, cfg.dbscan_eps, cfg.dbscan_min_pts)
-    return seg.extract_segments(down, labels), ground_y
 
 
 @pytest.fixture(scope="session")
@@ -101,10 +87,10 @@ def test_criterion_1_geometry_fidelity():
         spec = scenegen.SceneSpec(camera_height=CAM_HEIGHT, floor_extent=4000,
                                   noise_sigma=10, boxes=[box])
         frame, _ = scenegen.render_depth(spec, K, rng=np.random.default_rng(1000 + i))
-        segments, ground_y = _segments_of(frame)
-        assert segments, f"scene {i} produced no segment"
-        biggest = max(segments, key=lambda s: len(s.points))
-        errors.append(abs(height_p90(biggest.points, ground_y) - box.height))
+        scene = analyze_scene(PipelineConfig(), frame, K)
+        assert scene.segments, f"scene {i} produced no segment"
+        biggest = max(scene.segments, key=lambda s: len(s.points))
+        errors.append(abs(height_p90(biggest.points, scene.ground_y) - box.height))
     elapsed = time.monotonic() - t0
     mae = float(np.mean(errors))
     assert mae <= 30.0

@@ -6,7 +6,7 @@ import pytest
 
 from hapmap import classifier as clf
 from hapmap.classifier import (MeshFormatError, TrainConfig, TrainingError,
-                               augment, forward, gate, grad_check, init_model,
+                               _augment_batch, forward, gate, grad_check, init_model,
                                load_model, loss_and_grads, merge_labels,
                                normalize_unit_sphere, predict_gated,
                                resample_points, sample_mesh_off, save_model,
@@ -108,23 +108,41 @@ class TestNormalize:
                                       np.zeros((1, 3)))
 
 
+def yaw(x, angles):
+    """Turn cloud i of the batch x about the y axis by angles[i]."""
+    c, s = np.cos(angles)[:, None], np.sin(angles)[:, None]
+    return np.stack([x[..., 0] * c + x[..., 2] * s, x[..., 1],
+                     -x[..., 0] * s + x[..., 2] * c], axis=-1)
+
+
+def drawn_angles(seed, n):
+    """Replays the yaw draw of _augment_batch from an identically seeded rng."""
+    return np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=n)
+
+
 class TestAugment:
+    """_augment_batch on float32 batches, as training calls it."""
+
     def test_forced_identity(self):
-        rng = np.random.default_rng(0)
-        cloud = rng.normal(size=(20, 3))
-        np.testing.assert_allclose(augment(cloud, rng, sigma=0.0, angle=0.0), cloud)
+        # sigma=0 adds no jitter: undoing the drawn yaw gives the input back
+        x = np.random.default_rng(0).normal(size=(6, 20, 3)).astype(np.float32)
+        out = _augment_batch(x, np.random.default_rng(1), sigma=0.0, clip=0.05)
+        np.testing.assert_allclose(yaw(out, -drawn_angles(1, 6)), x, atol=1e-5)
 
     def test_half_turn(self):
-        rng = np.random.default_rng(0)
-        out = augment(np.array([[1.0, 0.0, 0.0]]), rng, sigma=0.0, angle=np.pi)
-        np.testing.assert_allclose(out, [[-1.0, 0.0, 0.0]], atol=1e-12)
+        # a rotation about y by the drawn a: turning on by pi - a sends
+        # (1, 0, 0) to (-1, 0, 0)
+        x = np.tile(np.float32([1.0, 0.0, 0.0]), (8, 1, 1))
+        out = _augment_batch(x, np.random.default_rng(2), sigma=0.0, clip=0.05)
+        np.testing.assert_allclose(yaw(out, np.pi - drawn_angles(2, 8)),
+                                   -x, atol=1e-6)
 
     def test_count_unchanged_and_clip(self):
-        rng = np.random.default_rng(3)
-        cloud = rng.normal(size=(40, 3))
-        out = augment(cloud, rng, sigma=0.5, clip=0.05, angle=0.0)
-        assert out.shape == cloud.shape
-        assert np.abs(out - cloud).max() <= 0.05 + 1e-12
+        x = np.random.default_rng(3).normal(size=(4, 40, 3)).astype(np.float32)
+        out = _augment_batch(x, np.random.default_rng(4), sigma=0.5, clip=0.05)
+        assert out.shape == x.shape and out.dtype == np.float32
+        jitter = np.abs(out - yaw(x, drawn_angles(4, 4)))
+        assert 0.04 < jitter.max() <= 0.05 + 1e-5
 
 
 class TestResample:

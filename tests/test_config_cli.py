@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from hapmap import classifier as clf
-from hapmap import cli, dcgd, depthio, scenegen, segment as seg
+from hapmap import cli, depthio, scenegen
 from hapmap.config import PipelineConfig, format_config, parse_config
-from hapmap.pipeline import StageError, run_pipeline
+from hapmap.pipeline import StageError, analyze_scene, run_pipeline
 from hapmap.synthgrid import AreaGeometry, map_to_area, parse_grid_json
 
 K_SMALL = depthio.Intrinsics(143.95, 143.95, 79.5, 59.5)
@@ -57,6 +57,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config("output.format=bmp\n")
 
+    @pytest.mark.parametrize("parse, text", [
+        (parse_config, "dbscan.eps=nan"),
+        (parse_config, "voxel.leaf=nan"),
+        (parse_config, "passthrough.zmin=nan"),
+        (parse_config, "dcgd.dz=nan"),
+        (parse_config, "grid.near=inf"),
+        (parse_config, "geometry.height_high=inf"),
+        (depthio.load_intrinsics, "fx=nan\nfy=575.8\ncx=319.5\ncy=239.5"),
+    ], ids=["eps", "leaf", "zmin", "dz", "near", "height_high", "fx"])
+    def test_non_finite_values(self, parse, text):
+        # NaN fails every comparison, so a `value <= 0` check lets it through
+        with pytest.raises(ValueError, match="finite"):
+            parse(text)
+
 
 class TestRunPipeline:
     def test_geometry_only_single_footprint(self, box_scene):
@@ -87,6 +101,16 @@ class TestRunPipeline:
         assert 500 < float(cells[2]) < 700        # p90 of a 600mm box
         u, v = map(int, cells[6].split(","))
         assert result.pins[0] == (u, v)
+
+    def test_no_ground_falls_back_to_band_percentile(self):
+        # a wall nearer than the DCGD band: no ground pixel, but in the
+        # pass-through band, so the elevation is its 2nd percentile
+        frame = depthio.DepthFrame(np.full((120, 160), 1500, dtype=np.uint16))
+        cfg = parse_config("dcgd.z0=2500\n")
+        scene = analyze_scene(cfg, frame, K_SMALL)
+        assert not scene.ground_mask.any()
+        cloud = depthio.backproject(frame, K_SMALL)
+        assert scene.ground_y == np.percentile(cloud[:, 1], 2.0)
 
     def test_missing_depth_names_stage(self, box_scene, tmp_path):
         _, cfg_file, _ = box_scene
@@ -121,15 +145,7 @@ class TestRunPipeline:
 
 
 def main_segment_of(frame):
-    cfg = PipelineConfig()
-    ground = dcgd.detect_ground(frame, K_SMALL, cfg.dcgd)
-    cloud = depthio.backproject(frame, K_SMALL)
-    valid = np.flatnonzero(frame.data.ravel())
-    in_band = (cloud[:, 2] >= cfg.zmin) & (cloud[:, 2] <= cfg.zmax)
-    occupied = cloud[in_band & ~ground.ravel()[valid]]
-    down = seg.voxel_downsample(occupied, cfg.voxel_leaf)
-    segs = seg.extract_segments(down, seg.dbscan(down, cfg.dbscan_eps,
-                                                 cfg.dbscan_min_pts))
+    segs = analyze_scene(PipelineConfig(), frame, K_SMALL).segments
     return max(segs, key=lambda s: len(s.points)).points
 
 
@@ -284,12 +300,17 @@ class TestCli:
         assert {r[3] for r in rows} >= {"0"}
 
     def test_features_subcommand(self, box_scene, capsys):
+        # features and run read one analysis: per segment they agree on id,
+        # height, area and both classes
         depth, cfg_file, _ = box_scene
         rc = cli.main(["features", "--depth", str(depth), "--config", str(cfg_file)])
         assert rc == 0
         out = capsys.readouterr().out
         assert out.startswith("# segment")
-        assert len(out.strip().split("\n")) == 2
+        report = run_pipeline(parse_config(cfg_file.read_text()), depth).report
+        (feat,), (row,) = out.splitlines()[1:], report.splitlines()[1:]
+        f, r = feat.split("\t"), row.split("\t")
+        assert f[:5] == [r[0]] + r[2:6]
 
     def test_synth_raw(self, box_scene, tmp_path):
         depth, cfg_file, _ = box_scene

@@ -6,7 +6,7 @@ import pytest
 from hapmap import scenegen
 from hapmap.dcgd import (DcgdParams, DepthCut, compute_depth_cuts, detect_ground,
                          ground_elevation, split_subcuts)
-from hapmap.depthio import DepthFrame, Intrinsics
+from hapmap.depthio import DepthFrame, Intrinsics, backproject
 from hapmap.scenegen import BoxSpec, SceneSpec
 
 from conftest import SMALL_H, SMALL_W
@@ -151,7 +151,9 @@ class TestDetectGround:
         frame, _ = render(SceneSpec(camera_height=1200, floor_extent=4000),
                           small_cam)
         mask = detect_ground(frame, small_cam)
-        assert ground_elevation(frame, small_cam, mask) == pytest.approx(-1200, abs=5)
+        cloud = backproject(frame, small_cam)
+        elevation = ground_elevation(cloud, mask[frame.valid_mask])
+        assert elevation == pytest.approx(-1200, abs=5)
 
     def test_bad_params(self):
         with pytest.raises(ValueError):

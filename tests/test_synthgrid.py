@@ -190,7 +190,7 @@ class TestClipPolygon:
 
 class TestRasterizeRaw:
     def test_empty_cloud_all_ground(self):
-        grid = rasterize_raw(np.zeros((0, 3)), G)
+        grid = rasterize_raw(np.zeros((0, 3)), G, ground_y=0.0)
         assert set(np.unique(grid.cells[grid.active])) == {1}
 
     def test_ground_point_level_one(self):
