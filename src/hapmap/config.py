@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .dcgd import DcgdParams
+from .depthio import key_value_lines
 from .geomfeat import GeometryThresholds
 
 OUTPUT_FORMATS = ("json", "ascii", "pgm")
@@ -92,15 +93,7 @@ def parse_config(text: str) -> PipelineConfig:
     dcgd_kw = {}
     thr_kw: dict = {}
     updates: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for lineno, key, value in key_value_lines(text, "config"):
         if key in SCALAR_KEYS:
             attr, conv = SCALAR_KEYS[key]
             updates[attr] = conv(value)

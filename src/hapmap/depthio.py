@@ -162,17 +162,26 @@ def mask_to_pgm(mask: np.ndarray) -> bytes:
     return header + (mask.astype(np.uint8) * 255).tobytes()
 
 
-def load_intrinsics(text: str) -> Intrinsics:
-    """Parse the flat key-value intrinsics file (fx=, fy=, cx=, cy=, depth_scale=)."""
-    values = {}
+def key_value_lines(text: str, what: str, error: type[Exception] = ValueError):
+    """Yield (lineno, key, value) from flat `key=value` text, both stripped.
+
+    '#' starts a comment and blank lines are skipped.  A line without '='
+    raises ``error("<what> line <n>: expected key=value")``.
+    """
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise DepthFormatError(f"intrinsics line {lineno}: expected key=value")
-        key, _, val = line.partition("=")
-        key = key.strip()
+            raise error(f"{what} line {lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        yield lineno, key.strip(), value.strip()
+
+
+def load_intrinsics(text: str) -> Intrinsics:
+    """Parse the flat key-value intrinsics file (fx=, fy=, cx=, cy=, depth_scale=)."""
+    values = {}
+    for lineno, key, val in key_value_lines(text, "intrinsics", DepthFormatError):
         if key not in ("fx", "fy", "cx", "cy", "depth_scale"):
             raise DepthFormatError(f"intrinsics line {lineno}: unknown key {key!r}")
         values[key] = float(val)

@@ -5,8 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 MM2_PER_M2 = 1e6
+# Hull pruning.  A pruned point lies inside every qhull facet by more than
+# this share of the largest coordinate: far above float64 rounding and
+# qhull's own error, so no point that could be a vertex is dropped.
+_PRUNE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,17 +51,38 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _hull_candidates(pts: np.ndarray) -> np.ndarray:
+    """The points that may be hull vertices, in their input order.
+
+    A point is dropped only when it lies inside every qhull facet by more
+    than a tolerance far above rounding error.  Inputs qhull rejects
+    (collinear, too few points) keep every point.
+    """
+    try:
+        eq = ConvexHull(pts).equations          # unit normals: inside < 0
+    except QhullError:
+        return pts
+    tol = _PRUNE_TOL * max(float(np.abs(pts).max()), 1.0)
+    # One facet at a time, so memory stays O(n) for any facet count.
+    inside = np.ones(pts.shape[0], dtype=bool)
+    for a, b, c in eq:
+        inside &= a * pts[:, 0] + b * pts[:, 1] + c < -tol
+    return pts[~inside]
+
+
 def convex_hull_2d(points: np.ndarray) -> np.ndarray:
     """Monotone-chain convex hull, counter-clockwise, collinear-free.
 
     Fewer than 3 distinct non-collinear points yield a degenerate result
-    with fewer than 3 vertices.
+    with fewer than 3 vertices.  Points well inside qhull's hull are
+    dropped first; the chain runs over the remaining candidates.
     """
     pts = np.unique(np.asarray(points, dtype=np.float64).reshape(-1, 2), axis=0)
     n = pts.shape[0]
     if n < 3:
         return pts
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    pts = _hull_candidates(pts)
     lower: list[np.ndarray] = []
     for p in pts:
         while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:

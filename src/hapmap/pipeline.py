@@ -43,7 +43,6 @@ class PipelineResult:
     report: str
     descriptors: list[ObjectDescriptor]
     pins: list[tuple[int, int]]
-    ground_mask: np.ndarray
 
 
 def _class_cell(desc: ObjectDescriptor) -> str:
@@ -200,5 +199,4 @@ def run_pipeline(config: PipelineConfig, depth_path: str | Path) -> PipelineResu
 
     return PipelineResult(grid=grid, emitted=emitted,
                           report=format_report(descriptors, pins),
-                          descriptors=descriptors, pins=pins,
-                          ground_mask=scene.ground_mask)
+                          descriptors=descriptors, pins=pins)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .depthio import DepthFrame, Intrinsics
+from .depthio import DepthFrame, Intrinsics, key_value_lines
 
 
 @dataclass(frozen=True)
@@ -220,14 +220,7 @@ def parse_scene_spec(text: str) -> SceneSpec:
     kwargs: dict = {"camera_height": None}
     boxes: list[BoxSpec] = []
     holes: list[HoleSpec] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"scene line {lineno}: expected key=value")
-        key, _, val = line.partition("=")
-        key = key.strip()
+    for lineno, key, val in key_value_lines(text, "scene"):
         fields = val.replace(",", " ").split()
         if key == "box":
             if len(fields) != 6:

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 
@@ -24,18 +26,27 @@ def voxel_downsample(cloud: np.ndarray, leaf: float = 20.0) -> np.ndarray:
     """One centroid per occupied voxel; the grid is anchored at the origin.
 
     Output voxels are ordered by their grid key, so the result does not
-    depend on the input point order.
+    depend on the input point order.  The keys are whole numbers kept as
+    floats and grouped by a lexsort over their three columns, so no
+    integer cast or combined key can overflow.
     """
-    if leaf <= 0:
+    if not leaf > 0:
         raise ValueError("leaf size must be positive")
     cloud = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
+    if not np.isfinite(cloud).all():
+        raise ValueError("cloud must be finite, found nan or inf")
     if cloud.shape[0] == 0:
         return cloud
-    keys = np.floor(cloud / leaf).astype(np.int64)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    sums = np.zeros((uniq.shape[0], 3))
-    np.add.at(sums, inverse, cloud)
-    counts = np.bincount(inverse, minlength=uniq.shape[0]).astype(np.float64)
+    keys = np.floor(cloud / leaf)
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(starts) - 1
+    # bincount sums each voxel's points in input order.
+    sums = np.column_stack([np.bincount(inverse, weights=cloud[:, j])
+                            for j in range(3)])
+    counts = np.bincount(inverse).astype(np.float64)
     return sums / counts[:, None]
 
 
@@ -47,8 +58,14 @@ def dbscan(cloud: np.ndarray, eps: float = 80.0, min_pts: int = 10) -> Segmentat
     points plus their border points; everything else is noise (-1).
     Cluster ids follow first-core-point scan order; a border point seen by
     several clusters goes to the lowest cluster id.
+
+    All neighbor pairs come from one ``cKDTree.query_pairs`` call
+    (inclusive at eps).  Degrees are counted from the pairs, the core-core
+    pairs are labeled by ``connected_components``, and the components are
+    renumbered by their lowest core index.  Each border point then takes
+    the minimum id over its core neighbors.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if min_pts < 1:
         raise ValueError("min_pts must be at least 1")
@@ -58,32 +75,34 @@ def dbscan(cloud: np.ndarray, eps: float = 80.0, min_pts: int = 10) -> Segmentat
     if n == 0:
         return Segmentation(labels=labels, k=0)
 
-    tree = cKDTree(cloud)
-    neighbors = tree.query_ball_point(cloud, eps, workers=-1)
-    core = np.array([len(nb) >= min_pts for nb in neighbors])
+    pairs = cKDTree(cloud).query_pairs(eps, output_type="ndarray")
+    i, j = pairs[:, 0], pairs[:, 1]
+    core = np.bincount(pairs.ravel(), minlength=n) + 1 >= min_pts
+    core_idx = np.flatnonzero(core)
 
-    k = 0
-    for seed in range(n):
-        if not core[seed] or labels[seed] != -1:
-            continue
-        labels[seed] = k
-        frontier = [seed]
-        while frontier:
-            i = frontier.pop()
-            for j in neighbors[i]:
-                if core[j] and labels[j] == -1:
-                    labels[j] = k
-                    frontier.append(j)
-        k += 1
+    # Components of the core-core graph, on core points renumbered 0..c-1.
+    both = core[i] & core[j]
+    slot = np.cumsum(core) - 1
+    graph = coo_matrix((np.ones(int(both.sum()), dtype=np.int8),
+                        (slot[i[both]], slot[j[both]])),
+                       shape=(core_idx.size, core_idx.size))
+    k, comp = connected_components(graph, directed=False)
+    # Renumber by each component's first core point in scan order.
+    _, first = np.unique(comp, return_index=True)
+    rank = np.empty(k, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(k)
+    labels[core_idx] = rank[comp]
 
     # Border points: non-core with a core neighbor; ties to the lowest id.
-    for i in range(n):
-        if core[i]:
-            continue
-        ids = [labels[j] for j in neighbors[i] if core[j]]
-        if ids:
-            labels[i] = min(ids)
-    return Segmentation(labels=labels, k=k)
+    i_owns = core[i] & ~core[j]
+    j_owns = core[j] & ~core[i]
+    border = np.concatenate([j[i_owns], i[j_owns]])
+    owner = labels[np.concatenate([i[i_owns], j[j_owns]])]
+    claim = np.full(n, k, dtype=np.int64)
+    np.minimum.at(claim, border, owner)
+    claimed = claim < k
+    labels[claimed] = claim[claimed]
+    return Segmentation(labels=labels, k=int(k))
 
 
 def extract_segments(cloud: np.ndarray, seg: Segmentation) -> list[Segment]:

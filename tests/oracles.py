@@ -38,6 +38,38 @@ def brute_dbscan(cloud, eps, min_pts):
     return labels, k
 
 
+def brute_voxel_downsample(cloud, leaf):
+    """Row-unique voxel keys with an unbuffered add: same contract."""
+    cloud = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
+    if cloud.shape[0] == 0:
+        return cloud
+    keys = np.floor(cloud / leaf).astype(np.int64)
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    sums = np.zeros((uniq.shape[0], 3))
+    np.add.at(sums, inverse, cloud)
+    counts = np.bincount(inverse, minlength=uniq.shape[0]).astype(np.float64)
+    return sums / counts[:, None]
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def monotone_chain_hull(points):
+    """Monotone chain over every distinct point, with no candidate pruning."""
+    pts = np.unique(np.asarray(points, dtype=np.float64).reshape(-1, 2), axis=0)
+    if pts.shape[0] < 3:
+        return pts
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    lower, upper = [], []
+    for chain, order in ((lower, pts), (upper, pts[::-1])):
+        for p in order:
+            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+    return np.array(lower[:-1] + upper[:-1])
+
+
 def blob_cloud(rng, n_blobs=3, per_blob=60, stray=10):
     """Well-separated Gaussian blobs plus sprinkled isolated points."""
     centers = rng.permutation(27)[:n_blobs]

@@ -71,6 +71,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="finite"):
             parse(text)
 
+    @pytest.mark.parametrize("parse, error, message", [
+        (parse_config, ValueError, "config line {n}: "),
+        (depthio.load_intrinsics, depthio.DepthFormatError, "intrinsics line {n}: "),
+        (scenegen.parse_scene_spec, ValueError, "scene line {n}: "),
+    ], ids=["config", "intrinsics", "scene"])
+    def test_key_value_line_errors(self, parse, error, message):
+        # Comments and blank lines count toward the reported line number.
+        head = "# header\n\n   # indented comment\n"
+        with pytest.raises(error) as exc:
+            parse(head + "no equals sign here\n")
+        assert str(exc.value) == message.format(n=4) + "expected key=value"
+        with pytest.raises(error) as exc:
+            parse(head + " bogus.key = 1  # trailing comment\n")
+        assert str(exc.value) == message.format(n=4) + "unknown key 'bogus.key'"
+
 
 class TestRunPipeline:
     def test_geometry_only_single_footprint(self, box_scene):

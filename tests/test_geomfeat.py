@@ -1,5 +1,6 @@
 """Hull, area, and percentile-height features; hull checked against an
-all-pairs half-plane oracle."""
+all-pairs half-plane oracle and, vertex for vertex, against an unpruned
+monotone chain."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from hapmap.geomfeat import (GeometricClass, GeometryThresholds, classify_geometry,
                              convex_hull_2d, footprint, height_p90, polygon_area)
+
+from oracles import monotone_chain_hull
+
+
+def assert_same_as_chain(pts):
+    got = convex_hull_2d(pts)
+    ref = monotone_chain_hull(pts)
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
 
 
 def brute_hull_vertices(pts):
@@ -78,6 +88,65 @@ class TestConvexHull:
             return
         np.testing.assert_allclose(convex_hull_2d(hull), hull)
         assert all(point_in_hull(hull, p, tol=1e-6) for p in pts)
+
+
+class TestHullMatchesChain:
+    """Pruned hull equals the unpruned monotone chain, in vertex order."""
+
+    @pytest.mark.parametrize("n", [3, 5, 16, 17, 40, 500, 3000])
+    def test_random(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (1.0, 1e3, 1e7):
+            assert_same_as_chain(rng.normal(0.0, scale, size=(n, 2)))
+            assert_same_as_chain(rng.uniform(-scale, scale, size=(n, 2)) + 1e15)
+
+    def test_duplicate_heavy(self):
+        rng = np.random.default_rng(11)
+        base = rng.uniform(-500, 500, size=(12, 2))
+        assert_same_as_chain(base[rng.integers(0, 12, size=400)])
+        snapped = np.round(rng.normal(0, 3, size=(500, 2)))   # many exact repeats
+        assert_same_as_chain(snapped)
+
+    def test_collinear(self):
+        t = np.linspace(-1000.0, 1000.0, 60)
+        assert_same_as_chain(np.column_stack([t, 0.5 * t + 3.0]))
+        assert_same_as_chain(np.column_stack([np.zeros(60), t]))
+        # A square whose edges carry many collinear points.
+        edge = np.linspace(0.0, 100.0, 30)
+        square = np.vstack([np.column_stack([edge, np.zeros(30)]),
+                            np.column_stack([edge, np.full(30, 100.0)]),
+                            np.column_stack([np.zeros(30), edge]),
+                            np.column_stack([np.full(30, 100.0), edge])])
+        assert_same_as_chain(square)
+
+    def test_all_identical(self):
+        for n in (1, 3, 17, 100):
+            assert_same_as_chain(np.full((n, 2), 42.5))
+
+    def test_circle_every_point_a_vertex(self):
+        a = np.linspace(0.0, 2 * np.pi, 400, endpoint=False)
+        assert_same_as_chain(np.column_stack([np.cos(a), np.sin(a)]) * 700.0)
+
+    def test_voxel_grid_footprint(self):
+        # Segment-like input: points on a 20 mm grid with jitter and a
+        # dense interior, as the voxel filter produces.
+        rng = np.random.default_rng(12)
+        grid = np.stack(np.meshgrid(np.arange(40), np.arange(25)), -1).reshape(-1, 2)
+        pts = grid * 20.0 + rng.uniform(0, 20, size=grid.shape) - 300.0
+        assert_same_as_chain(pts)
+        assert_same_as_chain(grid * 20.0)          # exact lattice: collinear edges
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                    min_size=1, max_size=80))
+    def test_small_integer_points(self, coords):
+        assert_same_as_chain(np.array(coords, dtype=np.float64) * 10.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)),
+                    min_size=1, max_size=120))
+    def test_random_floats(self, coords):
+        assert_same_as_chain(np.array(coords))
 
 
 class TestPolygonArea:

@@ -1,11 +1,41 @@
-"""Voxel filter and DBSCAN checked against a dense O(n^2) reference."""
+"""Voxel filter and DBSCAN checked byte for byte against independent
+references: row-unique keys with an unbuffered add, and a dense O(n^2)
+DBSCAN."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hapmap.segment import Segmentation, dbscan, extract_segments, voxel_downsample
 
-from oracles import as_partition, blob_cloud, brute_dbscan
+from oracles import as_partition, blob_cloud, brute_dbscan, brute_voxel_downsample
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+def lattice_cloud(rng, eps, spacing_div, fill):
+    """A random subset of a cubic lattice with spacing eps / spacing_div,
+    in shuffled order; integer coordinates put many pairs exactly at eps."""
+    step = eps // spacing_div
+    grid = np.stack(np.meshgrid(np.arange(7), np.arange(6), np.arange(3),
+                                indexing="ij"), axis=-1).reshape(-1, 3)
+    pts = grid[rng.random(len(grid)) < fill] * step - 40.0
+    return rng.permutation(pts.astype(np.float64))
+
+
+def bridge_cloud():
+    """Two 5-point line clusters with a border point between them."""
+    left = np.array([[x, 0.0, 0.0] for x in (0, -10, -20, -30, -40)])
+    right = np.array([[x, 0.0, 0.0] for x in (180, 190, 200, 210, 220)])
+    bridge = np.array([[95.0, 0.0, 0.0]])
+    return np.vstack([right, left, bridge])   # right scans first -> id 0
+
+
+def assert_same_as_brute(cloud, eps, min_pts):
+    got = dbscan(cloud, eps, min_pts)
+    ref_labels, ref_k = brute_dbscan(cloud, eps, min_pts)
+    assert got.k == ref_k
+    np.testing.assert_array_equal(got.labels, ref_labels)
 
 
 class TestVoxelDownsample:
@@ -36,6 +66,50 @@ class TestVoxelDownsample:
     def test_bad_leaf(self):
         with pytest.raises(ValueError):
             voxel_downsample(np.zeros((1, 3)), 0.0)
+        with pytest.raises(ValueError):
+            voxel_downsample(np.zeros((1, 3)), np.nan)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_rejected(self, bad):
+        cloud = np.zeros((4, 3))
+        cloud[2, 1] = bad
+        with pytest.raises(ValueError):
+            voxel_downsample(cloud, 20.0)
+
+    @pytest.mark.parametrize("center, spread", [
+        (0.0, 100.0), (-5000.0, 3000.0), (1e15, 5e3), (-1e15, 5e3),
+    ])
+    def test_bytes_match_reference(self, center, spread):
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            cloud = center + rng.uniform(-spread, spread, size=(400, 3))
+            cloud = np.vstack([cloud, cloud[:50]])     # repeated points
+            got = voxel_downsample(cloud, 20.0)
+            assert got.tobytes() == brute_voxel_downsample(cloud, 20.0).tobytes()
+
+    def test_mixed_magnitudes_match_reference(self):
+        # Keys near +-5e13 per column: a combined flat key would overflow.
+        rng = np.random.default_rng(8)
+        cloud = rng.choice([-1e15, 0.0, 1e15], size=(300, 3))
+        cloud += rng.uniform(-100, 100, size=(300, 3))
+        got = voxel_downsample(cloud, 20.0)
+        assert got.tobytes() == brute_voxel_downsample(cloud, 20.0).tobytes()
+
+    def test_keys_beyond_int64_stay_apart(self):
+        # floor(x / leaf) exceeds the int64 range here; distinct voxels
+        # must not collapse into one wrapped key.
+        cloud = np.array([[1e300, 0.0, 0.0], [2e300, 0.0, 0.0], [-1e300, 0.0, 0.0]])
+        np.testing.assert_array_equal(voxel_downsample(cloud, 20.0),
+                                      cloud[[2, 0, 1]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+           leaf=st.sampled_from([0.5, 7.0, 20.0, 333.0]))
+    def test_bytes_match_reference_random(self, seed, n, leaf):
+        rng = np.random.default_rng(seed)
+        cloud = rng.normal(0.0, 10 ** rng.uniform(0, 4), size=(n, 3))
+        got = voxel_downsample(cloud, leaf)
+        assert got.tobytes() == brute_voxel_downsample(cloud, leaf).tobytes()
 
 
 class TestDbscan:
@@ -72,10 +146,36 @@ class TestDbscan:
             cloud = blob_cloud(rng, n_blobs=int(rng.integers(1, 5)),
                                per_blob=int(rng.integers(20, 70)),
                                stray=int(rng.integers(0, 20)))
-            got = dbscan(cloud, eps=120.0, min_pts=5)
-            ref_labels, ref_k = brute_dbscan(cloud, 120.0, 5)
-            assert got.k == ref_k
-            assert as_partition(cloud, got.labels) == as_partition(cloud, ref_labels)
+            assert_same_as_brute(cloud, 120.0, 5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_blobs=st.integers(0, 4),
+           per_blob=st.integers(1, 60), stray=st.integers(0, 20),
+           eps=st.sampled_from([60.0, 120.0, 250.0]), min_pts=st.integers(1, 12))
+    def test_exact_on_blob_clouds(self, seed, n_blobs, per_blob, stray, eps, min_pts):
+        rng = np.random.default_rng(seed)
+        cloud = blob_cloud(rng, n_blobs=n_blobs, per_blob=per_blob, stray=stray)
+        assert_same_as_brute(cloud, eps, min_pts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), eps=st.sampled_from([10, 40, 80]),
+           spacing_div=st.sampled_from([1, 2]), fill=st.floats(0.2, 1.0),
+           min_pts=st.integers(1, 34))
+    def test_exact_on_lattice_ties(self, seed, eps, spacing_div, fill, min_pts):
+        rng = np.random.default_rng(seed)
+        cloud = lattice_cloud(rng, eps, spacing_div, fill)
+        assert_same_as_brute(cloud, float(eps), min_pts)
+
+    @pytest.mark.parametrize("min_pts", [1, 4, 5, 6])
+    def test_exact_on_bridge(self, min_pts):
+        assert_same_as_brute(bridge_cloud(), 100.0, min_pts)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_rejected(self, bad):
+        cloud = np.zeros((4, 3))
+        cloud[1, 0] = bad
+        with pytest.raises(ValueError):
+            dbscan(cloud, eps=10.0, min_pts=2)
 
     def test_permutation_invariant_partition(self):
         rng = np.random.default_rng(5)
@@ -93,14 +193,10 @@ class TestDbscan:
         assert seg.labels[0] == 0 and seg.labels[-1] == 1
 
     def test_border_tie_lowest_id(self):
-        # Two 5-point line clusters with a bridge at x=95.  The bridge sees
-        # 4 neighbors (itself, x=0, x=180, x=190) so with min_pts=5 it is a
-        # border point of both clusters and must join the lower id.
-        left = np.array([[x, 0.0, 0.0] for x in (0, -10, -20, -30, -40)])
-        right = np.array([[x, 0.0, 0.0] for x in (180, 190, 200, 210, 220)])
-        bridge = np.array([[95.0, 0.0, 0.0]])
-        cloud = np.vstack([right, left, bridge])   # right scans first -> id 0
-        seg = dbscan(cloud, eps=100.0, min_pts=5)
+        # The bridge at x=95 sees 4 neighbors (itself, x=0, x=180, x=190)
+        # so with min_pts=5 it is a border point of both clusters and must
+        # join the lower id.
+        seg = dbscan(bridge_cloud(), eps=100.0, min_pts=5)
         assert seg.k == 2
         assert seg.labels[-1] == 0   # border claimed by the lower id
 
@@ -109,6 +205,8 @@ class TestDbscan:
             dbscan(np.zeros((1, 3)), eps=0, min_pts=1)
         with pytest.raises(ValueError):
             dbscan(np.zeros((1, 3)), eps=1, min_pts=0)
+        with pytest.raises(ValueError):
+            dbscan(np.zeros((1, 3)), eps=np.nan, min_pts=1)
 
 
 class TestExtractSegments:
