@@ -43,17 +43,13 @@ _GROUP_OF_FINE = {
     "door": "door", "window": "window",
 }
 
-TRAINING_COARSE_CLASSES = ("sit_on", "put_on", "store_in", "bathtub", "toilet", "stairs")
-LABELING_COARSE_CLASSES = ("sit_on", "put_on", "store_in", "sanitary", "window", "door", "stairs")
-
+#: training classes and their fine members, both in FINE_CLASSES order
+TRAINING_COARSE_CLASSES = tuple(dict.fromkeys(
+    _GROUP_OF_FINE[f] for f in TRAINED_FINE_CLASSES))
 TRAINING_MEMBERS = {
-    "sit_on": ("chair", "stool", "bed", "sofa", "bench"),
-    "put_on": ("table", "desk", "night_stand"),
-    "store_in": ("dresser", "wardrobe", "bookshelf"),
-    "bathtub": ("bathtub",),
-    "toilet": ("toilet",),
-    "stairs": ("stairs",),
-}
+    group: tuple(f for f in TRAINED_FINE_CLASSES if _GROUP_OF_FINE[f] == group)
+    for group in TRAINING_COARSE_CLASSES}
+LABELING_COARSE_CLASSES = ("sit_on", "put_on", "store_in", "sanitary", "window", "door", "stairs")
 
 
 def merge_labels(fine: str, taxonomy: str = "training") -> str:
@@ -208,16 +204,6 @@ class PointSetModel:
     head_weights: list[np.ndarray]
     head_biases: list[np.ndarray]
     meta: dict = field(default_factory=dict)
-
-    @property
-    def point_widths(self) -> tuple[int, ...]:
-        return (self.point_weights[0].shape[0],
-                *(w.shape[1] for w in self.point_weights))
-
-    @property
-    def head_widths(self) -> tuple[int, ...]:
-        return (self.head_weights[0].shape[0],
-                *(w.shape[1] for w in self.head_weights))
 
     def parameters(self):
         yield from self.point_weights
@@ -414,16 +400,19 @@ class TrainConfig:
     epochs: int = 30
     batch: int = 16
     lr: float = 0.01
-    momentum: float = 0.9
-    lr_decay: float = 0.5
-    decay_every: int = 20
     seed: int = 0
     n_points: int = 256
     point_widths: tuple[int, ...] = (3, 64, 128, 256)
     head_hidden: tuple[int, ...] = (128,)
-    augment: bool = True
-    augment_sigma: float = 0.01
-    augment_clip: float = 0.05
+
+
+#: SGD momentum; the learning rate halves every DECAY_EVERY epochs
+MOMENTUM = 0.9
+LR_DECAY = 0.5
+DECAY_EVERY = 20
+#: per-coordinate jitter of the training augmentation, unit-sphere units
+AUGMENT_SIGMA = 0.01
+AUGMENT_CLIP = 0.05
 
 
 def _canonicalize(clouds, n_points, rng) -> np.ndarray:
@@ -433,7 +422,8 @@ def _canonicalize(clouds, n_points, rng) -> np.ndarray:
     return out
 
 
-def _augment_batch(x: np.ndarray, rng, sigma, clip) -> np.ndarray:
+def _augment_batch(x: np.ndarray, rng, sigma=AUGMENT_SIGMA,
+                   clip=AUGMENT_CLIP) -> np.ndarray:
     angles = rng.uniform(0.0, 2.0 * np.pi, size=x.shape[0])
     c = np.cos(angles)[:, None].astype(x.dtype)
     s = np.sin(angles)[:, None].astype(x.dtype)
@@ -490,16 +480,13 @@ def train(train_clouds, train_labels, test_clouds, test_labels, classes,
 
     history = []
     for epoch in range(config.epochs):
-        lr = config.lr * (config.lr_decay ** (epoch // config.decay_every))
+        lr = config.lr * (LR_DECAY ** (epoch // DECAY_EVERY))
         perm = rng.permutation(len(x_train))
         epoch_loss = 0.0
         epoch_correct = 0.0
         for lo in range(0, len(perm), config.batch):
             idx = perm[lo:lo + config.batch]
-            xb = x_train[idx]
-            if config.augment:
-                xb = _augment_batch(xb, rng, config.augment_sigma,
-                                    config.augment_clip)
+            xb = _augment_batch(x_train[idx], rng)
             loss, grads, acc = loss_and_grads(model, xb, y_train[idx])
             if not np.isfinite(loss):
                 raise TrainingError(
@@ -507,7 +494,7 @@ def train(train_clouds, train_labels, test_clouds, test_labels, classes,
                     f"(lr={lr}); aborting")
             flat = grads["pw"] + grads["pb"] + grads["hw"] + grads["hb"]
             for vel, param, grad in zip(velocity, model.parameters(), flat):
-                vel *= config.momentum
+                vel *= MOMENTUM
                 vel -= lr * grad
                 param += vel
             epoch_loss += loss * len(idx)
@@ -586,39 +573,44 @@ def save_model(model: PointSetModel) -> bytes:
 
 
 def load_model(blob: bytes) -> PointSetModel:
+    """Parse save_model's bytes; a corrupt file raises ValueError naming its fault."""
     if blob[:4] != MODEL_MAGIC:
         raise ValueError("not a model file")
     pos = 4
 
-    def unpack(fmt):
+    def take(size):
         nonlocal pos
-        size = struct.calcsize(fmt)
         if pos + size > len(blob):
             raise ValueError("truncated model file")
-        vals = struct.unpack_from(fmt, blob, pos)
         pos += size
-        return vals
+        return blob[pos - size:pos]
+
+    def unpack(fmt):
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
 
     n_points, = unpack("<I")
+    if n_points == 0:
+        raise ValueError("model point count is 0")
     n_classes, = unpack("<I")
-    classes = []
-    for _ in range(n_classes):
-        ln, = unpack("<H")
-        classes.append(blob[pos:pos + ln].decode("utf-8"))
-        pos += ln
+    classes = tuple(take(unpack("<H")[0]).decode("utf-8")
+                    for _ in range(n_classes))
     shapes = []
-    for _ in range(2):
+    width = 3   # the point layers read (x, y, z)
+    for group in ("point", "head"):
         n_layers, = unpack("<I")
+        if n_layers == 0:
+            raise ValueError(f"model has no {group} layers")
         shapes.append([unpack("<II") for _ in range(n_layers)])
+        for i, (n_in, n_out) in enumerate(shapes[-1]):
+            if n_in != width:
+                raise ValueError(f"{group} layer {i} takes {n_in} inputs, "
+                                 f"expected {width}")
+            width = n_out
+    if width != len(classes):
+        raise ValueError(f"{len(classes)} class names for {width} head outputs")
 
     def read_array(count):
-        nonlocal pos
-        size = 4 * count
-        if pos + size > len(blob):
-            raise ValueError("truncated model file")
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=pos).copy()
-        pos += size
-        return arr
+        return np.frombuffer(take(4 * count), dtype="<f4").copy()
 
     weights = [[], []]
     biases = [[], []]
@@ -626,6 +618,8 @@ def load_model(blob: bytes) -> PointSetModel:
         for n_in, n_out in group:
             weights[gi].append(read_array(n_in * n_out).reshape(n_in, n_out))
             biases[gi].append(read_array(n_out))
-    return PointSetModel(classes=tuple(classes), n_points=n_points,
+    if pos != len(blob):
+        raise ValueError(f"{len(blob) - pos} trailing bytes after the model data")
+    return PointSetModel(classes=classes, n_points=n_points,
                          point_weights=weights[0], point_biases=biases[0],
                          head_weights=weights[1], head_biases=biases[1])

@@ -19,8 +19,6 @@ OUTPUT_FORMATS = ("json", "ascii", "pgm")
 @dataclass(frozen=True)
 class PipelineConfig:
     intrinsics_path: str = ""
-    zmin: float = 800.0
-    zmax: float = 4000.0
     dcgd: DcgdParams = DcgdParams()
     voxel_leaf: float = 20.0
     dbscan_eps: float = 80.0
@@ -28,8 +26,6 @@ class PipelineConfig:
     model_path: str = ""
     confidence_threshold: float = 0.85
     thresholds: GeometryThresholds = GeometryThresholds()
-    grid_near: float = 800.0
-    grid_far: float = 4000.0
     grid_small_basis: int = 24
     grid_rows: int = 96
     grid_cols: int = 120
@@ -39,18 +35,14 @@ class PipelineConfig:
 
     def __post_init__(self):
         positives = {
-            "passthrough.zmin": self.zmin, "passthrough.zmax": self.zmax,
             "voxel.leaf": self.voxel_leaf, "dbscan.eps": self.dbscan_eps,
             "dbscan.min_pts": self.dbscan_min_pts,
-            "grid.near": self.grid_near, "grid.far": self.grid_far,
             "grid.small_basis": self.grid_small_basis,
             "grid.rows": self.grid_rows, "grid.cols": self.grid_cols,
         }
         for key, value in positives.items():
             if not 0 < value < math.inf:
                 raise ValueError(f"{key} must be positive and finite")
-        if self.zmin >= self.zmax:
-            raise ValueError("passthrough.zmin must be below passthrough.zmax")
         if not 0.0 < self.confidence_threshold < 1.0:
             raise ValueError("classifier.threshold must lie in (0, 1)")
         if self.output_format not in OUTPUT_FORMATS:
@@ -60,15 +52,11 @@ class PipelineConfig:
 #: config keys, each with the PipelineConfig field it sets and its type
 SCALAR_KEYS = {
     "intrinsics.path": ("intrinsics_path", str),
-    "passthrough.zmin": ("zmin", float),
-    "passthrough.zmax": ("zmax", float),
     "voxel.leaf": ("voxel_leaf", float),
     "dbscan.eps": ("dbscan_eps", float),
     "dbscan.min_pts": ("dbscan_min_pts", int),
     "model.path": ("model_path", str),
     "classifier.threshold": ("confidence_threshold", float),
-    "grid.near": ("grid_near", float),
-    "grid.far": ("grid_far", float),
     "grid.small_basis": ("grid_small_basis", int),
     "grid.rows": ("grid_rows", int),
     "grid.cols": ("grid_cols", int),

@@ -25,6 +25,8 @@ from .depthio import DepthFrame, Intrinsics
 
 @dataclass(frozen=True)
 class DcgdParams:
+    #: the depth band, mm: the pipeline's pass-through filter and synthesis
+    #: area read the same near (z0) and far (zf) planes as the depth cuts
     z0: float = 800.0
     zf: float = 4000.0
     dz: float = 50.0
@@ -36,15 +38,11 @@ class DcgdParams:
     include_tol: float = 20.0
 
     def __post_init__(self):
-        if not -np.inf < self.z0 < self.zf < np.inf:
-            raise ValueError("z0 and zf must be finite with z0 below zf")
+        if not 0 < self.z0 < self.zf < np.inf:
+            raise ValueError("z0 and zf must be finite with 0 < z0 < zf")
         for value in (self.dz, self.baseline_tol, self.include_tol):
             if not 0 < value < np.inf:
                 raise ValueError("dz and tolerances must be positive and finite")
-
-    @property
-    def n_cuts(self) -> int:
-        return int(np.floor((self.zf - self.z0) / self.dz)) + 1
 
 
 @dataclass
@@ -80,29 +78,33 @@ class SubCut:
 
 def _pixel_geometry(frame: DepthFrame, k: Intrinsics, z0: float, zf: float,
                     dz: float):
-    """Per-pixel (z, y, bin) arrays; bin = -1 outside [z0, zf] or invalid."""
+    """Per-pixel (y, bin) arrays and the last cut index n.
+
+    n = ceil((zf - z0) / dz), so the cuts cover the whole band [z0, zf];
+    bin = -1 for invalid pixels and pixels no cut reaches.
+    """
     z = frame.data.astype(np.float64) * k.depth_scale
     vs = np.arange(frame.height, dtype=np.float64)[:, None]
     y = (k.cy - vs) * z / k.fy
-    n = int(np.floor((zf - z0) / dz))
+    n = int(np.ceil((zf - z0) / dz))
     # nearest-bin assignment; the half-up tie break keeps |z - z_i| <= dz/2
     bins = np.floor((z - z0) / dz + 0.5).astype(np.int64)
     bad = (frame.data == 0) | (bins < 0) | (bins > n)
     bins[bad] = -1
-    return z, y, bins
+    return y, bins, n
 
 
 def compute_depth_cuts(frame: DepthFrame, k: Intrinsics, z0: float = 800.0,
                        zf: float = 4000.0, dz: float = 50.0) -> list[DepthCut]:
-    """All n+1 cuts for z_i = z0 + i*dz, zf = z0 + n*dz (cuts may be empty).
+    """All n+1 cuts for z_i = z0 + i*dz, n = ceil((zf - z0) / dz) (cuts may
+    be empty); the last cut reaches zf or beyond.
 
     A pixel joins cut i when |z - z_i| <= dz/2; per column the entry is the
     pixel with the minimal back-projected y.
     """
     if z0 >= zf or dz <= 0:
         raise ValueError("need z0 < zf and dz > 0")
-    _, y, bins = _pixel_geometry(frame, k, z0, zf, dz)
-    n = int(np.floor((zf - z0) / dz))
+    y, bins, n = _pixel_geometry(frame, k, z0, zf, dz)
     cuts = []
     for i in range(n + 1):
         mask = bins == i
@@ -163,7 +165,7 @@ def detect_ground(frame: DepthFrame, k: Intrinsics,
     the cell stays excluded.
     """
     mask = np.zeros((frame.height, frame.width), dtype=bool)
-    _, y, bins = _pixel_geometry(frame, k, params.z0, params.zf, params.dz)
+    y, bins, _ = _pixel_geometry(frame, k, params.z0, params.zf, params.dz)
     in_band = bins >= 0
     if not in_band.any():
         return mask

@@ -96,7 +96,7 @@ def area_geometry(config: PipelineConfig, k: depthio.Intrinsics,
                   width: int) -> AreaGeometry:
     """The configured synthesis area for a camera of the given image width."""
     return AreaGeometry.from_intrinsics(
-        k, width, near=config.grid_near, far=config.grid_far,
+        k, width, near=config.dcgd.z0, far=config.dcgd.zf,
         small_basis=config.grid_small_basis, rows=config.grid_rows,
         cols=config.grid_cols)
 
@@ -112,8 +112,8 @@ def analyze_scene(config: PipelineConfig, frame: depthio.DepthFrame,
                   k: depthio.Intrinsics) -> SceneAnalysis:
     """Ground, occupied-space segments and their geometric features.
 
-    Without detected ground, ground_y is the 2nd percentile of the in-band
-    elevations (0 when the band is empty).
+    The depth cuts cover the whole band, so an in-band point implies
+    detected ground; ground_y is 0 only when the band is empty.
     """
     with _stage("dcgd"):
         ground = dcgd.detect_ground(frame, k, config.dcgd)
@@ -121,15 +121,11 @@ def analyze_scene(config: PipelineConfig, frame: depthio.DepthFrame,
     with _stage("segment"):
         cloud = depthio.backproject(frame, k)
         on_ground = ground[frame.valid_mask]
-        band = depthio.passthrough_filter(cloud, config.zmin, config.zmax)
-        if on_ground.any():
-            ground_y = dcgd.ground_elevation(cloud, on_ground)
-        elif len(band):
-            ground_y = float(np.percentile(band[:, 1], 2.0))
-        else:
-            ground_y = 0.0
-        occupied = depthio.passthrough_filter(cloud[~on_ground], config.zmin,
-                                              config.zmax)
+        near, far = config.dcgd.z0, config.dcgd.zf
+        band = depthio.passthrough_filter(cloud, near, far)
+        ground_y = (dcgd.ground_elevation(cloud, on_ground)
+                    if on_ground.any() else 0.0)
+        occupied = depthio.passthrough_filter(cloud[~on_ground], near, far)
         voxels = seg.voxel_downsample(occupied, config.voxel_leaf)
         labels = seg.dbscan(voxels, config.dbscan_eps, config.dbscan_min_pts)
         segments = seg.extract_segments(voxels, labels)

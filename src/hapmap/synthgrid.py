@@ -20,6 +20,8 @@ from .labeling import GlyphSheet, ObjectDescriptor, builtin_sheet, glyph_for, la
 
 INACTIVE = -1
 ASCII_INACTIVE = "·"   # middle dot
+#: height band of rasterize_raw, mm
+RAW_BAND_MM = 500.0
 
 
 class FrustumError(ValueError):
@@ -269,17 +271,15 @@ def rasterize_scene(ground_holes, objects: list[ObjectDescriptor],
     return grid
 
 
-def rasterize_raw(cloud: np.ndarray, g: AreaGeometry, ground_y: float,
-                  n_levels: int = 5, max_height: float = 2000.0) -> PinGrid:
+def rasterize_raw(cloud: np.ndarray, g: AreaGeometry,
+                  ground_y: float) -> PinGrid:
     """Map raw points straight onto the grid, pin level from height bands.
 
-    Heights above ground quantize into n_levels - 1 equal bands over
-    [0, max_height] (ground itself is band 0, level 1); each pin keeps the
-    maximum level of the points that land on it.  Points outside the view
-    field are dropped.
+    Heights above ground quantize into RAW_BAND_MM bands: the lowest band
+    (ground) is level 1, and heights from 3 bands up all take level 4.
+    Each pin keeps the maximum level of the points that land on it.
+    Points outside the view field are dropped.
     """
-    if n_levels < 2 or n_levels > 5:
-        raise ValueError("n_levels must lie in 2..5")
     grid = PinGrid.empty(g)
     pts = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
@@ -289,9 +289,8 @@ def rasterize_raw(cloud: np.ndarray, g: AreaGeometry, ground_y: float,
         return grid
     u = np.clip(np.floor(g.scale * x + g.cols / 2.0 + 0.5).astype(int), 0, g.cols - 1)
     v = np.clip(np.floor(g.scale * (z - g.near) + 0.5).astype(int), 0, g.rows - 1)
-    band = max_height / (n_levels - 1)
     h = np.maximum(y - ground_y, 0.0)
-    level = 1 + np.minimum(np.floor(h / band), n_levels - 2).astype(np.int8)
+    level = 1 + np.minimum(np.floor(h / RAW_BAND_MM), 3).astype(np.int8)
     active = grid.active
     ok = active[v, u]
     np.maximum.at(grid.cells, (v[ok], u[ok]), level[ok])

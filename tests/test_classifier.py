@@ -1,8 +1,11 @@
 """Point-set classifier: taxonomy, canonicalization, OFF sampling, the
 network itself, training, and the finite-difference gradient oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hapmap import classifier as clf
 from hapmap.classifier import (MeshFormatError, TrainConfig, TrainingError,
@@ -69,6 +72,17 @@ class TestTaxonomy:
         assert merge_labels("bathtub", "labeling") == "sanitary"
         assert merge_labels("toilet", "labeling") == "sanitary"
         assert merge_labels("bathtub", "training") == "bathtub"
+
+    def test_training_tables_in_fine_order(self):
+        # build_synthetic_dataset cycles the members in this order
+        assert clf.TRAINING_COARSE_CLASSES == (
+            "sit_on", "put_on", "store_in", "bathtub", "toilet", "stairs")
+        assert list(clf.TRAINING_MEMBERS.items()) == [
+            ("sit_on", ("chair", "stool", "bed", "sofa", "bench")),
+            ("put_on", ("table", "desk", "night_stand")),
+            ("store_in", ("dresser", "wardrobe", "bookshelf")),
+            ("bathtub", ("bathtub",)), ("toilet", ("toilet",)),
+            ("stairs", ("stairs",))]
 
     def test_untrained_classes(self):
         with pytest.raises(ValueError):
@@ -345,3 +359,59 @@ class TestSerialization:
         blob = save_model(tiny_model())
         with pytest.raises(ValueError, match="truncated"):
             load_model(blob[:-5])
+
+    def test_trailing_bytes(self):
+        with pytest.raises(ValueError, match="3 trailing bytes"):
+            load_model(save_model(tiny_model()) + b"\0\0\0")
+
+    def test_zero_points(self):
+        with pytest.raises(ValueError, match="point count is 0"):
+            load_model(save_model(replace(tiny_model(), n_points=0)))
+
+    def test_more_class_names_than_outputs(self):
+        model = replace(tiny_model(k=2), classes=("c0", "c1", "c2"))
+        with pytest.raises(ValueError, match="3 class names for 2 head outputs"):
+            load_model(save_model(model))
+
+    @pytest.mark.parametrize("group", ["point", "head"])
+    def test_group_without_layers(self, group):
+        model = replace(tiny_model(), **{f"{group}_weights": [],
+                                         f"{group}_biases": []})
+        with pytest.raises(ValueError, match=f"no {group} layers"):
+            load_model(save_model(model))
+
+    @pytest.mark.parametrize("group, index, n_in, message", [
+        ("point", 0, 4, "point layer 0 takes 4 inputs, expected 3"),
+        ("point", 1, 7, "point layer 1 takes 7 inputs, expected 8"),
+        ("head", 0, 9, "head layer 0 takes 9 inputs, expected 8"),
+    ], ids=["coordinates", "point_chain", "pooled"])
+    def test_broken_width_chain(self, group, index, n_in, message):
+        # tiny_model widths: point 3 -> 8 -> 8, head 8 -> 8 -> 3
+        model = tiny_model()
+        weights = getattr(model, f"{group}_weights")
+        weights[index] = np.zeros((n_in, weights[index].shape[1]), np.float32)
+        with pytest.raises(ValueError, match=message):
+            load_model(save_model(model))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_corrupt_bytes_fail_or_load_consistent(self, data):
+        # any prefix fails; any single-byte change either fails with
+        # ValueError or loads a model whose forward pass matches its classes
+        blob = save_model(tiny_model())
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        with pytest.raises(ValueError):
+            load_model(blob[:cut])
+        header = len(blob) - 4 * sum(a.size for a in tiny_model().parameters())
+        pos = data.draw(st.one_of(st.integers(0, header - 1),
+                                  st.integers(0, len(blob) - 1)))
+        flip = data.draw(st.integers(1, 255))
+        corrupt = bytearray(blob)
+        corrupt[pos] ^= flip
+        try:
+            model = load_model(bytes(corrupt))
+        except ValueError:
+            return
+        with np.errstate(all="ignore"):
+            probs = forward(model, np.ones((5, 3)))
+        assert probs.shape == (len(model.classes),)

@@ -1,7 +1,10 @@
 """Config parsing, pipeline orchestration, and the command-line surface."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hapmap import classifier as clf
 from hapmap import cli, depthio, scenegen
@@ -47,11 +50,32 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown key"):
             parse_config("dbscan.epsilon=5\n")
 
+    @pytest.mark.parametrize("key", ["passthrough.zmin", "passthrough.zmax",
+                                     "grid.near", "grid.far"])
+    def test_band_has_one_pair_of_keys(self, key):
+        # dcgd.z0/zf is the only depth band; the old per-stage copies are gone
+        with pytest.raises(ValueError, match="unknown key"):
+            parse_config(f"{key}=800\n")
+
+    def test_readme_lists_every_key(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        section = readme.split("## Configuration", 1)[1]
+        block = section.split("```", 2)[1]
+        documented = [token.split("=", 1)[0]
+                      for line in block.splitlines()
+                      for token in line.split("#", 1)[0].split()
+                      if "=" in token]
+        keys = [line.split("=", 1)[0]
+                for line in format_config(PipelineConfig()).splitlines()]
+        assert sorted(documented) == sorted(keys)
+
     def test_invalid_values(self):
         with pytest.raises(ValueError):
             parse_config("classifier.threshold=1.5\n")
         with pytest.raises(ValueError):
-            parse_config("passthrough.zmin=5000\npassthrough.zmax=800\n")
+            parse_config("dcgd.z0=5000\ndcgd.zf=800\n")
+        with pytest.raises(ValueError):
+            parse_config("dcgd.z0=0\n")
         with pytest.raises(ValueError):
             parse_config("voxel.leaf=0\n")
         with pytest.raises(ValueError):
@@ -60,12 +84,12 @@ class TestConfig:
     @pytest.mark.parametrize("parse, text", [
         (parse_config, "dbscan.eps=nan"),
         (parse_config, "voxel.leaf=nan"),
-        (parse_config, "passthrough.zmin=nan"),
+        (parse_config, "dcgd.zf=nan"),
         (parse_config, "dcgd.dz=nan"),
-        (parse_config, "grid.near=inf"),
+        (parse_config, "dcgd.z0=inf"),
         (parse_config, "geometry.height_high=inf"),
         (depthio.load_intrinsics, "fx=nan\nfy=575.8\ncx=319.5\ncy=239.5"),
-    ], ids=["eps", "leaf", "zmin", "dz", "near", "height_high", "fx"])
+    ], ids=["eps", "leaf", "far", "dz", "near", "height_high", "fx"])
     def test_non_finite_values(self, parse, text):
         # NaN fails every comparison, so a `value <= 0` check lets it through
         with pytest.raises(ValueError, match="finite"):
@@ -117,15 +141,32 @@ class TestRunPipeline:
         u, v = map(int, cells[6].split(","))
         assert result.pins[0] == (u, v)
 
-    def test_no_ground_falls_back_to_band_percentile(self):
-        # a wall nearer than the DCGD band: no ground pixel, but in the
-        # pass-through band, so the elevation is its 2nd percentile
-        frame = depthio.DepthFrame(np.full((120, 160), 1500, dtype=np.uint16))
-        cfg = parse_config("dcgd.z0=2500\n")
-        scene = analyze_scene(cfg, frame, K_SMALL)
-        assert not scene.ground_mask.any()
-        cloud = depthio.backproject(frame, K_SMALL)
-        assert scene.ground_y == np.percentile(cloud[:, 1], 2.0)
+    @settings(max_examples=60, deadline=None)
+    @given(depths=st.lists(st.integers(0, 6000), min_size=12 * 16,
+                           max_size=12 * 16),
+           z0=st.integers(100, 3000), width=st.integers(50, 3000),
+           dz=st.integers(10, 400))
+    def test_points_in_band_imply_ground(self, depths, z0, width, dz):
+        # the cuts cover the whole band, and DCGD never claims the lowest
+        # in-band entry as object, so an in-band point means ground exists
+        frame = depthio.DepthFrame(np.array(depths).reshape(12, 16))
+        k = depthio.Intrinsics(20.0, 20.0, 7.5, 5.5)
+        cfg = parse_config(f"dcgd.z0={z0}\ndcgd.zf={z0 + width}\ndcgd.dz={dz}\n")
+        scene = analyze_scene(cfg, frame, k)
+        assert scene.ground_mask.any() or len(scene.cloud) == 0
+
+    @pytest.mark.parametrize("dz", [50, 70, 130])
+    def test_empty_floor_has_no_objects_at_any_cut_step(self, dz):
+        # floor with one hole: a step that does not divide the band still
+        # needs a cut at or past dcgd.zf, or the floor just short of zf
+        # comes out as objects
+        spec = scenegen.parse_scene_spec(
+            "camera_height=1200\nfloor_extent=8000\nnoise_sigma=10\n"
+            "seed=851441250\nhole=-749.0 3710.0 451.0 259.0\n")
+        frame, _ = scenegen.render_depth(spec, depthio.DEFAULT_INTRINSICS)
+        scene = analyze_scene(parse_config(f"dcgd.dz={dz}\n"), frame,
+                              depthio.DEFAULT_INTRINSICS)
+        assert scene.segments == []
 
     def test_missing_depth_names_stage(self, box_scene, tmp_path):
         _, cfg_file, _ = box_scene

@@ -32,9 +32,19 @@ class TestComputeDepthCuts:
     def test_default_band_yields_65_cuts(self, small_cam):
         frame = DepthFrame(np.zeros((SMALL_H, SMALL_W), dtype=np.uint16))
         cuts = compute_depth_cuts(frame, small_cam, 800, 4000, 50)
-        # floor((4000 - 800) / 50) = 64 intervals -> cuts i = 0..64
+        # ceil((4000 - 800) / 50) = 64 intervals -> cuts i = 0..64
         assert len(cuts) == 65
         assert cuts[0].z == 800 and cuts[-1].z == 4000
+
+    @pytest.mark.parametrize("dz", [70, 130, 3000])
+    def test_last_cut_reaches_zf(self, small_cam, dz):
+        # a step that does not divide the band adds one cut past zf, so a
+        # pixel at zf still falls in a cut
+        data = np.zeros((SMALL_H, SMALL_W), dtype=np.uint16)
+        data[-1, 0] = 4000
+        cuts = compute_depth_cuts(DepthFrame(data), small_cam, 800, 4000, dz)
+        assert cuts[-2].z < 4000 <= cuts[-1].z
+        assert sum(not c.is_empty for c in cuts) == 1
 
     def test_constant_depth_single_cut(self, small_cam):
         frame = DepthFrame(np.full((SMALL_H, SMALL_W), 1000, dtype=np.uint16))
@@ -158,5 +168,7 @@ class TestDetectGround:
     def test_bad_params(self):
         with pytest.raises(ValueError):
             DcgdParams(z0=4000, zf=800)
+        with pytest.raises(ValueError):
+            DcgdParams(z0=0)
         with pytest.raises(ValueError):
             DcgdParams(dz=-1)
