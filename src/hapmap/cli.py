@@ -146,9 +146,9 @@ def _cmd_synth(args) -> int:
     cfg = _load_config(args)
     if args.raw:
         frame, k = load_inputs(cfg, args.depth)
+        geometry = area_geometry(cfg, k, frame.width)
         scene = analyze_scene(cfg, frame, k)
-        grid = rasterize_raw(scene.cloud, area_geometry(cfg, k, frame.width),
-                             ground_y=scene.ground_y)
+        grid = rasterize_raw(scene.cloud, geometry, ground_y=scene.ground_y)
         Path(args.out).write_bytes(emit(grid, cfg.output_format))
         return 0
     cfg = replace(cfg, model_path="")   # geometry-only synthesis

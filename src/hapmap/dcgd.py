@@ -4,8 +4,13 @@ The depth image is sliced into bins of width dz along the optical axis.
 Within each bin, the lowest 3D point of every column forms a cut curve.
 Cut entries near the ground elevation are concave (ground candidates);
 entries rising above it are convex (objects) and are stripped together
-with everything above them in their column/bin cell.  Iterating the cuts
-from near to far accumulates the ground pixel mask.
+with everything above them in their column/bin cell.
+
+One pass over the frame builds the (n+1, width) table of cut entries: one
+``np.minimum.at`` keyed on ``bin * width + column`` gives every cell's
+lowest elevation.  The claim rule then runs once per non-empty cut on its
+table row, and one gather of the concave flags and entries at each pixel's
+cell yields the ground pixel mask.
 
 The concave/convex criterion used here: a per-cut baseline found as the
 median of unclaimed entry elevations, with entries claimed as object when
@@ -94,43 +99,54 @@ def _pixel_geometry(frame: DepthFrame, k: Intrinsics, z0: float, zf: float,
     return y, bins, n
 
 
+def _entry_table(y: np.ndarray, bins: np.ndarray, n: int):
+    """Cut entries of every (cut, column) cell in one pass.
+
+    Returns (entry, key, in_band): entry is the (n+1, width) table of each
+    cell's lowest y, inf where the cell is empty; key is the flat cell index
+    bin * width + column of each in-band pixel, in row-major pixel order.
+    """
+    width = bins.shape[1]
+    in_band = bins >= 0
+    key = (bins * width + np.arange(width))[in_band]
+    entry = np.full((n + 1) * width, np.inf)
+    np.minimum.at(entry, key, y[in_band])
+    return entry.reshape(n + 1, width), key, in_band
+
+
 def compute_depth_cuts(frame: DepthFrame, k: Intrinsics, z0: float = 800.0,
                        zf: float = 4000.0, dz: float = 50.0) -> list[DepthCut]:
     """All n+1 cuts for z_i = z0 + i*dz, n = ceil((zf - z0) / dz) (cuts may
     be empty); the last cut reaches zf or beyond.
 
     A pixel joins cut i when |z - z_i| <= dz/2; per column the entry is the
-    pixel with the minimal back-projected y.
+    pixel with the minimal back-projected y, the topmost row among ties.
     """
     if z0 >= zf or dz <= 0:
         raise ValueError("need z0 < zf and dz > 0")
     y, bins, n = _pixel_geometry(frame, k, z0, zf, dz)
-    cuts = []
-    for i in range(n + 1):
-        mask = bins == i
-        ycol = np.where(mask, y, np.inf)
-        rows = np.argmin(ycol, axis=0).astype(np.int32)
-        occupied = mask.any(axis=0)
-        rows[~occupied] = -1
-        yentry = np.where(occupied, ycol[rows, np.arange(frame.width)], np.nan)
-        cuts.append(DepthCut(index=i, z=z0 + i * dz, rows=rows, y=yentry))
-    return cuts
+    entry, key, in_band = _entry_table(y, bins, n)
+    ties = y[in_band] == entry.ravel()[key]
+    rows = np.full(entry.size, frame.height, dtype=np.int32)
+    pixel_rows = np.broadcast_to(
+        np.arange(frame.height, dtype=np.int32)[:, None], bins.shape)
+    np.minimum.at(rows, key[ties], pixel_rows[in_band][ties])
+    occupied = entry < np.inf
+    rows = np.where(occupied.ravel(), rows, -1).reshape(entry.shape)
+    yentry = np.where(occupied, entry, np.nan)
+    return [DepthCut(index=i, z=z0 + i * dz, rows=rows[i], y=yentry[i])
+            for i in range(n + 1)]
 
 
-def split_subcuts(cut: DepthCut, baseline_tol: float = 50.0,
-                  ground_prior: float | None = None) -> list[SubCut]:
-    """Split a cut into maximal concave/convex column runs.
+def _claims(yv: np.ndarray, baseline_tol: float,
+            ground_prior: float | None) -> np.ndarray:
+    """Convex flags of one cut's entries: the iterative-median claim rule.
 
     The baseline is the median elevation of entries not claimed as object;
     claims start from the optional ground_prior (entries above
-    prior + tol) and grow by re-running the median until stable.  Runs
-    break at unoccupied columns and at kind changes.
+    prior + tol) and grow by re-running the median until stable.
     """
-    cols = cut.columns
-    if cols.size == 0:
-        raise ValueError("cut has no entries")
-    yv = cut.y[cols]
-    claimed = np.zeros(cols.size, dtype=bool)
+    claimed = np.zeros(yv.size, dtype=bool)
     if ground_prior is not None:
         claimed = yv > ground_prior + baseline_tol
     while not claimed.all():
@@ -139,20 +155,29 @@ def split_subcuts(cut: DepthCut, baseline_tol: float = 50.0,
         if not np.any(newly & ~claimed):
             break
         claimed |= newly
+    return claimed
 
-    subcuts = []
-    run_start = 0
-    for idx in range(1, cols.size + 1):
-        boundary = (idx == cols.size
-                    or cols[idx] != cols[idx - 1] + 1
-                    or claimed[idx] != claimed[idx - 1])
-        if boundary:
-            kind = "convex" if claimed[run_start] else "concave"
-            subcuts.append(SubCut(start=int(cols[run_start]),
-                                  end=int(cols[idx - 1]), kind=kind,
-                                  y=yv[run_start:idx].copy()))
-            run_start = idx
-    return subcuts
+
+def split_subcuts(cut: DepthCut, baseline_tol: float = 50.0,
+                  ground_prior: float | None = None) -> list[SubCut]:
+    """Split a cut into maximal concave/convex column runs.
+
+    Entries are claimed as convex by ``_claims``.  Runs break at unoccupied
+    columns and at kind changes.
+    """
+    cols = cut.columns
+    if cols.size == 0:
+        raise ValueError("cut has no entries")
+    yv = cut.y[cols]
+    claimed = _claims(yv, baseline_tol, ground_prior)
+    breaks = np.flatnonzero((np.diff(cols) != 1)
+                            | (claimed[1:] != claimed[:-1])) + 1
+    starts = np.concatenate(([0], breaks))
+    ends = np.concatenate((breaks, [cols.size]))
+    return [SubCut(start=int(cols[a]), end=int(cols[b - 1]),
+                   kind="convex" if claimed[a] else "concave",
+                   y=yv[a:b].copy())
+            for a, b in zip(starts, ends)]
 
 
 def detect_ground(frame: DepthFrame, k: Intrinsics,
@@ -165,24 +190,22 @@ def detect_ground(frame: DepthFrame, k: Intrinsics,
     the cell stays excluded.
     """
     mask = np.zeros((frame.height, frame.width), dtype=bool)
-    y, bins, _ = _pixel_geometry(frame, k, params.z0, params.zf, params.dz)
-    in_band = bins >= 0
-    if not in_band.any():
+    y, bins, n = _pixel_geometry(frame, k, params.z0, params.zf, params.dz)
+    entry, key, in_band = _entry_table(y, bins, n)
+    if not key.size:
         return mask
 
     # Elevation prior: the ground is the lowest surface in view.
-    prior = float(np.percentile(y[in_band], 2.0))
+    y_band = y[in_band]
+    prior = float(np.percentile(y_band, 2.0))
 
-    for cut in compute_depth_cuts(frame, k, params.z0, params.zf, params.dz):
-        if cut.is_empty:
-            continue
-        for sub in split_subcuts(cut, params.baseline_tol, ground_prior=prior):
-            if sub.kind != "concave":
-                continue
-            span = slice(sub.start, sub.end + 1)
-            cell = (bins[:, span] == cut.index)
-            low = y[:, span] <= cut.y[span][None, :] + params.include_tol
-            mask[:, span] |= cell & low
+    occupied = entry < np.inf
+    concave = np.zeros(entry.shape, dtype=bool)
+    for i in np.flatnonzero(occupied.any(axis=1)):
+        cols = np.flatnonzero(occupied[i])
+        concave[i, cols] = ~_claims(entry[i, cols], params.baseline_tol, prior)
+    mask[in_band] = (concave.ravel()[key]
+                     & (y_band <= entry.ravel()[key] + params.include_tol))
     return mask
 
 

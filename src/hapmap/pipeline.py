@@ -94,11 +94,16 @@ def camera_intrinsics(config: PipelineConfig) -> depthio.Intrinsics:
 
 def area_geometry(config: PipelineConfig, k: depthio.Intrinsics,
                   width: int) -> AreaGeometry:
-    """The configured synthesis area for a camera of the given image width."""
-    return AreaGeometry.from_intrinsics(
-        k, width, near=config.dcgd.z0, far=config.dcgd.zf,
-        small_basis=config.grid_small_basis, rows=config.grid_rows,
-        cols=config.grid_cols)
+    """The configured synthesis area for a camera of the given image width.
+
+    Built under the synthgrid stage right after the inputs load, so a band
+    or grid that cannot fit fails before any frame analysis runs.
+    """
+    with _stage("synthgrid"):
+        return AreaGeometry.from_intrinsics(
+            k, width, near=config.dcgd.z0, far=config.dcgd.zf,
+            small_basis=config.grid_small_basis, rows=config.grid_rows,
+            cols=config.grid_cols)
 
 
 def load_inputs(config: PipelineConfig, depth_path: str | Path):
@@ -152,6 +157,7 @@ def run_pipeline(config: PipelineConfig, depth_path: str | Path) -> PipelineResu
     Given identical config and inputs the result is byte-stable.
     """
     frame, k = load_inputs(config, depth_path)
+    geometry = area_geometry(config, k, frame.width)
     scene = analyze_scene(config, frame, k)
 
     model = None
@@ -184,7 +190,6 @@ def run_pipeline(config: PipelineConfig, depth_path: str | Path) -> PipelineResu
         sheet = builtin_sheet()
         if config.glyphs_path:
             sheet = parse_glyph_sheet(Path(config.glyphs_path).read_text())
-        geometry = area_geometry(config, k, frame.width)
         grid = rasterize_scene([], descriptors, geometry, sheet)
         pins = []
         for desc in descriptors:

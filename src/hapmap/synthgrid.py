@@ -20,6 +20,9 @@ from .labeling import GlyphSheet, ObjectDescriptor, builtin_sheet, glyph_for, la
 
 INACTIVE = -1
 ASCII_INACTIVE = "·"   # middle dot
+#: emit's ascii characters by code, level - INACTIVE; "\n" maps to itself
+_ASCII_CHARS = str.maketrans(
+    {0: ASCII_INACTIVE, **{level + 1: str(level) for level in range(5)}})
 #: height band of rasterize_raw, mm
 RAW_BAND_MM = 500.0
 
@@ -312,11 +315,11 @@ def emit(grid: PinGrid, format: str) -> bytes:
                "cells": [int(c) for c in grid.cells.ravel()]}
         return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
     if format == "ascii":
-        lines = []
-        for row in grid.cells:
-            lines.append("".join(ASCII_INACTIVE if c == INACTIVE else str(int(c))
-                                 for c in row))
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        codes = np.full((rows, cols + 1), ord("\n"), dtype=np.uint8)
+        codes[:, :cols] = grid.cells - INACTIVE
+        text = codes.tobytes().decode("latin-1").translate(_ASCII_CHARS)
+        # a grid without rows still ends in one newline
+        return (text or "\n").encode("utf-8")
     if format == "pgm":
         body = np.where(grid.cells == INACTIVE, 0,
                         40 + 50 * grid.cells.astype(np.int16)).astype(np.uint8)

@@ -2,8 +2,10 @@
 
 import numpy as np
 
+from hapmap.dcgd import DcgdParams, DepthCut, SubCut, _pixel_geometry
 from hapmap.geomfeat import Footprint, classify_geometry, polygon_area
 from hapmap.labeling import ObjectDescriptor
+from hapmap.synthgrid import ASCII_INACTIVE, INACTIVE
 
 
 def brute_dbscan(cloud, eps, min_pts):
@@ -68,6 +70,75 @@ def monotone_chain_hull(points):
                 chain.pop()
             chain.append(p)
     return np.array(lower[:-1] + upper[:-1])
+
+
+def loop_depth_cuts(frame, k, z0=800.0, zf=4000.0, dz=50.0):
+    """One full-frame argmin per cut: the entry is the first minimal-y row."""
+    y, bins, n = _pixel_geometry(frame, k, z0, zf, dz)
+    cuts = []
+    for i in range(n + 1):
+        mask = bins == i
+        ycol = np.where(mask, y, np.inf)
+        rows = np.argmin(ycol, axis=0).astype(np.int32)
+        occupied = mask.any(axis=0)
+        rows[~occupied] = -1
+        yentry = np.where(occupied, ycol[rows, np.arange(frame.width)], np.nan)
+        cuts.append(DepthCut(index=i, z=z0 + i * dz, rows=rows, y=yentry))
+    return cuts
+
+
+def loop_split_subcuts(cut, baseline_tol=50.0, ground_prior=None):
+    """Iterative-median claims, then runs found column by column."""
+    cols = cut.columns
+    yv = cut.y[cols]
+    claimed = np.zeros(cols.size, dtype=bool)
+    if ground_prior is not None:
+        claimed = yv > ground_prior + baseline_tol
+    while not claimed.all():
+        baseline = np.median(yv[~claimed])
+        newly = yv > baseline + baseline_tol
+        if not np.any(newly & ~claimed):
+            break
+        claimed |= newly
+    subcuts = []
+    run_start = 0
+    for idx in range(1, cols.size + 1):
+        if (idx == cols.size or cols[idx] != cols[idx - 1] + 1
+                or claimed[idx] != claimed[idx - 1]):
+            kind = "convex" if claimed[run_start] else "concave"
+            subcuts.append(SubCut(start=int(cols[run_start]),
+                                  end=int(cols[idx - 1]), kind=kind,
+                                  y=yv[run_start:idx].copy()))
+            run_start = idx
+    return subcuts
+
+
+def loop_detect_ground(frame, k, params=DcgdParams()):
+    """Ground mask built cut by cut and concave span by span."""
+    mask = np.zeros((frame.height, frame.width), dtype=bool)
+    y, bins, _ = _pixel_geometry(frame, k, params.z0, params.zf, params.dz)
+    in_band = bins >= 0
+    if not in_band.any():
+        return mask
+    prior = float(np.percentile(y[in_band], 2.0))
+    for cut in loop_depth_cuts(frame, k, params.z0, params.zf, params.dz):
+        if cut.is_empty:
+            continue
+        for sub in loop_split_subcuts(cut, params.baseline_tol, prior):
+            if sub.kind != "concave":
+                continue
+            span = slice(sub.start, sub.end + 1)
+            cell = bins[:, span] == cut.index
+            low = y[:, span] <= cut.y[span][None, :] + params.include_tol
+            mask[:, span] |= cell & low
+    return mask
+
+
+def loop_emit_ascii(cells):
+    """The ascii grid written cell by cell."""
+    lines = ["".join(ASCII_INACTIVE if c == INACTIVE else str(int(c))
+                     for c in row) for row in cells]
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def blob_cloud(rng, n_blobs=3, per_blob=60, stray=10):

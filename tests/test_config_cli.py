@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hapmap import classifier as clf
-from hapmap import cli, depthio, scenegen
+from hapmap import cli, dcgd, depthio, scenegen
 from hapmap.config import PipelineConfig, format_config, parse_config
 from hapmap.pipeline import StageError, analyze_scene, run_pipeline
 from hapmap.synthgrid import AreaGeometry, map_to_area, parse_grid_json
@@ -173,6 +173,21 @@ class TestRunPipeline:
         with pytest.raises(StageError) as err:
             run_pipeline(parse_config(cfg_file.read_text()), tmp_path / "nope.pgm")
         assert err.value.stage == "depthio"
+
+    @pytest.mark.parametrize("extra, message", [
+        ("", "far basis exceeds the grid width"),
+        ("grid.cols=150\n", "depth extent exceeds the grid height")])
+    def test_grid_misfit_fails_before_analysis(self, box_scene, monkeypatch,
+                                               extra, message):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("ground detection ran")
+
+        monkeypatch.setattr(dcgd, "detect_ground", not_reached)
+        depth, cfg_file, _ = box_scene
+        cfg = parse_config(cfg_file.read_text() + "dcgd.zf=5000\n" + extra)
+        with pytest.raises(StageError, match=message) as err:
+            run_pipeline(cfg, depth)
+        assert err.value.stage == "synthgrid"
 
     def test_deterministic(self, box_scene):
         depth, cfg_file, _ = box_scene
@@ -376,6 +391,22 @@ class TestCli:
         assert rc == 0
         grid = parse_grid_json(out.read_bytes())
         assert grid.cells.max() >= 2   # the 600mm box tops the first band
+
+    @pytest.mark.parametrize("raw", [[], ["--raw"]])
+    def test_synth_grid_misfit_names_stage(self, box_scene, tmp_path,
+                                           monkeypatch, capsys, raw):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("ground detection ran")
+
+        monkeypatch.setattr(dcgd, "detect_ground", not_reached)
+        depth, cfg_file, _ = box_scene
+        cfg_file.write_text(cfg_file.read_text() + "dcgd.zf=5000\n")
+        rc = cli.main(["synth", "--depth", str(depth), "--out",
+                       str(tmp_path / "grid.json"), "--config", str(cfg_file),
+                       *raw])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error in stage synthgrid: far "
+                                           "basis exceeds the grid width\n")
 
     def test_scenegen_subcommand(self, tmp_path):
         scene = tmp_path / "scene.txt"

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hapmap import scenegen
 from hapmap.dcgd import (DcgdParams, DepthCut, compute_depth_cuts, detect_ground,
                          ground_elevation, split_subcuts)
 from hapmap.depthio import DepthFrame, Intrinsics, backproject
-from hapmap.scenegen import BoxSpec, SceneSpec
+from hapmap.scenegen import BoxSpec, HoleSpec, SceneSpec
 
 from conftest import SMALL_H, SMALL_W
+from oracles import loop_depth_cuts, loop_detect_ground, loop_split_subcuts
 
 
 def render(spec, cam, seed=0):
@@ -172,3 +174,116 @@ class TestDetectGround:
             DcgdParams(z0=0)
         with pytest.raises(ValueError):
             DcgdParams(dz=-1)
+
+
+#: depths for the table-versus-loop checks; 0 is an invalid pixel, and the
+#: smallest and largest values lie outside every band drawn below
+TIE_DEPTHS = (0, 20, 60, 80, 90, 120, 160, 180, 240, 360, 400, 480, 1000)
+#: pixel pairs (rows below cy, depth) with equal y = (cy - v) z / fy; the
+#: depths share a cut at several of the drawn bands and steps
+TIE_PAIRS = (((3, 80), (2, 120)), ((4, 90), (3, 120)), ((9, 80), (8, 90)),
+             ((4, 120), (3, 160)), ((4, 180), (3, 240)))
+
+
+@st.composite
+def tie_frames(draw):
+    """(frame, intrinsics, params) with equal-y entries planted per column."""
+    h, w = draw(st.integers(1, 14)), draw(st.integers(1, 10))
+    data = np.array(draw(st.lists(st.sampled_from(TIE_DEPTHS), min_size=h * w,
+                                  max_size=h * w)), dtype=np.uint16)
+    data = data.reshape(h, w)
+    cy = draw(st.integers(-3, 6))
+    for (a, za), (b, zb) in draw(st.lists(st.sampled_from(TIE_PAIRS),
+                                          max_size=2 * w)):
+        col = draw(st.integers(0, w - 1))
+        if 0 <= cy + b and cy + a < h:
+            data[cy + a, col], data[cy + b, col] = za, zb
+    k = Intrinsics(fx=10.0, fy=draw(st.sampled_from([0.5, 1.0, 4.0])),
+                   cx=(w - 1) / 2, cy=float(cy))
+    params = DcgdParams(z0=draw(st.sampled_from([60.0, 100.0])),
+                        zf=draw(st.sampled_from([250.0, 400.0])),
+                        dz=draw(st.sampled_from([50.0, 70.0, 130.0])),
+                        baseline_tol=draw(st.sampled_from([5.0, 50.0, 120.0])),
+                        include_tol=draw(st.sampled_from([5.0, 20.0, 90.0])))
+    return DepthFrame(data), k, params
+
+
+def assert_cuts_equal(frame, k, p):
+    got = compute_depth_cuts(frame, k, p.z0, p.zf, p.dz)
+    want = loop_depth_cuts(frame, k, p.z0, p.zf, p.dz)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.index, a.z) == (b.index, b.z)
+        assert a.rows.dtype == b.rows.dtype and a.y.dtype == b.y.dtype
+        assert a.rows.tobytes() == b.rows.tobytes()
+        assert a.y.tobytes() == b.y.tobytes()
+
+
+class TestEntryTableMatchesLoops:
+    """The one-pass table against the per-cut argmin and per-span loops."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=tie_frames())
+    def test_random_frames_with_ties(self, case):
+        frame, k, params = case
+        assert_cuts_equal(frame, k, params)
+        assert (detect_ground(frame, k, params).tobytes()
+                == loop_detect_ground(frame, k, params).tobytes())
+
+    @pytest.mark.parametrize("dz", [50.0, 70.0, 130.0])
+    def test_tied_entry_takes_topmost_row(self, dz):
+        # y = (cy - v) z / fy: rows 1 and 2 give 61 * 1200 = 60 * 1220, both
+        # in one cut for every dz here; a pixel below them is out of band
+        k = Intrinsics(fx=10.0, fy=10.0, cx=0.0, cy=62.0)
+        data = np.zeros((64, 2), dtype=np.uint16)
+        data[1, 1], data[2, 1], data[5, 1] = 1200, 1220, 9000
+        frame = DepthFrame(data)
+        cuts = compute_depth_cuts(frame, k, 800, 4000, dz)
+        (cut,) = [c for c in cuts if not c.is_empty]
+        assert cut.rows[1] == 1 and cut.y[1] == 61 * 1200 / 10.0
+        assert_cuts_equal(frame, k, DcgdParams(dz=dz))
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**16), n_boxes=st.integers(0, 3),
+           hole=st.booleans(), dz=st.sampled_from([50.0, 70.0, 130.0]),
+           baseline_tol=st.sampled_from([30.0, 50.0, 80.0]),
+           include_tol=st.sampled_from([10.0, 20.0, 40.0]))
+    def test_scenegen_scenes(self, seed, n_boxes, hole, dz, baseline_tol,
+                             include_tol):
+        # the small_cam fixture's camera; hypothesis takes no fixtures
+        small_cam = Intrinsics(fx=143.95, fy=143.95, cx=79.5, cy=59.5)
+        rng = np.random.default_rng(seed)
+        boxes = [BoxSpec(float(rng.uniform(-900, 900)),
+                         float(rng.uniform(1500, 3600)),
+                         float(rng.uniform(200, 700)),
+                         float(rng.uniform(200, 700)),
+                         float(rng.uniform(100, 900)))
+                 for _ in range(n_boxes)]
+        holes = [HoleSpec(float(rng.uniform(-500, 500)),
+                          float(rng.uniform(1200, 3000)), 400.0, 300.0)
+                 ] if hole else []
+        spec = SceneSpec(camera_height=float(rng.uniform(900, 1500)),
+                         floor_extent=float(rng.uniform(4000, 8000)),
+                         noise_sigma=10.0, boxes=boxes, holes=holes)
+        frame, _ = render(spec, small_cam, seed=seed)
+        params = DcgdParams(dz=dz, baseline_tol=baseline_tol,
+                            include_tol=include_tol)
+        assert_cuts_equal(frame, small_cam, params)
+        assert (detect_ground(frame, small_cam, params).tobytes()
+                == loop_detect_ground(frame, small_cam, params).tobytes())
+
+    @settings(max_examples=200, deadline=None)
+    @given(ys=st.lists(st.one_of(st.none(), st.sampled_from(
+               [-1200.0, -1190.0, -1100.0, -900.0, -300.0, 0.0])),
+               min_size=1, max_size=40),
+           tol=st.sampled_from([5.0, 50.0, 150.0]),
+           prior=st.sampled_from([None, -1250.0, -1200.0, -800.0]))
+    def test_split_subcuts_runs(self, ys, tol, prior):
+        cut = make_cut({c: v for c, v in enumerate(ys) if v is not None},
+                       width=len(ys))
+        if cut.is_empty:
+            return
+        got = split_subcuts(cut, tol, ground_prior=prior)
+        want = loop_split_subcuts(cut, tol, ground_prior=prior)
+        assert [(s.start, s.end, s.kind, s.y.tobytes()) for s in got] == \
+            [(s.start, s.end, s.kind, s.y.tobytes()) for s in want]

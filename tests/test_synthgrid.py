@@ -8,6 +8,7 @@ v = round(s * 3200) = round(86.37) = 86.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hapmap.depthio import Intrinsics
 from hapmap.labeling import builtin_sheet
@@ -16,7 +17,7 @@ from hapmap.synthgrid import (AreaGeometry, FrustumError, PinGrid,
                               map_to_area, parse_grid_json, rasterize_raw,
                               rasterize_scene, trapezoid_mask)
 
-from oracles import rect_descriptor
+from oracles import loop_emit_ascii, rect_descriptor
 
 G = AreaGeometry()
 
@@ -239,6 +240,20 @@ class TestEmit:
         lines = blob.strip("\n").split("\n")
         assert len(lines) == G.rows
         assert all(len(line) == G.cols for line in lines)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(0, 12), cols=st.integers(0, 15), data=st.data())
+    def test_ascii_matches_cell_loop(self, rows, cols, data):
+        levels = data.draw(st.lists(st.integers(-1, 4), min_size=rows * cols,
+                                    max_size=rows * cols))
+        grid = PinGrid(np.array(levels, dtype=np.int8).reshape(rows, cols))
+        assert emit(grid, "ascii") == loop_emit_ascii(grid.cells)
+
+    def test_ascii_matches_cell_loop_on_scene(self):
+        obj = rect_descriptor(0, 2500, 600, 600, 750.0, label="put_on")
+        grid = rasterize_scene([], [obj], G)
+        assert set(np.unique(grid.cells)) >= {-1, 1, 2}
+        assert emit(grid, "ascii") == loop_emit_ascii(grid.cells)
 
     def test_empty_scene_pgm_bytes(self):
         blob = emit(PinGrid.empty(G), "pgm")
