@@ -74,14 +74,18 @@ def convex_hull_2d(points: np.ndarray) -> np.ndarray:
     """Monotone-chain convex hull, counter-clockwise, collinear-free.
 
     Fewer than 3 distinct non-collinear points yield a degenerate result
-    with fewer than 3 vertices.  Points well inside qhull's hull are
-    dropped first; the chain runs over the remaining candidates.
+    with fewer than 3 vertices.  Points are sorted by (x, z) and repeats
+    of the row before are dropped, keeping the first in input order.
+    Points well inside qhull's hull are dropped next; the chain runs over
+    the remaining candidates.
     """
-    pts = np.unique(np.asarray(points, dtype=np.float64).reshape(-1, 2), axis=0)
-    n = pts.shape[0]
-    if n < 3:
-        return pts
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    distinct = np.ones(pts.shape[0], dtype=bool)
+    distinct[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    pts = pts[distinct]
+    if pts.shape[0] < 3:
+        return pts
     pts = _hull_candidates(pts)
     lower: list[np.ndarray] = []
     for p in pts:

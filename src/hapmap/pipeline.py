@@ -127,10 +127,11 @@ def analyze_scene(config: PipelineConfig, frame: depthio.DepthFrame,
         cloud = depthio.backproject(frame, k)
         on_ground = ground[frame.valid_mask]
         near, far = config.dcgd.z0, config.dcgd.zf
-        band = depthio.passthrough_filter(cloud, near, far)
+        in_band = (cloud[:, 2] >= near) & (cloud[:, 2] <= far)
+        band = cloud[in_band]
         ground_y = (dcgd.ground_elevation(cloud, on_ground)
                     if on_ground.any() else 0.0)
-        occupied = depthio.passthrough_filter(cloud[~on_ground], near, far)
+        occupied = cloud[in_band & ~on_ground]
         voxels = seg.voxel_downsample(occupied, config.voxel_leaf)
         labels = seg.dbscan(voxels, config.dbscan_eps, config.dbscan_min_pts)
         segments = seg.extract_segments(voxels, labels)

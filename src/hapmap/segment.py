@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 
@@ -50,6 +48,29 @@ def voxel_downsample(cloud: np.ndarray, leaf: float = 20.0) -> np.ndarray:
     return sums / counts[:, None]
 
 
+def _roots(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Each node's root: the lowest index in its component of edges (i, j).
+
+    Rounds of min-index hooking and pointer jumping (Shiloach & Vishkin,
+    J. Algorithms 1982): every edge hooks its higher root under its lower
+    one, the forest is flattened back to stars, and the edges are mapped
+    to their roots, dropping those inside one star.  A parent never
+    exceeds its node, so a component's lowest index is its root.
+    """
+    parent = np.arange(n)
+    while i.size:
+        np.minimum.at(parent, np.maximum(i, j), np.minimum(i, j))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        i, j = parent[i], parent[j]
+        split = i != j
+        i, j = i[split], j[split]
+    return parent
+
+
 def dbscan(cloud: np.ndarray, eps: float = 80.0, min_pts: int = 10) -> Segmentation:
     """Classic density clustering with Euclidean metric.
 
@@ -60,10 +81,11 @@ def dbscan(cloud: np.ndarray, eps: float = 80.0, min_pts: int = 10) -> Segmentat
     several clusters goes to the lowest cluster id.
 
     All neighbor pairs come from one ``cKDTree.query_pairs`` call
-    (inclusive at eps).  Degrees are counted from the pairs, the core-core
-    pairs are labeled by ``connected_components``, and the components are
-    renumbered by their lowest core index.  Each border point then takes
-    the minimum id over its core neighbors.
+    (inclusive at eps).  Degrees are counted from the pairs, and the
+    core-core pairs are joined by ``_roots``, which roots each component
+    at its lowest core index, so ranking the roots numbers the clusters
+    in scan order.  Each border point then takes the minimum id over its
+    core neighbors.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -78,20 +100,11 @@ def dbscan(cloud: np.ndarray, eps: float = 80.0, min_pts: int = 10) -> Segmentat
     pairs = cKDTree(cloud).query_pairs(eps, output_type="ndarray")
     i, j = pairs[:, 0], pairs[:, 1]
     core = np.bincount(pairs.ravel(), minlength=n) + 1 >= min_pts
-    core_idx = np.flatnonzero(core)
 
-    # Components of the core-core graph, on core points renumbered 0..c-1.
     both = core[i] & core[j]
-    slot = np.cumsum(core) - 1
-    graph = coo_matrix((np.ones(int(both.sum()), dtype=np.int8),
-                        (slot[i[both]], slot[j[both]])),
-                       shape=(core_idx.size, core_idx.size))
-    k, comp = connected_components(graph, directed=False)
-    # Renumber by each component's first core point in scan order.
-    _, first = np.unique(comp, return_index=True)
-    rank = np.empty(k, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(k)
-    labels[core_idx] = rank[comp]
+    root = _roots(n, i[both], j[both])
+    firsts, labels[core] = np.unique(root[core], return_inverse=True)
+    k = firsts.size
 
     # Border points: non-core with a core neighbor; ties to the lowest id.
     i_owns = core[i] & ~core[j]

@@ -180,37 +180,36 @@ def clip_polygon_to_frustum(poly: np.ndarray, g: AreaGeometry) -> np.ndarray:
 
 def _fill_polygon(cells: np.ndarray, active: np.ndarray, poly_uv: np.ndarray,
                   level: int, mode: str) -> None:
-    """Scanline fill over pin centers; boundary pins included."""
+    """Scanline fill over pin centers; boundary pins included.
+
+    Each pin row v in the polygon's extent intersects every edge at once
+    in a (rows, edges) array: an edge that spans v gives its crossing u,
+    a flat edge lying on v gives both its ends.  The row is filled from
+    its lowest to its highest u, widened by 1e-9 against rounding.
+    """
     if poly_uv.shape[0] < 3:
         return
     eps = 1e-9
     v_lo = max(int(math.ceil(poly_uv[:, 1].min() - eps)), 0)
     v_hi = min(int(math.floor(poly_uv[:, 1].max() + eps)), cells.shape[0] - 1)
-    m = poly_uv.shape[0]
-    for v in range(v_lo, v_hi + 1):
-        us = []
-        for i in range(m):
-            pu, pv = poly_uv[i]
-            qu, qv = poly_uv[(i + 1) % m]
-            if (pv - v) * (qv - v) <= 0:
-                if pv == qv:
-                    us.extend((pu, qu))
-                else:
-                    us.append(pu + (v - pv) * (qu - pu) / (qv - pv))
-        if not us:
-            continue
-        lo = max(int(math.ceil(min(us) - eps)), 0)
-        hi = min(int(math.floor(max(us) + eps)), cells.shape[1] - 1)
-        if lo > hi:
-            continue
-        span = slice(lo, hi + 1)
-        row_active = active[v, span]
-        if mode == "max":
-            cells[v, span] = np.where(row_active,
-                                      np.maximum(cells[v, span], level),
-                                      cells[v, span])
-        else:
-            cells[v, span] = np.where(row_active, level, cells[v, span])
+    if v_lo > v_hi:
+        return
+    v = np.arange(v_lo, v_hi + 1, dtype=np.float64)[:, None]
+    pu, pv = poly_uv[:, 0], poly_uv[:, 1]
+    qu, qv = np.roll(pu, -1), np.roll(pv, -1)
+    spans = (pv - v) * (qv - v) <= 0
+    flat = pv == qv
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = pu + (v - pv) * (qu - pu) / (qv - pv)
+    u_min = np.where(spans, np.where(flat, np.minimum(pu, qu), u), np.inf).min(axis=1)
+    u_max = np.where(spans, np.where(flat, np.maximum(pu, qu), u), -np.inf).max(axis=1)
+    lo = np.ceil(u_min - eps)[:, None]
+    hi = np.floor(u_max + eps)[:, None]
+    col = np.arange(cells.shape[1])
+    block = cells[v_lo:v_hi + 1]
+    inside = (col >= lo) & (col <= hi) & active[v_lo:v_hi + 1]
+    fill = np.maximum(block, level) if mode == "max" else level
+    block[...] = np.where(inside, fill, block)
 
 
 def _map_polygon(poly_xz: np.ndarray, g: AreaGeometry) -> np.ndarray:

@@ -107,6 +107,25 @@ class TestHullMatchesChain:
         snapped = np.round(rng.normal(0, 3, size=(500, 2)))   # many exact repeats
         assert_same_as_chain(snapped)
 
+    def test_exact_duplicates_and_signed_zeros(self):
+        # Points from a 7 x 7 lattice, so most rows repeat, and half the
+        # zero coordinates negative.  np.unique in the chain keeps whichever
+        # zero its sort puts first; the hull keeps the first in input
+        # order.  Values are equal either way, and so are the bytes when
+        # no signed zero is present.
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            pts = rng.integers(-3, 4, size=(int(rng.integers(1, 300)), 2)) * 100.0
+            assert_same_as_chain(pts)
+            pts[(pts == 0) & (rng.random(pts.shape) < 0.5)] = -0.0
+            got = convex_hull_2d(pts)
+            np.testing.assert_array_equal(got, monotone_chain_hull(pts))
+            first = {}
+            for p in pts:
+                first.setdefault(tuple(p), p)     # -0.0 and 0.0 are one key
+            kept = np.array([first[tuple(v)] for v in got]).reshape(-1, 2)
+            assert np.signbit(got).tobytes() == np.signbit(kept).tobytes()
+
     def test_collinear(self):
         t = np.linspace(-1000.0, 1000.0, 60)
         assert_same_as_chain(np.column_stack([t, 0.5 * t + 3.0]))

@@ -1,14 +1,21 @@
 """Voxel filter and DBSCAN checked byte for byte against independent
-references: row-unique keys with an unbuffered add, and a dense O(n^2)
-DBSCAN."""
+references: row-unique keys with an unbuffered add, a dense O(n^2)
+DBSCAN, and on scene-sized clouds a DBSCAN built on scipy's
+connected_components."""
+
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hapmap.segment import Segmentation, dbscan, extract_segments, voxel_downsample
+from hapmap import depthio, pipeline, scenegen
+from hapmap.config import PipelineConfig
+from hapmap.segment import (Segmentation, _roots, dbscan, extract_segments,
+                            voxel_downsample)
 
-from oracles import as_partition, blob_cloud, brute_dbscan, brute_voxel_downsample
+from oracles import (as_partition, blob_cloud, brute_dbscan, brute_voxel_downsample,
+                     csgraph_dbscan, csgraph_roots)
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
 
@@ -29,6 +36,62 @@ def bridge_cloud():
     right = np.array([[x, 0.0, 0.0] for x in (180, 190, 200, 210, 220)])
     bridge = np.array([[95.0, 0.0, 0.0]])
     return np.vstack([right, left, bridge])   # right scans first -> id 0
+
+
+@functools.lru_cache(maxsize=None)
+def clutter_voxels(seed):
+    """The voxel cloud analyze_scene clusters on a 640x480 frame of 6-9
+    boxes and a hole: about 7k-10k points."""
+    rng = np.random.default_rng(seed)
+    slots = [(f * z, z) for z in (1500.0, 2300.0, 3100.0) for f in (-0.33, 0.0, 0.33)]
+    chosen = rng.permutation(len(slots))[:int(rng.integers(6, 10))]
+    boxes = [scenegen.BoxSpec(slots[s][0] + rng.uniform(-50, 50),
+                              slots[s][1] + rng.uniform(-50, 50),
+                              rng.uniform(250, 450), rng.uniform(250, 450),
+                              rng.uniform(300, 1100)) for s in chosen]
+    spec = scenegen.SceneSpec(camera_height=1200, floor_extent=4500, noise_sigma=10,
+                              boxes=boxes, holes=[scenegen.HoleSpec(0, 1900, 300, 200)],
+                              seed=seed)
+    k = depthio.DEFAULT_INTRINSICS
+    frame, _ = scenegen.render_depth(spec, k, 640, 480)
+    return pipeline.analyze_scene(PipelineConfig(), frame, k).voxels
+
+
+def random_label_path(rng, n):
+    order = rng.permutation(n)
+    return order[:-1], order[1:]
+
+
+def zigzag_path(rng, n):
+    """0 - n-1 - 1 - n-2 - 2 ...: the second round hooks the n/2 roots left
+    into one chain, so pointer jumping must flatten a tree n/2 deep."""
+    order = np.empty(n, dtype=np.int64)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = np.arange(n - 1, (n + 1) // 2 - 1, -1)
+    return order[:-1], order[1:]
+
+
+def lattice_grid(rng, n):
+    side = int(np.sqrt(n))
+    ids = rng.permutation(n)[:side * side].reshape(side, side)
+    return (np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()]),
+            np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()]))
+
+
+def random_tree(rng, n):
+    order = rng.permutation(n)
+    attach = (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)
+    return order[1:], order[attach]
+
+
+def shuffled_edges(rng, i, j):
+    """The same graph with edges in random order and orientation, some twice."""
+    twice = rng.random(i.size) < 0.1
+    i, j = np.concatenate([i, i[twice]]), np.concatenate([j, j[twice]])
+    flip = rng.random(i.size) < 0.5
+    i, j = np.where(flip, j, i), np.where(flip, i, j)
+    order = rng.permutation(i.size)
+    return i[order], j[order]
 
 
 def assert_same_as_brute(cloud, eps, min_pts):
@@ -207,6 +270,59 @@ class TestDbscan:
             dbscan(np.zeros((1, 3)), eps=1, min_pts=0)
         with pytest.raises(ValueError):
             dbscan(np.zeros((1, 3)), eps=np.nan, min_pts=1)
+
+
+class TestDbscanMatchesCsgraph:
+    """Scene-sized clouds, far past brute_dbscan's reach, against the
+    connected_components DBSCAN, labels and k byte for byte."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("eps, min_pts", [(80.0, 10), (40.0, 4), (120.0, 25),
+                                              (25.0, 6)])
+    def test_clutter_voxels(self, seed, eps, min_pts):
+        cloud = clutter_voxels(seed)
+        assert cloud.shape[0] > 5000
+        got = dbscan(cloud, eps, min_pts)
+        ref_labels, ref_k = csgraph_dbscan(cloud, eps, min_pts)
+        assert got.k == ref_k
+        assert got.labels.tobytes() == ref_labels.tobytes()
+
+
+class TestRoots:
+    """Min-index hooking against connected_components' lowest index."""
+
+    @pytest.mark.parametrize("graph", [random_label_path, zigzag_path,
+                                       lattice_grid, random_tree])
+    def test_adversarial_graphs(self, graph):
+        rng = np.random.default_rng(7)
+        n = 200_000
+        i, j = shuffled_edges(rng, *graph(rng, n))
+        np.testing.assert_array_equal(_roots(n, i, j), csgraph_roots(n, i, j))
+
+    def test_many_components_and_isolated_nodes(self):
+        rng = np.random.default_rng(8)
+        n = 30_000
+        parts = [graph(rng, 5_000) for graph in (random_label_path, zigzag_path,
+                                                  lattice_grid, random_tree)]
+        # scatter each part over its own random node ids; 10k stay isolated
+        ids = rng.permutation(n)
+        i = np.concatenate([ids[5_000 * p + a] for p, (a, _) in enumerate(parts)])
+        j = np.concatenate([ids[5_000 * p + b] for p, (_, b) in enumerate(parts)])
+        i, j = shuffled_edges(rng, i, j)
+        np.testing.assert_array_equal(_roots(n, i, j), csgraph_roots(n, i, j))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 30), data=st.data())
+    def test_small_random_graphs(self, n, data):
+        edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(0, n - 1)), max_size=60))
+        i = np.array([a for a, _ in edges], dtype=np.int64)
+        j = np.array([b for _, b in edges], dtype=np.int64)
+        np.testing.assert_array_equal(_roots(n, i, j), csgraph_roots(n, i, j))
+
+    def test_no_edges(self):
+        empty = np.zeros(0, dtype=np.int64)
+        np.testing.assert_array_equal(_roots(4, empty, empty), np.arange(4))
 
 
 class TestExtractSegments:

@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hapmap import synthgrid
 from hapmap.depthio import Intrinsics
 from hapmap.labeling import builtin_sheet
-from hapmap.synthgrid import (AreaGeometry, FrustumError, PinGrid,
+from hapmap.synthgrid import (AreaGeometry, FrustumError, PinGrid, _fill_polygon,
                               clip_polygon_to_frustum, emit, map_continuous,
                               map_to_area, parse_grid_json, rasterize_raw,
                               rasterize_scene, trapezoid_mask)
 
-from oracles import loop_emit_ascii, rect_descriptor
+from oracles import loop_emit_ascii, loop_fill_polygon, rect_descriptor
 
 G = AreaGeometry()
 
@@ -171,6 +172,69 @@ class TestRasterizeScene:
                 for lab in (None, "sit_on", "store_in", "sanitary")]
         grid = rasterize_scene([], objs, G)
         assert grid.cells.min() >= -1 and grid.cells.max() <= 4
+
+
+# Pin coordinates: whole numbers put vertices and flat edges exactly on pin
+# rows and columns, halves put them on rounding ties, and the range runs
+# past both sides of grids up to 12 x 15.
+PIN_COORD = st.one_of(st.integers(-8, 20).map(float),
+                      st.integers(-16, 40).map(lambda h: h / 2.0),
+                      st.floats(-8.0, 20.0))
+
+
+def assert_fill_matches_loop(cells, active, poly, level, mode):
+    got, ref = cells.copy(), cells.copy()
+    _fill_polygon(got, active, poly, level, mode)
+    loop_fill_polygon(ref, active, poly, level, mode)
+    assert got.tobytes() == ref.tobytes()
+
+
+class TestFillMatchesLoop:
+    """The (rows x edges) scanline fill against the row-by-row loop."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(rows=st.integers(1, 12), cols=st.integers(1, 15),
+           poly=st.lists(st.tuples(PIN_COORD, PIN_COORD), max_size=8),
+           level=st.integers(0, 4), mode=st.sampled_from(["max", "set"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_polygons(self, rows, cols, poly, level, mode, seed):
+        rng = np.random.default_rng(seed)
+        cells = rng.integers(-1, 5, size=(rows, cols)).astype(np.int8)
+        active = rng.random((rows, cols)) < 0.8
+        poly_uv = np.array(poly, dtype=np.float64).reshape(-1, 2)
+        assert_fill_matches_loop(cells, active, poly_uv, level, mode)
+
+    @pytest.mark.parametrize("mode", ["max", "set"])
+    @pytest.mark.parametrize("poly", [
+        [[2, 3], [9, 3], [9, 7], [2, 7]],            # flat edges on pin rows
+        [[5, 1], [9, 4], [5, 8], [1, 4]],            # vertices on pin rows
+        [[4.5, 2.5], [8.5, 2.5], [6.5, 6.5]],        # vertices on rounding ties
+        [[-5, -4], [6, -4], [6, 3], [-5, 3]],        # partly off the grid
+        [[-9, 2], [-3, 2], [-3, 6]],                 # wholly left of the grid
+        [[2, 13], [9, 13], [5, 19]],                 # wholly below the last row
+        [[2, -6], [9, -6], [5, -2]],                 # wholly above the first row
+        [[3, 4], [7, 4], [11, 4]],                   # collinear, flat
+    ])
+    def test_edge_cases(self, poly, mode):
+        rng = np.random.default_rng(3)
+        cells = rng.integers(0, 5, size=(12, 15)).astype(np.int8)
+        active = rng.random((12, 15)) < 0.9
+        for level in (0, 2, 4):
+            assert_fill_matches_loop(cells, active, np.array(poly, dtype=np.float64),
+                                     level, mode)
+
+    def test_scenes_match_loop(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        holes = [np.array([[-300, 2200], [300, 2150], [350, 2700], [-250, 2650]])]
+        objs = [rect_descriptor(float(rng.uniform(-900, 900)),
+                                float(rng.uniform(700, 4100)),
+                                float(rng.uniform(100, 900)),
+                                float(rng.uniform(100, 900)), 700.0)
+                for _ in range(12)]
+        fast = rasterize_scene(holes, objs, G)
+        assert {0, 2} <= set(np.unique(fast.cells))
+        monkeypatch.setattr(synthgrid, "_fill_polygon", loop_fill_polygon)
+        assert rasterize_scene(holes, objs, G) == fast
 
 
 class TestClipPolygon:
