@@ -107,6 +107,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
+    config = clf.TrainConfig(epochs=args.epochs, batch=args.batch, lr=args.lr,
+                             seed=args.seed, n_points=args.n_points)
     rng = np.random.default_rng(args.seed)
     classes = clf.TRAINING_COARSE_CLASSES
     if args.manifest:
@@ -130,8 +132,6 @@ def _cmd_train(args) -> int:
             classes, clf.TRAINING_MEMBERS, args.per_class, rng)
         test_clouds, y_test = scenegen.build_synthetic_dataset(
             classes, clf.TRAINING_MEMBERS, args.test_per_class, rng)
-    config = clf.TrainConfig(epochs=args.epochs, batch=args.batch, lr=args.lr,
-                             seed=args.seed, n_points=args.n_points)
     model, history = clf.train(train_clouds, y_train, test_clouds, y_test,
                                classes, config)
     Path(args.out).write_bytes(clf.save_model(model))
@@ -248,7 +248,7 @@ def main(argv=None) -> int:
     except StageError as exc:
         print(f"error in {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, clf.TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,6 +7,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
+from hapmap.classifier import _softmax64 as softmax64
 from hapmap.dcgd import DcgdParams, DepthCut, SubCut, _pixel_geometry
 from hapmap.geomfeat import Footprint, classify_geometry, polygon_area
 from hapmap.labeling import ObjectDescriptor
@@ -107,11 +108,18 @@ def _cross(o, a, b):
 
 
 def monotone_chain_hull(points):
-    """Monotone chain over every distinct point, with no candidate pruning."""
-    pts = np.unique(np.asarray(points, dtype=np.float64).reshape(-1, 2), axis=0)
+    """Monotone chain over every distinct point, with no candidate pruning.
+
+    Of rows that are equal (-0.0 and 0.0 are one key) the first in input
+    order is kept.
+    """
+    first = {}
+    for p in np.asarray(points, dtype=np.float64).reshape(-1, 2):
+        first.setdefault(tuple(p), p)
+    pts = np.array(list(first.values())).reshape(-1, 2)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     if pts.shape[0] < 3:
         return pts
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     lower, upper = [], []
     for chain, order in ((lower, pts), (upper, pts[::-1])):
         for p in order:
@@ -119,6 +127,91 @@ def monotone_chain_hull(points):
                 chain.pop()
             chain.append(p)
     return np.array(lower[:-1] + upper[:-1])
+
+
+def dense_forward_batch(model, x, want_cache):
+    """Logits for x of shape (B, n, 3); optionally the dense backprop cache."""
+    bsz, npts, dim = x.shape
+    if dim != model.point_weights[0].shape[0]:
+        raise ValueError(f"width mismatch: points have {dim} coordinates, "
+                         f"model expects {model.point_weights[0].shape[0]}")
+    dtype = model.point_weights[0].dtype
+    h = x.reshape(bsz * npts, dim).astype(dtype)
+    point_inputs = []
+    point_outputs = []
+    for w, b in zip(model.point_weights, model.point_biases):
+        point_inputs.append(h)
+        h = np.maximum(h @ w + b, 0.0)
+        point_outputs.append(h)
+    feat = h.reshape(bsz, npts, -1)
+    pooled = feat.max(axis=1)
+    argmax = feat.argmax(axis=1)
+
+    head_inputs = []
+    h = pooled
+    for i, (w, b) in enumerate(zip(model.head_weights, model.head_biases)):
+        head_inputs.append(h)
+        h = h @ w + b
+        if i < len(model.head_weights) - 1:
+            h = np.maximum(h, 0.0)
+    logits = h
+    if not want_cache:
+        return logits, None
+    return logits, {"point_inputs": point_inputs, "point_outputs": point_outputs,
+                    "argmax": argmax, "head_inputs": head_inputs,
+                    "shape": (bsz, npts)}
+
+
+def dense_loss_and_grads(model, x, y):
+    """Mean cross-entropy over the batch plus gradients for every parameter,
+    with the point-layer backward over all B * n rows.
+
+    Max-pool routes each pooled feature's gradient to the first point that
+    attains the maximum, which matches the forward tie-break.
+    """
+    logits, cache = dense_forward_batch(model, x, want_cache=True)
+    bsz, npts = cache["shape"]
+    probs = softmax64(logits)
+    logp = np.log(probs[np.arange(bsz), y])
+    loss = float(-logp.mean())
+    dtype = model.point_weights[0].dtype
+
+    dlogits = probs.astype(dtype)
+    dlogits[np.arange(bsz), y] -= 1.0
+    dlogits /= bsz
+
+    hw_grads = [None] * len(model.head_weights)
+    hb_grads = [None] * len(model.head_weights)
+    d = dlogits
+    for i in range(len(model.head_weights) - 1, -1, -1):
+        inp = cache["head_inputs"][i]
+        hw_grads[i] = inp.T @ d
+        hb_grads[i] = d.sum(axis=0)
+        d = d @ model.head_weights[i].T
+        if i > 0:
+            d = d * (inp > 0)
+
+    dpooled = d
+    nfeat = dpooled.shape[1]
+    dfeat = np.zeros((bsz, npts, nfeat), dtype=dtype)
+    rows = np.arange(bsz)[:, None]
+    cols = np.arange(nfeat)[None, :]
+    dfeat[rows, cache["argmax"], cols] = dpooled
+    d = dfeat.reshape(bsz * npts, nfeat)
+
+    pw_grads = [None] * len(model.point_weights)
+    pb_grads = [None] * len(model.point_weights)
+    for i in range(len(model.point_weights) - 1, -1, -1):
+        inp = cache["point_inputs"][i]
+        d = d * (cache["point_outputs"][i] > 0)   # relu mask
+        pw_grads[i] = inp.T @ d
+        pb_grads[i] = d.sum(axis=0)
+        if i > 0:
+            d = d @ model.point_weights[i].T
+
+    grads = {"pw": pw_grads, "pb": pb_grads, "hw": hw_grads, "hb": hb_grads}
+    acc = float((probs.argmax(axis=1) == y).mean())
+    return loss, grads, acc
 
 
 def loop_depth_cuts(frame, k, z0=800.0, zf=4000.0, dz=50.0):

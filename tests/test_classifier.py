@@ -1,5 +1,6 @@
 """Point-set classifier: taxonomy, canonicalization, OFF sampling, the
-network itself, training, and the finite-difference gradient oracle."""
+network itself, training, the finite-difference gradient oracle and the
+dense-backward oracle for the critical-row backward."""
 
 from dataclasses import replace
 
@@ -14,6 +15,8 @@ from hapmap.classifier import (MeshFormatError, TrainConfig, TrainingError,
                                normalize_unit_sphere, predict_gated,
                                resample_points, sample_mesh_off, save_model,
                                to_labeling_class, train)
+
+from oracles import dense_forward_batch, dense_loss_and_grads
 
 CUBE_OFF = b"""OFF
 8 6 12
@@ -267,6 +270,115 @@ class TestGradCheck:
         assert grad_check(model, x, y) == grad_check(model, x, y)
 
 
+def assert_matches_dense(model, x, y, rtol):
+    """Critical-row gradients equal the dense backward's within rtol of
+    each array's largest entry; loss and accuracy are equal exactly."""
+    loss, grads, acc = loss_and_grads(model, x, y)
+    ref_loss, ref, ref_acc = dense_loss_and_grads(model, x, y)
+    assert (loss, acc) == (ref_loss, ref_acc)
+    for key in ("pw", "pb", "hw", "hb"):
+        for got, want in zip(grads[key], ref[key], strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=rtol,
+                                       atol=rtol * np.abs(want).max())
+    return grads
+
+
+def lattice_model(seed):
+    """float64 model with weights in {-1, 0, 1}: on integer points every
+    point-layer activation is an exact integer, so pooled maxima tie
+    between distinct points."""
+    model = init_model(("a", "b", "c"), n_points=24, point_widths=(3, 6, 5),
+                       head_hidden=(4,), rng=np.random.default_rng(seed),
+                       dtype=np.float64)
+    rng = np.random.default_rng(seed + 100)
+    for w in model.point_weights:
+        w[...] = rng.integers(-1, 2, size=w.shape)
+    return model
+
+
+class TestCriticalRowBackward:
+    """loss_and_grads against the dense backward in tests/oracles.py."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_float32_default_widths(self, seed):
+        rng = np.random.default_rng(seed)
+        model = init_model(clf.TRAINING_COARSE_CLASSES, rng=rng)
+        x = rng.normal(size=(16, 256, 3)).astype(np.float32)
+        y = rng.integers(0, 6, size=16)
+        assert_matches_dense(model, x, y, rtol=1e-5)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_float64(self, seed):
+        rng = np.random.default_rng(seed)
+        model = init_model(("a", "b", "c", "d"), n_points=64,
+                           point_widths=(3, 24, 32, 48), head_hidden=(16,),
+                           rng=rng, dtype=np.float64)
+        x = rng.normal(size=(8, 64, 3))
+        y = rng.integers(0, 4, size=8)
+        assert_matches_dense(model, x, y, rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", [6, 7, 8, 9])
+    def test_ties_between_distinct_points_go_to_the_first(self, seed):
+        model = lattice_model(seed)
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-2, 3, size=(6, 24, 3)).astype(np.float64)
+        feat = dense_forward_batch(model, x, want_cache=True)[1]["point_outputs"][-1]
+        feat = feat.reshape(6, 24, -1)
+        at_max = (feat == feat.max(axis=1, keepdims=True)) & (feat > 0)
+        assert (at_max.sum(axis=1) > 1).any()   # positive maxima do tie
+        assert_matches_dense(model, x, np.arange(6) % 3, rtol=1e-12)
+
+    def test_duplicated_points(self):
+        rng = np.random.default_rng(10)
+        model = tiny_model(seed=10).astype(np.float64)
+        base = rng.normal(size=(4, 5, 3))
+        x = base[:, rng.integers(0, 5, size=16)]   # every row repeats
+        assert_matches_dense(model, x, np.array([0, 1, 2, 0]), rtol=1e-12)
+        assert_matches_dense(model.astype(np.float32), x.astype(np.float32),
+                             np.array([0, 1, 2, 0]), rtol=1e-5)
+
+    def test_dead_features(self):
+        rng = np.random.default_rng(11)
+        model = tiny_model(seed=11).astype(np.float64)
+        model.point_biases[0][2] = -1e3    # unit 2 of layer 0 never fires
+        model.point_biases[-1][5] = -1e3   # pooled feature 5 is 0 everywhere
+        x = rng.normal(size=(4, 16, 3))
+        grads = assert_matches_dense(model, x, np.array([0, 1, 2, 0]),
+                                     rtol=1e-12)
+        assert not grads["pw"][0][:, 2].any() and grads["pb"][0][2] == 0
+        assert not grads["pw"][-1][:, 5].any() and grads["pb"][-1][5] == 0
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5),
+                                             (np.float64, 1e-12)])
+    def test_batch_of_one(self, dtype, rtol):
+        rng = np.random.default_rng(12)
+        model = tiny_model(seed=12).astype(dtype)
+        x = rng.normal(size=(1, 16, 3)).astype(dtype)
+        assert_matches_dense(model, x, np.array([2]), rtol=rtol)
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5),
+                                             (np.float64, 1e-12)])
+    def test_one_point_per_cloud(self, dtype, rtol):
+        rng = np.random.default_rng(13)
+        model = tiny_model(seed=13).astype(dtype)
+        x = rng.normal(size=(5, 1, 3)).astype(dtype)
+        assert_matches_dense(model, x, np.array([0, 1, 2, 1, 0]), rtol=rtol)
+
+    @pytest.mark.parametrize("want_cache", [False, True])
+    def test_forward_logits_byte_identical(self, want_cache):
+        rng = np.random.default_rng(14)
+        model = init_model(clf.TRAINING_COARSE_CLASSES, rng=rng)
+        x = rng.normal(size=(6, 256, 3))
+        x[:, 128:] = x[:, :128]   # ties in every pooled feature
+        for m in (model, model.astype(np.float64), lattice_model(15)):
+            for xb in (x, np.round(x)):
+                got, _ = clf._forward_batch(m, xb, want_cache=want_cache)
+                want, _ = dense_forward_batch(m, xb, want_cache=want_cache)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+
 class TestTrain:
     def test_toy_separable(self):
         rng = np.random.default_rng(0)
@@ -287,6 +399,30 @@ class TestTrain:
         m1, _ = train(clouds, labels, clouds, labels, ("a", "b"), cfg)
         m2, _ = train(clouds, labels, clouds, labels, ("a", "b"), cfg)
         assert save_model(m1) == save_model(m2)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("epochs", 0, "epochs must be at least 1"),
+        ("batch", 0, "batch must be at least 1"),
+        ("batch", -3, "batch must be at least 1"),
+        ("n_points", 0, "n_points must be at least 1"),
+        ("lr", 0.0, "lr must be finite and above 0"),
+        ("lr", -0.01, "lr must be finite and above 0"),
+        ("lr", float("nan"), "lr must be finite and above 0"),
+        ("lr", float("inf"), "lr must be finite and above 0"),
+    ])
+    def test_config_rejects(self, field, value, message):
+        with pytest.raises(TrainingError, match=message):
+            TrainConfig(**{field: value})
+
+    def test_empty_test_set_rejected_before_training(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(clf, "loss_and_grads", no_step)
+        clouds = [np.random.default_rng(i).normal(size=(8, 3)) for i in range(4)]
+        with pytest.raises(TrainingError, match="empty test set"):
+            train(clouds, [0, 1, 0, 1], [], [], ("a", "b"),
+                  TrainConfig(epochs=1, n_points=8))
 
     def test_empty_class_rejected(self):
         clouds = [np.zeros((8, 3))] * 4

@@ -437,6 +437,31 @@ class TestCli:
         assert cli.main(args) == 0
         assert m1.read_bytes() == m2.read_bytes()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--epochs", "0"], "epochs must be at least 1, got 0"),
+        (["--batch", "0"], "batch must be at least 1, got 0"),
+        (["--n-points", "0"], "n_points must be at least 1, got 0"),
+        (["--lr", "nan"], "lr must be finite and above 0, got nan"),
+        (["--lr", "0"], "lr must be finite and above 0, got 0.0"),
+        (["--per-class", "0"], "classes without training samples"),
+        (["--test-per-class", "0"], "empty test set"),
+    ], ids=["epochs", "batch", "n_points", "lr_nan", "lr_zero", "per_class",
+            "test_per_class"])
+    def test_train_bad_input_fails_before_the_first_epoch(
+            self, tmp_path, capsys, monkeypatch, flags, message):
+        def no_step(*args):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(clf, "loss_and_grads", no_step)
+        out = tmp_path / "m.bin"
+        rc = cli.main(["train", "--out", str(out), "--per-class", "2",
+                       "--test-per-class", "1", *flags])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_train_manifest(self, tmp_path, capsys):
         rng = np.random.default_rng(2)
         lines = []

@@ -4,7 +4,7 @@ monotone chain."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hapmap.geomfeat import (GeometricClass, GeometryThresholds, classify_geometry,
                              convex_hull_2d, footprint, height_p90, polygon_area)
@@ -109,22 +109,14 @@ class TestHullMatchesChain:
 
     def test_exact_duplicates_and_signed_zeros(self):
         # Points from a 7 x 7 lattice, so most rows repeat, and half the
-        # zero coordinates negative.  np.unique in the chain keeps whichever
-        # zero its sort puts first; the hull keeps the first in input
-        # order.  Values are equal either way, and so are the bytes when
-        # no signed zero is present.
+        # zero coordinates negative.  Hull and chain both keep, of rows
+        # equal up to the sign of a zero, the first in input order.
         rng = np.random.default_rng(13)
         for _ in range(300):
             pts = rng.integers(-3, 4, size=(int(rng.integers(1, 300)), 2)) * 100.0
             assert_same_as_chain(pts)
             pts[(pts == 0) & (rng.random(pts.shape) < 0.5)] = -0.0
-            got = convex_hull_2d(pts)
-            np.testing.assert_array_equal(got, monotone_chain_hull(pts))
-            first = {}
-            for p in pts:
-                first.setdefault(tuple(p), p)     # -0.0 and 0.0 are one key
-            kept = np.array([first[tuple(v)] for v in got]).reshape(-1, 2)
-            assert np.signbit(got).tobytes() == np.signbit(kept).tobytes()
+            assert_same_as_chain(pts)
 
     def test_collinear(self):
         t = np.linspace(-1000.0, 1000.0, 60)
@@ -164,6 +156,8 @@ class TestHullMatchesChain:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)),
                     min_size=1, max_size=120))
+    @example([(0.0, 1.0), (-0.0, 1.0)])
+    @example([(-0.0, 1.0), (5.0, 2.0), (0.0, 1.0), (3.0, -4.0)])
     def test_random_floats(self, coords):
         assert_same_as_chain(np.array(coords))
 
