@@ -56,12 +56,14 @@ def _cmd_run(args) -> int:
 def _cmd_ground(args) -> int:
     cfg = _load_config(args)
     frame, k = load_inputs(cfg, args.depth)
-    mask = dcgd.detect_ground(frame, k, cfg.dcgd)
+    cloud = depthio.backproject(frame, k)
+    mask = np.zeros(frame.data.shape, dtype=bool)
+    mask[frame.valid_mask] = dcgd.detect_ground(frame, cloud, cfg.dcgd)
     Path(args.out).write_bytes(depthio.mask_to_pgm(mask))
     if args.cuts:
         lines = []
-        for cut in dcgd.compute_depth_cuts(frame, k, cfg.dcgd.z0, cfg.dcgd.zf,
-                                           cfg.dcgd.dz):
+        for cut in dcgd.compute_depth_cuts(frame, cloud, cfg.dcgd.z0,
+                                           cfg.dcgd.zf, cfg.dcgd.dz):
             if cut.is_empty:
                 continue
             lines.append(f"cut {cut.index} z={cut.z:.1f}")

@@ -6,11 +6,11 @@ Cut entries near the ground elevation are concave (ground candidates);
 entries rising above it are convex (objects) and are stripped together
 with everything above them in their column/bin cell.
 
-One pass over the frame builds the (n+1, width) table of cut entries: one
-``np.minimum.at`` keyed on ``bin * width + column`` gives every cell's
-lowest elevation.  The claim rule then runs once per non-empty cut on its
-table row, and one gather of the concave flags and entries at each pixel's
-cell yields the ground pixel mask.
+One pass over the frame's back-projected cloud builds the (n+1, width)
+table of cut entries: one ``np.minimum.at`` keyed on ``bin * width + column``
+gives every cell's lowest elevation.  The claim rule then runs once per
+non-empty cut on its table row, and one gather of the concave flags and
+entries at each point's cell yields the ground flag of every point.
 
 The concave/convex criterion used here: a per-cut baseline found as the
 median of unclaimed entry elevations, with entries claimed as object when
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depthio import DepthFrame, Intrinsics
+from .depthio import DepthFrame
 
 
 @dataclass(frozen=True)
@@ -81,61 +81,47 @@ class SubCut:
             raise ValueError("kind must be concave or convex")
 
 
-def _pixel_geometry(frame: DepthFrame, k: Intrinsics, z0: float, zf: float,
-                    dz: float):
-    """Per-pixel (y, bin) arrays and the last cut index n.
+def _entry_table(frame: DepthFrame, cloud: np.ndarray, z0: float, zf: float,
+                 dz: float):
+    """Cut entries of every (cut, column) cell in one pass over the cloud.
 
-    n = ceil((zf - z0) / dz), so the cuts cover the whole band [z0, zf];
-    bin = -1 for invalid pixels and pixels no cut reaches.
+    Returns (entry, key, in_band, pixel), n = ceil((zf - z0) / dz): entry is
+    the (n+1, width) table of each cell's lowest y, inf where the cell is
+    empty; in_band flags the cloud rows a cut reaches; key and pixel are the
+    flat cell index bin * width + column and the flat pixel index of each
+    in-band point, in cloud order.
     """
-    z = frame.data.astype(np.float64) * k.depth_scale
-    vs = np.arange(frame.height, dtype=np.float64)[:, None]
-    y = (k.cy - vs) * z / k.fy
     n = int(np.ceil((zf - z0) / dz))
     # nearest-bin assignment; the half-up tie break keeps |z - z_i| <= dz/2
-    bins = np.floor((z - z0) / dz + 0.5).astype(np.int64)
-    bad = (frame.data == 0) | (bins < 0) | (bins > n)
-    bins[bad] = -1
-    return y, bins, n
+    bins = np.floor((cloud[:, 2] - z0) / dz + 0.5).astype(np.int64)
+    in_band = (bins >= 0) & (bins <= n)
+    pixel = np.flatnonzero(frame.data)[in_band]
+    key = bins[in_band] * frame.width + pixel % frame.width
+    entry = np.full((n + 1) * frame.width, np.inf)
+    np.minimum.at(entry, key, cloud[in_band, 1])
+    return entry.reshape(n + 1, frame.width), key, in_band, pixel
 
 
-def _entry_table(y: np.ndarray, bins: np.ndarray, n: int):
-    """Cut entries of every (cut, column) cell in one pass.
-
-    Returns (entry, key, in_band): entry is the (n+1, width) table of each
-    cell's lowest y, inf where the cell is empty; key is the flat cell index
-    bin * width + column of each in-band pixel, in row-major pixel order.
-    """
-    width = bins.shape[1]
-    in_band = bins >= 0
-    key = (bins * width + np.arange(width))[in_band]
-    entry = np.full((n + 1) * width, np.inf)
-    np.minimum.at(entry, key, y[in_band])
-    return entry.reshape(n + 1, width), key, in_band
-
-
-def compute_depth_cuts(frame: DepthFrame, k: Intrinsics, z0: float = 800.0,
+def compute_depth_cuts(frame: DepthFrame, cloud: np.ndarray, z0: float = 800.0,
                        zf: float = 4000.0, dz: float = 50.0) -> list[DepthCut]:
     """All n+1 cuts for z_i = z0 + i*dz, n = ceil((zf - z0) / dz) (cuts may
     be empty); the last cut reaches zf or beyond.
 
-    A pixel joins cut i when |z - z_i| <= dz/2; per column the entry is the
-    pixel with the minimal back-projected y, the topmost row among ties.
+    cloud = ``depthio.backproject(frame, k)`` lists the valid pixels in
+    row-major order.  A point joins cut i when |z - z_i| <= dz/2; per column
+    the entry is the point with the minimal y, the topmost row among ties.
     """
     if z0 >= zf or dz <= 0:
         raise ValueError("need z0 < zf and dz > 0")
-    y, bins, n = _pixel_geometry(frame, k, z0, zf, dz)
-    entry, key, in_band = _entry_table(y, bins, n)
-    ties = y[in_band] == entry.ravel()[key]
+    entry, key, in_band, pixel = _entry_table(frame, cloud, z0, zf, dz)
+    ties = cloud[in_band, 1] == entry.ravel()[key]
     rows = np.full(entry.size, frame.height, dtype=np.int32)
-    pixel_rows = np.broadcast_to(
-        np.arange(frame.height, dtype=np.int32)[:, None], bins.shape)
-    np.minimum.at(rows, key[ties], pixel_rows[in_band][ties])
+    np.minimum.at(rows, key[ties], pixel[ties] // frame.width)
     occupied = entry < np.inf
     rows = np.where(occupied.ravel(), rows, -1).reshape(entry.shape)
     yentry = np.where(occupied, entry, np.nan)
     return [DepthCut(index=i, z=z0 + i * dz, rows=rows[i], y=yentry[i])
-            for i in range(n + 1)]
+            for i in range(len(entry))]
 
 
 def _claims(yv: np.ndarray, baseline_tol: float,
@@ -180,23 +166,24 @@ def split_subcuts(cut: DepthCut, baseline_tol: float = 50.0,
             for a, b in zip(starts, ends)]
 
 
-def detect_ground(frame: DepthFrame, k: Intrinsics,
+def detect_ground(frame: DepthFrame, cloud: np.ndarray,
                   params: DcgdParams = DcgdParams()) -> np.ndarray:
-    """Ground pixel mask over the frame (bool, frame shape).
+    """Ground flag of each row of cloud = ``depthio.backproject(frame, k)``,
+    which lists the valid pixels in row-major order (bool, (N,)).
 
-    Pixels belong to the ground when their column/bin cell has a concave
+    Points belong to the ground when their column/bin cell has a concave
     entry and their own elevation is within include_tol of that entry.
     Convex cells contribute nothing: the entry and everything above it in
     the cell stays excluded.
     """
-    mask = np.zeros((frame.height, frame.width), dtype=bool)
-    y, bins, n = _pixel_geometry(frame, k, params.z0, params.zf, params.dz)
-    entry, key, in_band = _entry_table(y, bins, n)
+    on_ground = np.zeros(len(cloud), dtype=bool)
+    entry, key, in_band, _ = _entry_table(frame, cloud, params.z0, params.zf,
+                                          params.dz)
     if not key.size:
-        return mask
+        return on_ground
 
     # Elevation prior: the ground is the lowest surface in view.
-    y_band = y[in_band]
+    y_band = cloud[in_band, 1]
     prior = float(np.percentile(y_band, 2.0))
 
     occupied = entry < np.inf
@@ -204,16 +191,16 @@ def detect_ground(frame: DepthFrame, k: Intrinsics,
     for i in np.flatnonzero(occupied.any(axis=1)):
         cols = np.flatnonzero(occupied[i])
         concave[i, cols] = ~_claims(entry[i, cols], params.baseline_tol, prior)
-    mask[in_band] = (concave.ravel()[key]
-                     & (y_band <= entry.ravel()[key] + params.include_tol))
-    return mask
+    on_ground[in_band] = (concave.ravel()[key]
+                          & (y_band <= entry.ravel()[key] + params.include_tol))
+    return on_ground
 
 
 def ground_elevation(cloud: np.ndarray, on_ground: np.ndarray) -> float:
     """Detected ground elevation: median y of the ground points (mm).
 
-    on_ground flags the rows of the back-projected cloud, i.e. the ground
-    mask taken at the frame's valid pixels.
+    on_ground flags the rows of the back-projected cloud, as detect_ground
+    returns them.
     """
     if not on_ground.any():
         raise ValueError("empty ground mask")

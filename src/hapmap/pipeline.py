@@ -75,7 +75,7 @@ def format_report(descriptors, pins) -> str:
 class SceneAnalysis:
     """One frame's front end, read by run_pipeline and the stage subcommands."""
 
-    ground_mask: np.ndarray                     # (h, w) bool
+    on_ground: np.ndarray                       # ground flag per valid pixel
     ground_y: float                             # ground elevation, mm
     cloud: np.ndarray                           # in-band points, ground included
     voxels: np.ndarray                          # downsampled occupied points
@@ -117,15 +117,15 @@ def analyze_scene(config: PipelineConfig, frame: depthio.DepthFrame,
                   k: depthio.Intrinsics) -> SceneAnalysis:
     """Ground, occupied-space segments and their geometric features.
 
+    The frame is back-projected once and DCGD flags that cloud's points.
     The depth cuts cover the whole band, so an in-band point implies
     detected ground; ground_y is 0 only when the band is empty.
     """
     with _stage("dcgd"):
-        ground = dcgd.detect_ground(frame, k, config.dcgd)
+        cloud = depthio.backproject(frame, k)
+        on_ground = dcgd.detect_ground(frame, cloud, config.dcgd)
 
     with _stage("segment"):
-        cloud = depthio.backproject(frame, k)
-        on_ground = ground[frame.valid_mask]
         near, far = config.dcgd.z0, config.dcgd.zf
         in_band = (cloud[:, 2] >= near) & (cloud[:, 2] <= far)
         band = cloud[in_band]
@@ -145,7 +145,7 @@ def analyze_scene(config: PipelineConfig, frame: depthio.DepthFrame,
             for s, fp in zip(segments, footprints)
         ]
 
-    return SceneAnalysis(ground_mask=ground, ground_y=ground_y, cloud=band,
+    return SceneAnalysis(on_ground=on_ground, ground_y=ground_y, cloud=band,
                          voxels=voxels, segmentation=labels, segments=segments,
                          footprints=footprints, geometries=geometries)
 

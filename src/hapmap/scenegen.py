@@ -13,11 +13,18 @@ y up.  The floor is the plane y = -camera_height.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 
 import numpy as np
 
 from .depthio import DepthFrame, Intrinsics, key_value_lines
+
+
+def _require_finite(spec) -> None:
+    """ValueError naming the first float field of spec that is nan or inf."""
+    for f in dataclass_fields(spec):
+        if f.type == "float" and not math.isfinite(getattr(spec, f.name)):
+            raise ValueError(f"{type(spec).__name__}.{f.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -32,6 +39,7 @@ class BoxSpec:
     fine_class: str = "box"
 
     def __post_init__(self):
+        _require_finite(self)
         if min(self.width, self.depth, self.height) <= 0:
             raise ValueError("box dimensions must be positive")
 
@@ -57,6 +65,7 @@ class HoleSpec:
     depth: float
 
     def __post_init__(self):
+        _require_finite(self)
         if min(self.width, self.depth) <= 0:
             raise ValueError("hole dimensions must be positive")
 
@@ -81,6 +90,7 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.camera_height <= 0:
             raise ValueError("camera must sit above the floor")
         if self.floor_extent <= 0:

@@ -199,7 +199,7 @@ def _fill_polygon(cells: np.ndarray, active: np.ndarray, poly_uv: np.ndarray,
     qu, qv = np.roll(pu, -1), np.roll(pv, -1)
     spans = (pv - v) * (qv - v) <= 0
     flat = pv == qv
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         u = pu + (v - pv) * (qu - pu) / (qv - pv)
     u_min = np.where(spans, np.where(flat, np.minimum(pu, qu), u), np.inf).min(axis=1)
     u_max = np.where(spans, np.where(flat, np.maximum(pu, qu), u), -np.inf).max(axis=1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hapmap import depthio
+from hapmap import dcgd, depthio
 
 
 @pytest.fixture
@@ -29,3 +29,12 @@ def make_pgm(width, height, values, maxval=65535):
 
 def frame_of(array) -> depthio.DepthFrame:
     return depthio.DepthFrame(np.asarray(array, dtype=np.uint16))
+
+
+def ground_mask(frame, k, params=dcgd.DcgdParams()):
+    """The frame's ground mask: detect_ground's per-point flags on the
+    back-projected cloud, scattered back at the valid pixels."""
+    mask = np.zeros(frame.data.shape, dtype=bool)
+    mask[frame.valid_mask] = dcgd.detect_ground(
+        frame, depthio.backproject(frame, k), params)
+    return mask

@@ -8,7 +8,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from hapmap.classifier import _softmax64 as softmax64
-from hapmap.dcgd import DcgdParams, DepthCut, SubCut, _pixel_geometry
+from hapmap.dcgd import DcgdParams, DepthCut, SubCut
 from hapmap.geomfeat import Footprint, classify_geometry, polygon_area
 from hapmap.labeling import ObjectDescriptor
 from hapmap.synthgrid import ASCII_INACTIVE, INACTIVE
@@ -214,9 +214,26 @@ def dense_loss_and_grads(model, x, y):
     return loss, grads, acc
 
 
+def frame_geometry(frame, k, z0, zf, dz):
+    """Per-pixel (y, bin) arrays over the whole frame and the last cut index
+    n, from the pinhole inverse written out independently of backproject.
+
+    n = ceil((zf - z0) / dz), so the cuts cover the whole band [z0, zf];
+    bin = -1 for invalid pixels and pixels no cut reaches.
+    """
+    z = frame.data.astype(np.float64) * k.depth_scale
+    vs = np.arange(frame.height, dtype=np.float64)[:, None]
+    y = (k.cy - vs) * z / k.fy
+    n = int(np.ceil((zf - z0) / dz))
+    # nearest-bin assignment; the half-up tie break keeps |z - z_i| <= dz/2
+    bins = np.floor((z - z0) / dz + 0.5).astype(np.int64)
+    bins[(frame.data == 0) | (bins < 0) | (bins > n)] = -1
+    return y, bins, n
+
+
 def loop_depth_cuts(frame, k, z0=800.0, zf=4000.0, dz=50.0):
     """One full-frame argmin per cut: the entry is the first minimal-y row."""
-    y, bins, n = _pixel_geometry(frame, k, z0, zf, dz)
+    y, bins, n = frame_geometry(frame, k, z0, zf, dz)
     cuts = []
     for i in range(n + 1):
         mask = bins == i
@@ -258,7 +275,7 @@ def loop_split_subcuts(cut, baseline_tol=50.0, ground_prior=None):
 def loop_detect_ground(frame, k, params=DcgdParams()):
     """Ground mask built cut by cut and concave span by span."""
     mask = np.zeros((frame.height, frame.width), dtype=bool)
-    y, bins, _ = _pixel_geometry(frame, k, params.z0, params.zf, params.dz)
+    y, bins, _ = frame_geometry(frame, k, params.z0, params.zf, params.dz)
     in_band = bins >= 0
     if not in_band.any():
         return mask

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hapmap import classifier as clf
-from hapmap import dcgd, depthio, scenegen
+from hapmap import depthio, scenegen
 from hapmap.classifier import TrainConfig, forward, gate, grad_check, init_model, train
 from hapmap.config import PipelineConfig, parse_config
 from hapmap.geomfeat import height_p90
@@ -21,6 +21,7 @@ from hapmap.segment import dbscan
 from hapmap.synthgrid import (AreaGeometry, emit, map_to_area, parse_grid_json,
                               rasterize_scene, trapezoid_mask)
 
+from conftest import ground_mask
 from oracles import as_partition, blob_cloud, brute_dbscan, rect_descriptor
 
 K = depthio.DEFAULT_INTRINSICS
@@ -298,7 +299,7 @@ def test_criterion_7_ground_detection():
                                   noise_sigma=10, boxes=boxes)
         frame, truth = scenegen.render_depth(spec, K,
                                              rng=np.random.default_rng(7000 + i))
-        mask = dcgd.detect_ground(frame, K)
+        mask = ground_mask(frame, K)
         gt = truth.ground_mask
         tp += (mask & gt).sum()
         fp += (mask & ~gt).sum()

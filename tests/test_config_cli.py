@@ -1,5 +1,6 @@
 """Config parsing, pipeline orchestration, and the command-line surface."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from hapmap import classifier as clf
 from hapmap import cli, dcgd, depthio, scenegen
 from hapmap.config import PipelineConfig, format_config, parse_config
-from hapmap.pipeline import StageError, analyze_scene, run_pipeline
+from hapmap.pipeline import (StageError, analyze_scene, load_inputs,
+                             run_pipeline)
 from hapmap.synthgrid import AreaGeometry, map_to_area, parse_grid_json
 
 K_SMALL = depthio.Intrinsics(143.95, 143.95, 79.5, 59.5)
@@ -153,7 +155,7 @@ class TestRunPipeline:
         k = depthio.Intrinsics(20.0, 20.0, 7.5, 5.5)
         cfg = parse_config(f"dcgd.z0={z0}\ndcgd.zf={z0 + width}\ndcgd.dz={dz}\n")
         scene = analyze_scene(cfg, frame, k)
-        assert scene.ground_mask.any() or len(scene.cloud) == 0
+        assert scene.on_ground.any() or len(scene.cloud) == 0
 
     @pytest.mark.parametrize("dz", [50, 70, 130])
     def test_empty_floor_has_no_objects_at_any_cut_step(self, dz):
@@ -173,6 +175,37 @@ class TestRunPipeline:
         with pytest.raises(StageError) as err:
             run_pipeline(parse_config(cfg_file.read_text()), tmp_path / "nope.pgm")
         assert err.value.stage == "depthio"
+
+    @pytest.mark.parametrize("field, value", [("cx", 160.0), ("cy", -0.5)])
+    def test_principal_point_outside_image_names_stage(self, box_scene,
+                                                      tmp_path, field, value):
+        depth, cfg_file, _ = box_scene
+        intr = tmp_path / "outside.txt"
+        intr.write_text(depthio.format_intrinsics(
+            replace(K_SMALL, **{field: value})))
+        cfg = parse_config(f"intrinsics.path={intr}\n")
+        with pytest.raises(StageError, match="principal point") as err:
+            run_pipeline(cfg, depth)
+        assert err.value.stage == "dcgd"
+
+    def test_one_backprojection_per_frame(self, box_scene, tmp_path,
+                                          monkeypatch):
+        calls = []
+        backproject = depthio.backproject
+
+        def counted(frame, k):
+            calls.append(frame.data.shape)
+            return backproject(frame, k)
+
+        monkeypatch.setattr(depthio, "backproject", counted)
+        depth, cfg_file, _ = box_scene
+        cfg = parse_config(cfg_file.read_text())
+        analyze_scene(cfg, *load_inputs(cfg, depth))
+        assert calls == [(120, 160)]
+        rc = cli.main(["ground", "--depth", str(depth), "--config",
+                       str(cfg_file), "--out", str(tmp_path / "mask.pgm"),
+                       "--cuts", str(tmp_path / "cuts.txt")])
+        assert rc == 0 and calls == [(120, 160)] * 2
 
     @pytest.mark.parametrize("extra, message", [
         ("", "far basis exceeds the grid width"),
@@ -360,6 +393,20 @@ class TestCli:
         assert (mask & gt).sum() / gt.sum() >= 0.99
         assert cuts.read_text().startswith("cut ")
 
+    def test_ground_principal_point_outside_image(self, box_scene, tmp_path,
+                                                  capsys):
+        depth, cfg_file, _ = box_scene
+        intr = tmp_path / "outside.txt"
+        intr.write_text(depthio.format_intrinsics(replace(K_SMALL, cx=160.0)))
+        cfg_file.write_text(f"intrinsics.path={intr}\n")
+        out = tmp_path / "mask.pgm"
+        rc = cli.main(["ground", "--depth", str(depth), "--out", str(out),
+                       "--config", str(cfg_file)])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: principal point lies "
+                                           "outside the image\n")
+        assert not out.exists()
+
     def test_segment_subcommand(self, box_scene, tmp_path):
         depth, cfg_file, _ = box_scene
         out = tmp_path / "labeled.xyz"
@@ -425,6 +472,16 @@ class TestCli:
         frame = depthio.load_depth_pgm(out.read_bytes())
         assert frame.width == 160 and frame.valid_mask.sum() > 0
         assert depthio.load_depth_pgm(mask.read_bytes()).valid_mask.sum() > 0
+
+    def test_scenegen_rejects_non_finite_spec(self, tmp_path, capsys):
+        scene = tmp_path / "scene.txt"
+        scene.write_text("camera_height=nan\nfloor_extent=4000\n")
+        out = tmp_path / "depth.pgm"
+        rc = cli.main(["scenegen", "--scene", str(scene), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: SceneSpec.camera_height "
+                                           "must be finite\n")
+        assert not out.exists()
 
     def test_train_deterministic_model_files(self, tmp_path):
         args = ["train", "--out", "", "--per-class", "8", "--test-per-class", "2",

@@ -10,7 +10,7 @@ from hapmap.dcgd import (DcgdParams, DepthCut, compute_depth_cuts, detect_ground
 from hapmap.depthio import DepthFrame, Intrinsics, backproject
 from hapmap.scenegen import BoxSpec, HoleSpec, SceneSpec
 
-from conftest import SMALL_H, SMALL_W
+from conftest import SMALL_H, SMALL_W, ground_mask
 from oracles import loop_depth_cuts, loop_detect_ground, loop_split_subcuts
 
 
@@ -33,7 +33,8 @@ def make_cut(cols_y, index=0, z=1000.0, width=None):
 class TestComputeDepthCuts:
     def test_default_band_yields_65_cuts(self, small_cam):
         frame = DepthFrame(np.zeros((SMALL_H, SMALL_W), dtype=np.uint16))
-        cuts = compute_depth_cuts(frame, small_cam, 800, 4000, 50)
+        cuts = compute_depth_cuts(frame, backproject(frame, small_cam), 800,
+                                  4000, 50)
         # ceil((4000 - 800) / 50) = 64 intervals -> cuts i = 0..64
         assert len(cuts) == 65
         assert cuts[0].z == 800 and cuts[-1].z == 4000
@@ -44,13 +45,16 @@ class TestComputeDepthCuts:
         # pixel at zf still falls in a cut
         data = np.zeros((SMALL_H, SMALL_W), dtype=np.uint16)
         data[-1, 0] = 4000
-        cuts = compute_depth_cuts(DepthFrame(data), small_cam, 800, 4000, dz)
+        frame = DepthFrame(data)
+        cuts = compute_depth_cuts(frame, backproject(frame, small_cam), 800,
+                                  4000, dz)
         assert cuts[-2].z < 4000 <= cuts[-1].z
         assert sum(not c.is_empty for c in cuts) == 1
 
     def test_constant_depth_single_cut(self, small_cam):
         frame = DepthFrame(np.full((SMALL_H, SMALL_W), 1000, dtype=np.uint16))
-        cuts = compute_depth_cuts(frame, small_cam, 800, 4000, 50)
+        cuts = compute_depth_cuts(frame, backproject(frame, small_cam), 800,
+                                  4000, 50)
         nonempty = [c.index for c in cuts if not c.is_empty]
         assert nonempty == [4]   # (1000 - 800) / 50 = 4
 
@@ -61,7 +65,8 @@ class TestComputeDepthCuts:
         data = np.zeros((4, 3), dtype=np.uint16)
         data[0, 1] = 1000
         data[2, 1] = 1000
-        cuts = compute_depth_cuts(DepthFrame(data), k, 800, 1200, 50)
+        frame = DepthFrame(data)
+        cuts = compute_depth_cuts(frame, backproject(frame, k), 800, 1200, 50)
         cut = cuts[4]
         assert cut.rows[1] == 2
         assert cut.y[1] == pytest.approx(100.0)
@@ -70,7 +75,9 @@ class TestComputeDepthCuts:
         data = np.zeros((SMALL_H, SMALL_W), dtype=np.uint16)
         data[60, 0] = 824   # |824 - 800| <= 25 -> bin 0
         data[60, 1] = 826   # |826 - 850| <= 25 -> bin 1
-        cuts = compute_depth_cuts(DepthFrame(data), small_cam, 800, 4000, 50)
+        frame = DepthFrame(data)
+        cuts = compute_depth_cuts(frame, backproject(frame, small_cam), 800,
+                                  4000, 50)
         assert cuts[0].rows[0] >= 0 and cuts[0].rows[1] == -1
         assert cuts[1].rows[1] >= 0 and cuts[1].rows[0] == -1
 
@@ -123,7 +130,7 @@ class TestDetectGround:
     def test_floor_only_recall_precision(self, small_cam):
         frame, truth = render(SceneSpec(camera_height=1200, floor_extent=4000),
                               small_cam)
-        mask = detect_ground(frame, small_cam)
+        mask = ground_mask(frame, small_cam)
         gt = truth.ground_mask
         tp = (mask & gt).sum()
         assert tp / gt.sum() >= 0.99
@@ -133,20 +140,20 @@ class TestDetectGround:
         spec = SceneSpec(camera_height=1200, floor_extent=4000,
                          boxes=[BoxSpec(0, 3000, 500, 500, 450)])
         frame, truth = render(spec, small_cam)
-        mask = detect_ground(frame, small_cam)
+        mask = ground_mask(frame, small_cam)
         box = truth.object_masks[0]
         assert (box & ~mask).sum() / box.sum() >= 0.95
 
     def test_all_invalid_frame(self, small_cam):
         frame = DepthFrame(np.zeros((SMALL_H, SMALL_W), dtype=np.uint16))
-        assert detect_ground(frame, small_cam).sum() == 0
+        assert detect_ground(frame, backproject(frame, small_cam)).sum() == 0
 
     def test_mask_subset_of_band(self, small_cam):
         spec = SceneSpec(camera_height=1100, floor_extent=5000, noise_sigma=10,
                          boxes=[BoxSpec(-300, 2600, 400, 400, 500)])
         frame, _ = render(spec, small_cam, seed=5)
         params = DcgdParams()
-        mask = detect_ground(frame, small_cam, params)
+        mask = ground_mask(frame, small_cam, params)
         z = frame.data.astype(float)
         ok = (z > 0) & (z >= params.z0 - params.dz / 2) & (z <= params.zf + params.dz / 2)
         assert not (mask & ~ok).any()
@@ -155,16 +162,15 @@ class TestDetectGround:
         base = SceneSpec(camera_height=1200, floor_extent=4000)
         more = SceneSpec(camera_height=1200, floor_extent=4000,
                          boxes=[BoxSpec(200, 2800, 600, 500, 400)])
-        m0 = detect_ground(render(base, small_cam)[0], small_cam)
-        m1 = detect_ground(render(more, small_cam)[0], small_cam)
+        m0 = ground_mask(render(base, small_cam)[0], small_cam)
+        m1 = ground_mask(render(more, small_cam)[0], small_cam)
         assert not (m1 & ~m0).any()
 
     def test_ground_elevation(self, small_cam):
         frame, _ = render(SceneSpec(camera_height=1200, floor_extent=4000),
                           small_cam)
-        mask = detect_ground(frame, small_cam)
         cloud = backproject(frame, small_cam)
-        elevation = ground_elevation(cloud, mask[frame.valid_mask])
+        elevation = ground_elevation(cloud, detect_ground(frame, cloud))
         assert elevation == pytest.approx(-1200, abs=5)
 
     def test_bad_params(self):
@@ -192,7 +198,8 @@ def tie_frames(draw):
     data = np.array(draw(st.lists(st.sampled_from(TIE_DEPTHS), min_size=h * w,
                                   max_size=h * w)), dtype=np.uint16)
     data = data.reshape(h, w)
-    cy = draw(st.integers(-3, 6))
+    # backproject needs the principal point inside the image
+    cy = draw(st.integers(0, min(6, h - 1)))
     for (a, za), (b, zb) in draw(st.lists(st.sampled_from(TIE_PAIRS),
                                           max_size=2 * w)):
         col = draw(st.integers(0, w - 1))
@@ -209,7 +216,7 @@ def tie_frames(draw):
 
 
 def assert_cuts_equal(frame, k, p):
-    got = compute_depth_cuts(frame, k, p.z0, p.zf, p.dz)
+    got = compute_depth_cuts(frame, backproject(frame, k), p.z0, p.zf, p.dz)
     want = loop_depth_cuts(frame, k, p.z0, p.zf, p.dz)
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -227,7 +234,7 @@ class TestEntryTableMatchesLoops:
     def test_random_frames_with_ties(self, case):
         frame, k, params = case
         assert_cuts_equal(frame, k, params)
-        assert (detect_ground(frame, k, params).tobytes()
+        assert (ground_mask(frame, k, params).tobytes()
                 == loop_detect_ground(frame, k, params).tobytes())
 
     @pytest.mark.parametrize("dz", [50.0, 70.0, 130.0])
@@ -238,7 +245,7 @@ class TestEntryTableMatchesLoops:
         data = np.zeros((64, 2), dtype=np.uint16)
         data[1, 1], data[2, 1], data[5, 1] = 1200, 1220, 9000
         frame = DepthFrame(data)
-        cuts = compute_depth_cuts(frame, k, 800, 4000, dz)
+        cuts = compute_depth_cuts(frame, backproject(frame, k), 800, 4000, dz)
         (cut,) = [c for c in cuts if not c.is_empty]
         assert cut.rows[1] == 1 and cut.y[1] == 61 * 1200 / 10.0
         assert_cuts_equal(frame, k, DcgdParams(dz=dz))
@@ -269,7 +276,7 @@ class TestEntryTableMatchesLoops:
         params = DcgdParams(dz=dz, baseline_tol=baseline_tol,
                             include_tol=include_tol)
         assert_cuts_equal(frame, small_cam, params)
-        assert (detect_ground(frame, small_cam, params).tobytes()
+        assert (ground_mask(frame, small_cam, params).tobytes()
                 == loop_detect_ground(frame, small_cam, params).tobytes())
 
     @settings(max_examples=200, deadline=None)

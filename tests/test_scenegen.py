@@ -100,6 +100,20 @@ class TestRender:
                       boxes=[BoxSpec(0, 2500, 400, 400, 300)])
 
 
+#: one value per key of a valid scene file
+SCENE_LINES = {"camera_height": "1200", "floor_extent": "4000",
+               "noise_sigma": "5", "box": "0 2000 300 400 500 box",
+               "hole": "0 1500 200 200"}
+#: (key, position in the value, field named in the error) of every number
+SCENE_NUMBERS = (
+    [(key, 0, f"SceneSpec.{key}")
+     for key in ("camera_height", "floor_extent", "noise_sigma")]
+    + [("box", i, f"BoxSpec.{name}") for i, name in enumerate(
+        ("center_x", "center_z", "width", "depth", "height"))]
+    + [("hole", i, f"HoleSpec.{name}") for i, name in enumerate(
+        ("center_x", "center_z", "width", "depth"))])
+
+
 class TestSceneSpecFile:
     def test_roundtrip(self):
         spec = SceneSpec(camera_height=1150, floor_extent=4000, noise_sigma=5,
@@ -119,6 +133,23 @@ class TestSceneSpecFile:
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown key"):
             parse_scene_spec("camera_height=1200\nwall=3\n")
+
+    def test_valid_scene_lines(self):
+        text = "".join(f"{k}={v}\n" for k, v in SCENE_LINES.items())
+        spec = parse_scene_spec(text)
+        assert spec.boxes[0].height == 500 and spec.holes[0].depth == 200
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("key, pos, name", SCENE_NUMBERS,
+                             ids=[name for *_, name in SCENE_NUMBERS])
+    def test_non_finite_field(self, key, pos, name, bad):
+        lines = dict(SCENE_LINES)
+        tokens = lines[key].split()
+        tokens[pos] = bad
+        lines[key] = " ".join(tokens)
+        text = "".join(f"{k}={v}\n" for k, v in lines.items())
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            parse_scene_spec(text)
 
 
 class TestSampleBoxCloud:
