@@ -2,7 +2,7 @@
 
 from .config import PipelineConfig, format_config, parse_config
 from .depthio import (DEFAULT_INTRINSICS, DepthFrame, Intrinsics, backproject,
-                      load_depth_pgm, passthrough_filter)
+                      load_depth_pgm)
 from .pipeline import PipelineResult, StageError, run_pipeline
 
 __version__ = "0.1.0"
@@ -10,6 +10,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_INTRINSICS", "DepthFrame", "Intrinsics", "PipelineConfig",
     "PipelineResult", "StageError", "backproject", "format_config",
-    "load_depth_pgm", "parse_config", "passthrough_filter", "run_pipeline",
+    "load_depth_pgm", "parse_config", "run_pipeline",
     "__version__",
 ]

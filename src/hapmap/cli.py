@@ -13,7 +13,7 @@ import numpy as np
 from . import classifier as clf
 from . import dcgd, depthio, scenegen
 from .config import OUTPUT_FORMATS, PipelineConfig, format_config, parse_config
-from .pipeline import (StageError, analyze_scene, area_geometry,
+from .pipeline import (StageError, analyze_depth_file, area_geometry,
                        camera_intrinsics, load_inputs, run_pipeline)
 from .synthgrid import emit, rasterize_raw
 
@@ -56,6 +56,7 @@ def _cmd_run(args) -> int:
 def _cmd_ground(args) -> int:
     cfg = _load_config(args)
     frame, k = load_inputs(cfg, args.depth)
+    area_geometry(cfg, k, frame.width)   # the band must fit the grid here too
     cloud = depthio.backproject(frame, k)
     mask = np.zeros(frame.data.shape, dtype=bool)
     mask[frame.valid_mask] = dcgd.detect_ground(frame, cloud, cfg.dcgd)
@@ -75,7 +76,7 @@ def _cmd_ground(args) -> int:
 
 def _cmd_segment(args) -> int:
     cfg = _load_config(args)
-    scene = analyze_scene(cfg, *load_inputs(cfg, args.depth))
+    scene, _ = analyze_depth_file(cfg, args.depth)
     lines = [f"{p[0]:.1f} {p[1]:.1f} {p[2]:.1f} {lab}"
              for p, lab in zip(scene.voxels, scene.segmentation.labels)]
     Path(args.out).write_text("\n".join(lines) + "\n")
@@ -84,7 +85,7 @@ def _cmd_segment(args) -> int:
 
 def _cmd_features(args) -> int:
     cfg = _load_config(args)
-    scene = analyze_scene(cfg, *load_inputs(cfg, args.depth))
+    scene, _ = analyze_depth_file(cfg, args.depth)
     print("# segment\theight_mm\tarea_m2\theight_class\tarea_class\tbarycenter")
     for s, fp, geom in zip(scene.segments, scene.footprints, scene.geometries):
         b = fp.barycenter
@@ -147,9 +148,7 @@ def _cmd_train(args) -> int:
 def _cmd_synth(args) -> int:
     cfg = _load_config(args)
     if args.raw:
-        frame, k = load_inputs(cfg, args.depth)
-        geometry = area_geometry(cfg, k, frame.width)
-        scene = analyze_scene(cfg, frame, k)
+        scene, geometry = analyze_depth_file(cfg, args.depth)
         grid = rasterize_raw(scene.cloud, geometry, ground_y=scene.ground_y)
         Path(args.out).write_bytes(emit(grid, cfg.output_format))
         return 0

@@ -216,15 +216,3 @@ def backproject(frame: DepthFrame, k: Intrinsics) -> np.ndarray:
     x = (us - k.cx) * z / k.fx
     y = (k.cy - vs) * z / k.fy
     return np.column_stack([x, y, z])
-
-
-def passthrough_filter(cloud: np.ndarray, zmin: float = 800.0,
-                       zmax: float = 4000.0) -> np.ndarray:
-    """Keep points with zmin <= z <= zmax (both ends inclusive), order preserved."""
-    if zmin >= zmax:
-        raise ValueError("zmin must be below zmax")
-    cloud = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
-    if cloud.size == 0:
-        return cloud
-    keep = (cloud[:, 2] >= zmin) & (cloud[:, 2] <= zmax)
-    return cloud[keep]

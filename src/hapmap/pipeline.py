@@ -12,7 +12,7 @@ from . import classifier as clf
 from . import dcgd, depthio, geomfeat, segment as seg
 from .config import PipelineConfig
 from .labeling import ObjectDescriptor, parse_glyph_sheet, builtin_sheet, stairs_direction
-from .synthgrid import AreaGeometry, PinGrid, emit, map_to_area, clamp_into_frustum, rasterize_scene
+from .synthgrid import AreaGeometry, PinGrid, barycenter_pin, emit, rasterize_scene
 
 REPORT_HEADER = "# segment\tclass\theight_mm\tarea_m2\theight_class\tarea_class\tpin"
 
@@ -77,7 +77,7 @@ class SceneAnalysis:
 
     on_ground: np.ndarray                       # ground flag per valid pixel
     ground_y: float                             # ground elevation, mm
-    cloud: np.ndarray                           # in-band points, ground included
+    cloud: np.ndarray                           # one point per valid pixel
     voxels: np.ndarray                          # downsampled occupied points
     segmentation: seg.Segmentation              # one label per voxel
     segments: list[seg.Segment]
@@ -128,7 +128,6 @@ def analyze_scene(config: PipelineConfig, frame: depthio.DepthFrame,
     with _stage("segment"):
         near, far = config.dcgd.z0, config.dcgd.zf
         in_band = (cloud[:, 2] >= near) & (cloud[:, 2] <= far)
-        band = cloud[in_band]
         ground_y = (dcgd.ground_elevation(cloud, on_ground)
                     if on_ground.any() else 0.0)
         occupied = cloud[in_band & ~on_ground]
@@ -145,9 +144,18 @@ def analyze_scene(config: PipelineConfig, frame: depthio.DepthFrame,
             for s, fp in zip(segments, footprints)
         ]
 
-    return SceneAnalysis(on_ground=on_ground, ground_y=ground_y, cloud=band,
+    return SceneAnalysis(on_ground=on_ground, ground_y=ground_y, cloud=cloud,
                          voxels=voxels, segmentation=labels, segments=segments,
                          footprints=footprints, geometries=geometries)
+
+
+def analyze_depth_file(config: PipelineConfig, depth_path: str | Path
+                       ) -> tuple[SceneAnalysis, AreaGeometry]:
+    """(scene analysis, synthesis area) of one depth file; the area comes
+    first, so a band that does not fit the grid fails before analysis."""
+    frame, k = load_inputs(config, depth_path)
+    geometry = area_geometry(config, k, frame.width)
+    return analyze_scene(config, frame, k), geometry
 
 
 def run_pipeline(config: PipelineConfig, depth_path: str | Path) -> PipelineResult:
@@ -157,9 +165,7 @@ def run_pipeline(config: PipelineConfig, depth_path: str | Path) -> PipelineResu
     every object keeps its footprint and geometric classes, no glyphs.
     Given identical config and inputs the result is byte-stable.
     """
-    frame, k = load_inputs(config, depth_path)
-    geometry = area_geometry(config, k, frame.width)
-    scene = analyze_scene(config, frame, k)
+    scene, geometry = analyze_depth_file(config, depth_path)
 
     model = None
     if config.model_path:
@@ -192,11 +198,7 @@ def run_pipeline(config: PipelineConfig, depth_path: str | Path) -> PipelineResu
         if config.glyphs_path:
             sheet = parse_glyph_sheet(Path(config.glyphs_path).read_text())
         grid = rasterize_scene([], descriptors, geometry, sheet)
-        pins = []
-        for desc in descriptors:
-            bx, _, bz = desc.footprint.barycenter
-            pins.append(map_to_area(*clamp_into_frustum(bx, bz, geometry),
-                                    geometry))
+        pins = [barycenter_pin(desc, geometry) for desc in descriptors]
         emitted = emit(grid, config.output_format)
 
     return PipelineResult(grid=grid, emitted=emitted,

@@ -31,8 +31,14 @@ class FrustumError(ValueError):
     pass
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
+def _round_half_up(x):
+    return np.floor(x + 0.5)
+
+
+def _pin_index(f, n: int):
+    """Round half up, then clamp into the n pins of a grid axis (clamping
+    before the integer cast, so no float is too large to cast)."""
+    return np.clip(_round_half_up(f), 0, n - 1).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -64,10 +70,6 @@ class AreaGeometry:
             raise ValueError("depth extent exceeds the grid height")
 
     @property
-    def hfov(self) -> float:
-        return 2.0 * math.atan(self.half_tan)
-
-    @property
     def near_width(self) -> float:
         """View-field width at the near plane, mm (the trapezoid small basis)."""
         return 2.0 * self.near * self.half_tan
@@ -79,19 +81,25 @@ class AreaGeometry:
 
     @property
     def v_max(self) -> int:
-        return _round_half_up(self.scale * (self.far - self.near))
+        """Pin row of the far plane, before any clamping into the grid."""
+        return int(_round_half_up(self.scale * (self.far - self.near)))
 
     @classmethod
-    def from_intrinsics(cls, k: Intrinsics, width: int, near: float = 800.0,
-                        far: float = 4000.0, small_basis: int = 24,
-                        rows: int = 96, cols: int = 120) -> "AreaGeometry":
-        return cls(near=near, far=far, half_tan=width / (2.0 * k.fx),
-                   small_basis=small_basis, rows=rows, cols=cols)
+    def from_intrinsics(cls, k: Intrinsics, width: int, **area) -> "AreaGeometry":
+        """The area seen by a camera of the given image width; other fields as given."""
+        return cls(half_tan=width / (2.0 * k.fx), **area)
 
 
-def map_continuous(x: float, z: float, g: AreaGeometry) -> tuple[float, float]:
+def map_continuous(x, z, g: AreaGeometry):
     """Unrounded pin coordinates: u centered on the grid, v measured from near."""
     return g.scale * x + g.cols / 2.0, g.scale * (z - g.near)
+
+
+def map_to_pins(x, z, g: AreaGeometry):
+    """The one ground-to-pin mapping, on scalars or arrays (mm): round half
+    up, then clamp into the grid.  Callers decide what lies in the view field."""
+    uf, vf = map_continuous(x, z, g)
+    return _pin_index(uf, g.cols), _pin_index(vf, g.rows)
 
 
 def map_to_area(x: float, z: float, g: AreaGeometry) -> tuple[int, int]:
@@ -103,21 +111,26 @@ def map_to_area(x: float, z: float, g: AreaGeometry) -> tuple[int, int]:
     tol = 1e-9 * max(abs(x), abs(z), 1.0)
     if not (g.near - tol <= z <= g.far + tol) or abs(x) > z * g.half_tan + tol:
         raise FrustumError("outside view field")
-    uf, vf = map_continuous(x, z, g)
-    u = min(max(_round_half_up(uf), 0), g.cols - 1)
-    v = min(max(_round_half_up(vf), 0), g.rows - 1)
-    return u, v
+    u, v = map_to_pins(x, z, g)
+    return int(u), int(v)
+
+
+def barycenter_pin(obj: ObjectDescriptor, g: AreaGeometry) -> tuple[int, int]:
+    """The pin of an object: its barycenter, clamped into the view field."""
+    bx, _, bz = obj.footprint.barycenter
+    return map_to_area(*clamp_into_frustum(bx, bz, g), g)
 
 
 def trapezoid_mask(g: AreaGeometry) -> np.ndarray:
-    """Active-pin mask: pins whose rounding pre-image meets the view field."""
+    """Active-pin mask: pins whose rounding pre-image meets the view field,
+    i.e. each row v spans the pins of the view-field edges at its far depth."""
+    z_hi = np.minimum(g.far, g.near + (np.arange(g.v_max + 1) + 0.5) / g.scale)
+    half = g.scale * z_hi * g.half_tan
+    lo = _pin_index(g.cols / 2.0 - half, g.cols)
+    hi = _pin_index(g.cols / 2.0 + half, g.cols)
+    col = np.arange(g.cols)
     mask = np.zeros((g.rows, g.cols), dtype=bool)
-    for v in range(g.v_max + 1):
-        z_hi = min(g.far, g.near + (v + 0.5) / g.scale)
-        half = g.scale * z_hi * g.half_tan
-        lo = max(_round_half_up(g.cols / 2.0 - half), 0)
-        hi = min(_round_half_up(g.cols / 2.0 + half), g.cols - 1)
-        mask[v, lo:hi + 1] = True
+    mask[:g.v_max + 1] = (col >= lo[:, None]) & (col <= hi[:, None])
     return mask
 
 
@@ -212,13 +225,6 @@ def _fill_polygon(cells: np.ndarray, active: np.ndarray, poly_uv: np.ndarray,
     block[...] = np.where(inside, fill, block)
 
 
-def _map_polygon(poly_xz: np.ndarray, g: AreaGeometry) -> np.ndarray:
-    uv = np.empty_like(np.asarray(poly_xz, dtype=np.float64))
-    for i, (x, z) in enumerate(poly_xz):
-        uv[i] = map_continuous(x, z, g)
-    return uv
-
-
 def clamp_into_frustum(x: float, z: float, g: AreaGeometry) -> tuple[float, float]:
     z = min(max(z, g.near), g.far)
     lim = z * g.half_tan
@@ -243,33 +249,31 @@ def rasterize_scene(ground_holes, objects: list[ObjectDescriptor],
     if sheet is None:
         sheet = builtin_sheet()
     grid = PinGrid.empty(g)
-    active = grid.active
+    cells, active = grid.cells, grid.active
+
+    def fill(poly, level, mode):
+        x, z = clip_polygon_to_frustum(poly, g).T
+        _fill_polygon(cells, active, np.column_stack(map_continuous(x, z, g)),
+                      level, mode)
 
     for hole in ground_holes:
-        poly = clip_polygon_to_frustum(np.asarray(hole, dtype=np.float64), g)
-        if poly.shape[0] >= 3:
-            _fill_polygon(grid.cells, active, _map_polygon(poly, g), 0, "set")
+        fill(hole, 0, "set")
 
     for obj in objects:
         if not obj.footprint.degenerate:
-            poly = clip_polygon_to_frustum(obj.footprint.hull, g)
-            if poly.shape[0] >= 3:
-                _fill_polygon(grid.cells, active, _map_polygon(poly, g), 2, "max")
+            fill(obj.footprint.hull, 2, "max")
         if obj.label is None:
             continue
         glyph = glyph_for(obj.label, obj.stairs_dir, sheet)
         level = label_level(obj.geometry.height_class)
-        bx, _, bz = obj.footprint.barycenter
-        u0, v0 = map_to_area(*clamp_into_frustum(bx, bz, g), g)
-        bitmap = glyph.as_array()
-        for r in range(bitmap.shape[0]):
-            for c in range(bitmap.shape[1]):
-                if not bitmap[r, c]:
-                    continue
-                u = u0 + (c - 2)
-                v = v0 + (2 - r)      # glyph top row points away from the user
-                if 0 <= v < g.rows and 0 <= u < g.cols and active[v, u]:
-                    grid.cells[v, u] = max(grid.cells[v, u], level)
+        u0, v0 = barycenter_pin(obj, g)
+        r, c = np.nonzero(glyph.as_array())
+        u = u0 + c - 2
+        v = v0 + 2 - r      # glyph top row points away from the user
+        on = (v >= 0) & (v < g.rows) & (u >= 0) & (u < g.cols)
+        u, v = u[on], v[on]
+        ok = active[v, u]
+        cells[v[ok], u[ok]] = np.maximum(cells[v[ok], u[ok]], level)
     return grid
 
 
@@ -286,15 +290,10 @@ def rasterize_raw(cloud: np.ndarray, g: AreaGeometry,
     pts = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     keep = (z >= g.near) & (z <= g.far) & (np.abs(x) <= z * g.half_tan)
-    x, y, z = x[keep], y[keep], z[keep]
-    if x.size == 0:
-        return grid
-    u = np.clip(np.floor(g.scale * x + g.cols / 2.0 + 0.5).astype(int), 0, g.cols - 1)
-    v = np.clip(np.floor(g.scale * (z - g.near) + 0.5).astype(int), 0, g.rows - 1)
-    h = np.maximum(y - ground_y, 0.0)
+    u, v = map_to_pins(x[keep], z[keep], g)
+    h = np.maximum(y[keep] - ground_y, 0.0)
     level = 1 + np.minimum(np.floor(h / RAW_BAND_MM), 3).astype(np.int8)
-    active = grid.active
-    ok = active[v, u]
+    ok = grid.active[v, u]
     np.maximum.at(grid.cells, (v[ok], u[ok]), level[ok])
     return grid
 

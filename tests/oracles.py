@@ -10,7 +10,7 @@ from scipy.spatial import cKDTree
 from hapmap.classifier import _softmax64 as softmax64
 from hapmap.dcgd import DcgdParams, DepthCut, SubCut
 from hapmap.geomfeat import Footprint, classify_geometry, polygon_area
-from hapmap.labeling import ObjectDescriptor
+from hapmap.labeling import ObjectDescriptor, glyph_for, label_level
 from hapmap.synthgrid import ASCII_INACTIVE, INACTIVE
 
 
@@ -326,6 +326,42 @@ def loop_fill_polygon(cells, active, poly_uv, level, mode):
                                       cells[v, span])
         else:
             cells[v, span] = np.where(row_active, level, cells[v, span])
+
+
+def loop_trapezoid_mask(g):
+    """Row by row: each row spans the rounded view-field edges at the far
+    depth of its pins' pre-image."""
+    mask = np.zeros((g.rows, g.cols), dtype=bool)
+    v_max = int(math.floor(g.scale * (g.far - g.near) + 0.5))
+    for v in range(v_max + 1):
+        z_hi = min(g.far, g.near + (v + 0.5) / g.scale)
+        half = g.scale * z_hi * g.half_tan
+        lo = max(int(math.floor(g.cols / 2.0 - half + 0.5)), 0)
+        hi = min(int(math.floor(g.cols / 2.0 + half + 0.5)), g.cols - 1)
+        mask[v, lo:hi + 1] = True
+    return mask
+
+
+def loop_glyph_stamp(cells, active, obj, g, sheet):
+    """One labelled object's glyph stamped dot by dot, centred on its
+    barycenter pin: the barycenter clamped into the view field, then
+    rounded half up and clamped into the grid, all on scalars."""
+    glyph = glyph_for(obj.label, obj.stairs_dir, sheet)
+    level = label_level(obj.geometry.height_class)
+    bx, _, bz = obj.footprint.barycenter
+    z = min(max(bz, g.near), g.far)
+    x = min(max(bx, -z * g.half_tan), z * g.half_tan)
+    u0 = min(max(int(math.floor(g.scale * x + g.cols / 2.0 + 0.5)), 0), g.cols - 1)
+    v0 = min(max(int(math.floor(g.scale * (z - g.near) + 0.5)), 0), g.rows - 1)
+    bitmap = glyph.as_array()
+    for r in range(bitmap.shape[0]):
+        for c in range(bitmap.shape[1]):
+            if not bitmap[r, c]:
+                continue
+            u = u0 + (c - 2)
+            v = v0 + (2 - r)      # glyph top row points away from the user
+            if 0 <= v < g.rows and 0 <= u < g.cols and active[v, u]:
+                cells[v, u] = max(cells[v, u], level)
 
 
 def loop_emit_ascii(cells):

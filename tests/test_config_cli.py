@@ -155,7 +155,9 @@ class TestRunPipeline:
         k = depthio.Intrinsics(20.0, 20.0, 7.5, 5.5)
         cfg = parse_config(f"dcgd.z0={z0}\ndcgd.zf={z0 + width}\ndcgd.dz={dz}\n")
         scene = analyze_scene(cfg, frame, k)
-        assert scene.on_ground.any() or len(scene.cloud) == 0
+        assert scene.cloud.shape == (scene.on_ground.size, 3)
+        z = scene.cloud[:, 2]
+        assert scene.on_ground.any() or not ((z >= z0) & (z <= z0 + width)).any()
 
     @pytest.mark.parametrize("dz", [50, 70, 130])
     def test_empty_floor_has_no_objects_at_any_cut_step(self, dz):
@@ -454,6 +456,29 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == ("error in stage synthgrid: far "
                                            "basis exceeds the grid width\n")
+
+    @pytest.mark.parametrize("command, outputs", [
+        ("ground", {"--out": "mask.pgm", "--cuts": "cuts.txt"}),
+        ("segment", {"--out": "segment.xyz"}),
+        ("features", {})], ids=["ground", "segment", "features"])
+    def test_analysis_views_reject_grid_misfit(self, box_scene, tmp_path,
+                                               monkeypatch, capsys, command,
+                                               outputs):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("ground detection ran")
+
+        monkeypatch.setattr(dcgd, "detect_ground", not_reached)
+        depth, cfg_file, _ = box_scene
+        cfg_file.write_text(cfg_file.read_text() + "dcgd.zf=5000\n")
+        args = [command, "--depth", str(depth), "--config", str(cfg_file)]
+        for flag, name in outputs.items():
+            args += [flag, str(tmp_path / name)]
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error in stage synthgrid: far basis exceeds "
+                                "the grid width\n")
+        assert captured.out == ""
+        assert not any((tmp_path / name).exists() for name in outputs.values())
 
     def test_scenegen_subcommand(self, tmp_path):
         scene = tmp_path / "scene.txt"

@@ -3,12 +3,11 @@ pinhole relations x = (u-cx)z/fx, y = (cy-v)z/fy."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from hapmap.depthio import (DepthFormatError, DepthFrame, Intrinsics,
                             backproject, depth_to_flat, depth_to_pgm,
                             load_depth_pgm, load_intrinsics, format_intrinsics,
-                            mask_to_pgm, passthrough_filter)
+                            mask_to_pgm)
 
 from conftest import make_pgm, frame_of
 
@@ -155,32 +154,3 @@ class TestBackproject:
         v_back = k.cy - pts[:, 1] * k.fy / pts[:, 2]
         np.testing.assert_allclose(u_back, us, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(v_back, vs, rtol=1e-9, atol=1e-9)
-
-
-class TestPassthrough:
-    def test_below_band_removed(self):
-        cloud = np.array([[0.0, 0.0, 500.0]])
-        assert passthrough_filter(cloud, 800, 4000).shape == (0, 3)
-
-    def test_boundaries_inclusive(self):
-        cloud = np.array([[0, 0, 800.0], [0, 0, 4000.0], [0, 0, 4000.5]])
-        out = passthrough_filter(cloud, 800, 4000)
-        np.testing.assert_array_equal(out[:, 2], [800.0, 4000.0])
-
-    def test_empty_cloud(self):
-        assert passthrough_filter(np.zeros((0, 3)), 800, 4000).shape == (0, 3)
-
-    def test_bad_band(self):
-        with pytest.raises(ValueError):
-            passthrough_filter(np.zeros((0, 3)), 4000, 800)
-
-    @given(st.lists(st.floats(0.0, 10000.0), max_size=40))
-    def test_subsequence_and_idempotent(self, zs):
-        cloud = np.array([[i, -i, z] for i, z in enumerate(zs)]).reshape(-1, 3)
-        once = passthrough_filter(cloud, 800, 4000)
-        twice = passthrough_filter(once, 800, 4000)
-        np.testing.assert_array_equal(once, twice)
-        # order-preserving subsequence: x carries the original index
-        kept = once[:, 0].astype(int).tolist()
-        assert kept == sorted(kept)
-        assert all(800 <= z <= 4000 for z in once[:, 2])

@@ -6,6 +6,9 @@ width is 889.198mm, s = 0.0269906 pins/mm, and (0, 4000) lands on
 v = round(s * 3200) = round(86.37) = 86.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +21,8 @@ from hapmap.synthgrid import (AreaGeometry, FrustumError, PinGrid, _fill_polygon
                               map_to_area, parse_grid_json, rasterize_raw,
                               rasterize_scene, trapezoid_mask)
 
-from oracles import loop_emit_ascii, loop_fill_polygon, rect_descriptor
+from oracles import (loop_emit_ascii, loop_fill_polygon, loop_glyph_stamp,
+                     loop_trapezoid_mask, rect_descriptor)
 
 G = AreaGeometry()
 
@@ -38,6 +42,8 @@ class TestAreaGeometry:
             AreaGeometry(near=4000, far=800)
         with pytest.raises(ValueError):
             AreaGeometry(small_basis=30)   # 30 * 5 = 150 > 120 cols
+        with pytest.raises(ValueError, match="depth extent"):
+            AreaGeometry(half_tan=1e-298)  # far row past any int64 pin
 
 
 class TestMapToArea:
@@ -100,6 +106,69 @@ class TestTrapezoid:
         mask = trapezoid_mask(G)
         assert (grid.cells[mask] == 1).all()
         assert (grid.cells[~mask] == -1).all()
+
+
+@st.composite
+def area_geometries(draw):
+    """Valid synthesis areas of every shape.
+
+    Half are dyadic: powers of two for near, the field of view and the
+    small basis make the scale exact, so view-field edges and half-pin
+    positions land exactly on rounding ties.
+    """
+    if draw(st.booleans()):
+        near = float(2 ** draw(st.integers(7, 11)))
+        far = near * draw(st.integers(3, 12)) / 2.0
+        half_tan = 2.0 ** draw(st.integers(-3, 1))
+        small_basis = 2 ** draw(st.integers(0, 5))
+    else:
+        near = draw(st.floats(100.0, 3000.0))
+        far = near * draw(st.floats(1.01, 6.0))
+        half_tan = draw(st.floats(0.05, 2.0))
+        small_basis = draw(st.integers(1, 40))
+    cols = math.ceil(small_basis * far / near) + draw(st.integers(0, 5))
+    probe = AreaGeometry(near, far, half_tan, small_basis, rows=10**6, cols=cols)
+    rows = probe.v_max + 1 + draw(st.integers(0, 5))
+    return AreaGeometry(near, far, half_tan, small_basis, rows, cols)
+
+
+@st.composite
+def labelled_objects(draw, g):
+    """A labelled box whose barycenter lies on a pin, a rounding tie or
+    anywhere, from a few pins outside the grid (clamped, its glyph
+    clipped) to the far corners."""
+    def pin(hi):
+        return draw(st.one_of(st.integers(-8, 2 * hi + 8).map(lambda h: h / 2.0),
+                              st.floats(-4.0, hi + 4.0)))
+    u, v = pin(g.cols), pin(g.rows)
+    w, d = (draw(st.floats(0.5, 8.0)) / g.scale for _ in range(2))
+    label = draw(st.sampled_from(["sit_on", "put_on", "store_in", "sanitary",
+                                  "window", "door", "stairs"]))
+    return rect_descriptor((u - g.cols / 2.0) / g.scale, g.near + v / g.scale,
+                           w, d, draw(st.sampled_from([200.0, 700.0, 1500.0])),
+                           label=label,
+                           stairs_dir=draw(st.sampled_from(["up", "down"]))
+                           if label == "stairs" else None)
+
+
+class TestAreaMatchesLoops:
+    """The array trapezoid and glyph stamp against the deleted loops."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=area_geometries())
+    def test_trapezoid_mask(self, g):
+        assert trapezoid_mask(g).tobytes() == loop_trapezoid_mask(g).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), g=area_geometries())
+    def test_glyph_stamp(self, data, g):
+        objs = data.draw(st.lists(labelled_objects(g), max_size=5))
+        sheet = builtin_sheet()
+        ref = rasterize_scene([], [replace(o, label=None, stairs_dir=None)
+                                   for o in objs], g, sheet)
+        for obj in objs:
+            loop_glyph_stamp(ref.cells, ref.active, obj, g, sheet)
+        assert rasterize_scene([], objs, g, sheet) == ref
 
 
 class TestRasterizeScene:
@@ -279,11 +348,11 @@ class TestRasterizeRaw:
 
     def test_box_scene_covers_footprint(self, kinect):
         from hapmap import scenegen
-        from hapmap.depthio import backproject, passthrough_filter
+        from hapmap.depthio import backproject
         spec = scenegen.SceneSpec(camera_height=1200, floor_extent=4000,
                                   boxes=[scenegen.BoxSpec(0, 2600, 600, 500, 700)])
         frame, _ = scenegen.render_depth(spec, kinect)
-        cloud = passthrough_filter(backproject(frame, kinect))
+        cloud = backproject(frame, kinect)
         grid = rasterize_raw(cloud, G, ground_y=-1200.0)
         # every strictly interior footprint pin receives a level-2 point
         # (box top is 700mm -> band 1 -> level 2)
