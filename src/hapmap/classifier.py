@@ -427,6 +427,8 @@ class TrainConfig:
                                     f"got {getattr(self, name)}")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise TrainingError(f"lr must be finite and above 0, got {self.lr}")
+        if self.seed < 0:
+            raise TrainingError(f"seed must be non-negative, got {self.seed}")
 
 
 #: SGD momentum; the learning rate halves every DECAY_EVERY epochs

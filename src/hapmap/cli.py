@@ -36,10 +36,14 @@ def _load_cloud(path: str, n_points: int, rng) -> np.ndarray:
     if path.endswith(".off"):
         return clf.sample_mesh_off(Path(path).read_bytes(), n_points, rng)
     rows = []
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if line:
-            rows.append([float(t) for t in line.split()[:3]])
+            try:
+                x, y, z = map(float, line.split()[:3])
+            except ValueError:
+                raise ValueError(f"cloud line {lineno}: expected x y z") from None
+            rows.append((x, y, z))
     return np.array(rows, dtype=np.float64)
 
 
@@ -58,9 +62,10 @@ def _cmd_ground(args) -> int:
     frame, k = load_inputs(cfg, args.depth)
     area_geometry(cfg, k, frame.width)   # the band must fit the grid here too
     cloud = depthio.backproject(frame, k)
-    mask = np.zeros(frame.data.shape, dtype=bool)
-    mask[frame.valid_mask] = dcgd.detect_ground(frame, cloud, cfg.dcgd)
-    Path(args.out).write_bytes(depthio.mask_to_pgm(mask))
+    mask = np.zeros(frame.data.size, dtype=bool)
+    mask[frame.pixels] = dcgd.detect_ground(frame, cloud, cfg.dcgd)
+    Path(args.out).write_bytes(
+        depthio.mask_to_pgm(mask.reshape(frame.data.shape)))
     if args.cuts:
         lines = []
         for cut in dcgd.compute_depth_cuts(frame, cloud, cfg.dcgd.z0,
@@ -97,7 +102,9 @@ def _cmd_features(args) -> int:
 
 def _cmd_classify(args) -> int:
     cfg = _load_config(args)
-    model = clf.load_model(Path(args.model or cfg.model_path).read_bytes())
+    if not cfg.model_path:
+        raise ValueError("classify needs a model: pass --model or set model.path")
+    model = clf.load_model(Path(cfg.model_path).read_bytes())
     rng = np.random.default_rng(cfg.seed)
     cloud = _load_cloud(args.cloud, 2048, rng)
     pred = clf.predict_gated(model, cloud, cfg.confidence_threshold, rng)

@@ -47,6 +47,8 @@ class PipelineConfig:
             raise ValueError("classifier.threshold must lie in (0, 1)")
         if self.output_format not in OUTPUT_FORMATS:
             raise ValueError(f"output.format must be one of {OUTPUT_FORMATS}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 #: config keys, each with the PipelineConfig field it sets and its type

@@ -95,7 +95,7 @@ def _entry_table(frame: DepthFrame, cloud: np.ndarray, z0: float, zf: float,
     # nearest-bin assignment; the half-up tie break keeps |z - z_i| <= dz/2
     bins = np.floor((cloud[:, 2] - z0) / dz + 0.5).astype(np.int64)
     in_band = (bins >= 0) & (bins <= n)
-    pixel = np.flatnonzero(frame.data)[in_band]
+    pixel = frame.pixels[in_band]
     key = bins[in_band] * frame.width + pixel % frame.width
     entry = np.full((n + 1) * frame.width, np.inf)
     np.minimum.at(entry, key, cloud[in_band, 1])
@@ -107,8 +107,8 @@ def compute_depth_cuts(frame: DepthFrame, cloud: np.ndarray, z0: float = 800.0,
     """All n+1 cuts for z_i = z0 + i*dz, n = ceil((zf - z0) / dz) (cuts may
     be empty); the last cut reaches zf or beyond.
 
-    cloud = ``depthio.backproject(frame, k)`` lists the valid pixels in
-    row-major order.  A point joins cut i when |z - z_i| <= dz/2; per column
+    cloud = ``depthio.backproject(frame, k)``: row i is pixel
+    ``frame.pixels[i]``.  A point joins cut i when |z - z_i| <= dz/2; per column
     the entry is the point with the minimal y, the topmost row among ties.
     """
     if z0 >= zf or dz <= 0:
@@ -169,7 +169,7 @@ def split_subcuts(cut: DepthCut, baseline_tol: float = 50.0,
 def detect_ground(frame: DepthFrame, cloud: np.ndarray,
                   params: DcgdParams = DcgdParams()) -> np.ndarray:
     """Ground flag of each row of cloud = ``depthio.backproject(frame, k)``,
-    which lists the valid pixels in row-major order (bool, (N,)).
+    one per pixel of ``frame.pixels`` (bool, (N,)).
 
     Points belong to the ground when their column/bin cell has a concave
     entry and their own elevation is within include_tol of that entry.

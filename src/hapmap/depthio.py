@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +53,11 @@ DEFAULT_INTRINSICS = Intrinsics(fx=575.8, fy=575.8, cx=319.5, cy=239.5)
 
 
 class DepthFrame:
-    """A 16-bit depth raster. data is a (height, width) uint16 array."""
+    """A 16-bit depth raster. data is a (height, width) uint16 array.
+
+    data is read-only through the frame, so the pixel index computed from
+    it stays valid for the frame's lifetime.
+    """
 
     def __init__(self, data: np.ndarray):
         data = np.asarray(data)
@@ -62,7 +67,8 @@ class DepthFrame:
             if data.size and (np.any(data < 0) or np.any(data >= 2**16)):
                 raise ValueError("depth values must fit in uint16")
             data = data.astype(np.uint16)
-        self.data = data
+        self.data = data.view()
+        self.data.flags.writeable = False
 
     @property
     def width(self) -> int:
@@ -75,6 +81,15 @@ class DepthFrame:
     @property
     def valid_mask(self) -> np.ndarray:
         return self.data > 0
+
+    @cached_property
+    def pixels(self) -> np.ndarray:
+        """Flat row-major indices of the valid (nonzero) pixels, int64.
+
+        Row i of ``backproject(frame, k)`` is pixel ``pixels[i]``; every
+        step from the image to the cloud and back reads this one index.
+        """
+        return np.flatnonzero(self.data)
 
     def __eq__(self, other):
         return isinstance(other, DepthFrame) and np.array_equal(self.data, other.data)
@@ -121,6 +136,8 @@ def load_depth_pgm(blob: bytes) -> DepthFrame:
         if len(blob) < 12:
             raise DepthFormatError("truncated flat depth header")
         width, height = struct.unpack_from("<II", blob, 4)
+        if width == 0 or height == 0:
+            raise DepthFormatError("flat depth header has zero width or height")
         expected = 12 + 2 * width * height
         if len(blob) < expected:
             raise DepthFormatError("truncated flat depth payload")
@@ -206,13 +223,15 @@ def backproject(frame: DepthFrame, k: Intrinsics) -> np.ndarray:
     """Back-project valid pixels to an (N, 3) point cloud in millimeters.
 
     For pixel (u, v) with depth z: x = (u - cx) * z / fx and
-    y = (cy - v) * z / fy (y up).  Zero-depth pixels are skipped; output
-    rows follow row-major pixel scan order.
+    y = (cy - v) * z / fy (y up).  Zero-depth pixels are skipped: row i is
+    pixel ``frame.pixels[i]``, so rows follow row-major pixel scan order.
     """
     if not (0 <= k.cx < frame.width and 0 <= k.cy < frame.height):
         raise ValueError("principal point lies outside the image")
-    vs, us = np.nonzero(frame.data)
-    z = frame.data[vs, us].astype(np.float64) * k.depth_scale
-    x = (us - k.cx) * z / k.fx
-    y = (k.cy - vs) * z / k.fy
-    return np.column_stack([x, y, z])
+    vs, us = np.divmod(frame.pixels, frame.width)
+    z = frame.data.ravel()[frame.pixels].astype(np.float64) * k.depth_scale
+    cloud = np.empty((z.size, 3))
+    cloud[:, 0] = (us - k.cx) * z / k.fx
+    cloud[:, 1] = (k.cy - vs) * z / k.fy
+    cloud[:, 2] = z
+    return cloud

@@ -75,9 +75,9 @@ def format_report(descriptors, pins) -> str:
 class SceneAnalysis:
     """One frame's front end, read by run_pipeline and the stage subcommands."""
 
-    on_ground: np.ndarray                       # ground flag per valid pixel
+    on_ground: np.ndarray                       # ground flag per cloud row
     ground_y: float                             # ground elevation, mm
-    cloud: np.ndarray                           # one point per valid pixel
+    cloud: np.ndarray                           # row i: pixel frame.pixels[i]
     voxels: np.ndarray                          # downsampled occupied points
     segmentation: seg.Segmentation              # one label per voxel
     segments: list[seg.Segment]

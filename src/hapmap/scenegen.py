@@ -27,6 +27,18 @@ def _require_finite(spec) -> None:
             raise ValueError(f"{type(spec).__name__}.{f.name} must be finite")
 
 
+def _rectangle(center_x: float, center_z: float, width: float,
+               depth: float) -> np.ndarray:
+    """Counter-clockwise (x, z) corners of a floor-plane rectangle."""
+    hw, hd = width / 2, depth / 2
+    return np.array([
+        [center_x - hw, center_z - hd],
+        [center_x + hw, center_z - hd],
+        [center_x + hw, center_z + hd],
+        [center_x - hw, center_z + hd],
+    ])
+
+
 @dataclass(frozen=True)
 class BoxSpec:
     """Axis-aligned box resting on the floor (dimensions in mm)."""
@@ -46,13 +58,7 @@ class BoxSpec:
     @property
     def footprint(self) -> np.ndarray:
         """Counter-clockwise (x, z) rectangle corners."""
-        hw, hd = self.width / 2, self.depth / 2
-        return np.array([
-            [self.center_x - hw, self.center_z - hd],
-            [self.center_x + hw, self.center_z - hd],
-            [self.center_x + hw, self.center_z + hd],
-            [self.center_x - hw, self.center_z + hd],
-        ])
+        return _rectangle(self.center_x, self.center_z, self.width, self.depth)
 
 
 @dataclass(frozen=True)
@@ -71,13 +77,8 @@ class HoleSpec:
 
     @property
     def footprint(self) -> np.ndarray:
-        hw, hd = self.width / 2, self.depth / 2
-        return np.array([
-            [self.center_x - hw, self.center_z - hd],
-            [self.center_x + hw, self.center_z - hd],
-            [self.center_x + hw, self.center_z + hd],
-            [self.center_x - hw, self.center_z + hd],
-        ])
+        """Counter-clockwise (x, z) rectangle corners."""
+        return _rectangle(self.center_x, self.center_z, self.width, self.depth)
 
 
 @dataclass

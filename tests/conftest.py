@@ -33,8 +33,8 @@ def frame_of(array) -> depthio.DepthFrame:
 
 def ground_mask(frame, k, params=dcgd.DcgdParams()):
     """The frame's ground mask: detect_ground's per-point flags on the
-    back-projected cloud, scattered back at the valid pixels."""
-    mask = np.zeros(frame.data.shape, dtype=bool)
-    mask[frame.valid_mask] = dcgd.detect_ground(
+    back-projected cloud, scattered back at the frame's pixel index."""
+    mask = np.zeros(frame.data.size, dtype=bool)
+    mask[frame.pixels] = dcgd.detect_ground(
         frame, depthio.backproject(frame, k), params)
-    return mask
+    return mask.reshape(frame.data.shape)

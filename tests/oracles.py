@@ -214,16 +214,26 @@ def dense_loss_and_grads(model, x, y):
     return loss, grads, acc
 
 
+def pinhole_frame(frame, k):
+    """(height, width, 3) point of every pixel, invalid ones included: the
+    pinhole inverse x = (u - cx) z / fx, y = (cy - v) z / fy written out over
+    the whole frame, independently of backproject and the pixel index."""
+    z = frame.data.astype(np.float64) * k.depth_scale
+    us = np.arange(frame.width, dtype=np.float64)[None, :]
+    vs = np.arange(frame.height, dtype=np.float64)[:, None]
+    return np.stack([(us - k.cx) * z / k.fx, (k.cy - vs) * z / k.fy, z],
+                    axis=-1)
+
+
 def frame_geometry(frame, k, z0, zf, dz):
     """Per-pixel (y, bin) arrays over the whole frame and the last cut index
-    n, from the pinhole inverse written out independently of backproject.
+    n, from ``pinhole_frame``.
 
     n = ceil((zf - z0) / dz), so the cuts cover the whole band [z0, zf];
     bin = -1 for invalid pixels and pixels no cut reaches.
     """
-    z = frame.data.astype(np.float64) * k.depth_scale
-    vs = np.arange(frame.height, dtype=np.float64)[:, None]
-    y = (k.cy - vs) * z / k.fy
+    points = pinhole_frame(frame, k)
+    y, z = points[..., 1], points[..., 2]
     n = int(np.ceil((zf - z0) / dz))
     # nearest-bin assignment; the half-up tie break keeps |z - z_i| <= dz/2
     bins = np.floor((z - z0) / dz + 0.5).astype(np.int64)

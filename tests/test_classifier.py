@@ -409,6 +409,7 @@ class TestTrain:
         ("lr", -0.01, "lr must be finite and above 0"),
         ("lr", float("nan"), "lr must be finite and above 0"),
         ("lr", float("inf"), "lr must be finite and above 0"),
+        ("seed", -1, "seed must be non-negative"),
     ])
     def test_config_rejects(self, field, value, message):
         with pytest.raises(TrainingError, match=message):

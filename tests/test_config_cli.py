@@ -83,6 +83,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config("output.format=bmp\n")
 
+    def test_negative_seed(self):
+        # numpy's generators take only non-negative seeds; fail when read
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            parse_config("seed=-1\n")
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            PipelineConfig(seed=-1)
+
     @pytest.mark.parametrize("parse, text", [
         (parse_config, "dbscan.eps=nan"),
         (parse_config, "voxel.leaf=nan"),
@@ -368,6 +375,21 @@ class TestCli:
         assert rc != 0
         assert "stage depthio" in capsys.readouterr().err
 
+    def test_run_negative_seed_fails_when_read(self, box_scene, tmp_path,
+                                               capsys, monkeypatch):
+        depth, cfg_file, _ = box_scene
+
+        def no_analysis(*args):
+            raise AssertionError("the frame was analysed")
+
+        monkeypatch.setattr(dcgd, "detect_ground", no_analysis)
+        out = tmp_path / "g.json"
+        rc = cli.main(["run", "--depth", str(depth), "--out", str(out),
+                       "--config", str(cfg_file), "--seed", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative\n"
+        assert not out.exists()
+
     def test_config_env_fallback(self, box_scene, tmp_path, monkeypatch):
         depth, cfg_file, _ = box_scene
         monkeypatch.setenv(cli.CONFIG_ENV, str(cfg_file))
@@ -527,8 +549,9 @@ class TestCli:
         (["--lr", "0"], "lr must be finite and above 0, got 0.0"),
         (["--per-class", "0"], "classes without training samples"),
         (["--test-per-class", "0"], "empty test set"),
+        (["--seed", "-1"], "seed must be non-negative"),
     ], ids=["epochs", "batch", "n_points", "lr_nan", "lr_zero", "per_class",
-            "test_per_class"])
+            "test_per_class", "seed"])
     def test_train_bad_input_fails_before_the_first_epoch(
             self, tmp_path, capsys, monkeypatch, flags, message):
         def no_step(*args):
@@ -582,3 +605,31 @@ class TestCli:
         assert rc in (0, 3)
         assert out.splitlines()[0].split("\t")[0] in ("rejected",) + tuple(
             __import__("hapmap.classifier", fromlist=["x"]).TRAINING_COARSE_CLASSES)
+
+    def test_classify_without_model_names_it(self, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+        cloud_path = tmp_path / "cloud.xyz"
+        cloud_path.write_text("0 0 0\n1 1 1\n")
+        rc = cli.main(["classify", "--cloud", str(cloud_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: classify needs a model: "
+                                           "pass --model or set model.path\n")
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("0 0 0\n1 1\n", 2),
+        ("# x y z\n\n5\n", 3),
+        ("0 0 0\n1 1 one\n", 2),
+    ], ids=["two_numbers", "after_comments", "not_a_number"])
+    def test_classify_bad_cloud_line(self, tmp_path, capsys, text, lineno):
+        model = clf.init_model(("a", "b"), point_widths=(3, 8),
+                               head_hidden=(4,))
+        model_path = tmp_path / "m.bin"
+        model_path.write_bytes(clf.save_model(model))
+        cloud_path = tmp_path / "cloud.xyz"
+        cloud_path.write_text(text)
+        rc = cli.main(["classify", "--model", str(model_path),
+                       "--cloud", str(cloud_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: cloud line {lineno}: "
+                                           "expected x y z\n")

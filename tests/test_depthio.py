@@ -1,15 +1,20 @@
 """Depth I/O and back-projection; expected values hand-computed from the
 pinhole relations x = (u-cx)z/fx, y = (cy-v)z/fy."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from hapmap.depthio import (DepthFormatError, DepthFrame, Intrinsics,
-                            backproject, depth_to_flat, depth_to_pgm,
-                            load_depth_pgm, load_intrinsics, format_intrinsics,
-                            mask_to_pgm)
+from hapmap.depthio import (FLAT_MAGIC, DepthFormatError, DepthFrame,
+                            Intrinsics, backproject, depth_to_flat,
+                            depth_to_pgm, load_depth_pgm, load_intrinsics,
+                            format_intrinsics, mask_to_pgm)
 
 from conftest import make_pgm, frame_of
+from oracles import pinhole_frame
 
 
 class TestLoadDepth:
@@ -49,6 +54,13 @@ class TestLoadDepth:
         frame = frame_of([[1, 2], [65535, 0]])
         again = load_depth_pgm(depth_to_flat(frame))
         assert again == frame
+
+    @pytest.mark.parametrize("width, height", [(0, 3), (3, 0), (0, 0)])
+    def test_flat_zero_size(self, width, height):
+        # an empty frame would read as a scene with nothing in view
+        blob = FLAT_MAGIC + struct.pack("<II", width, height)
+        with pytest.raises(DepthFormatError, match="zero width or height"):
+            load_depth_pgm(blob)
 
     def test_flat_truncated(self):
         blob = depth_to_flat(frame_of([[1, 2], [3, 4]]))[:-1]
@@ -90,6 +102,33 @@ class TestIntrinsicsFile:
             Intrinsics(fx=-1, fy=1, cx=0, cy=0)
         with pytest.raises(ValueError):
             Intrinsics(fx=1, fy=1, cx=0, cy=0, depth_scale=0)
+
+
+class TestPixelIndex:
+    def test_once_per_frame_over_read_only_data(self):
+        frame = frame_of([[0, 5, 0], [7, 0, 9]])
+        np.testing.assert_array_equal(frame.pixels, [1, 3, 5])
+        assert frame.pixels is frame.pixels
+        with pytest.raises(ValueError, match="read-only"):
+            frame.data[0, 0] = 1
+
+
+@st.composite
+def frames_and_cameras(draw):
+    """Random uint16 frames (all-zero, 1xW and Hx1 among them) with a
+    camera whose principal point lies anywhere in the image."""
+    side = st.integers(1, 12)
+    shape = draw(st.one_of(st.tuples(st.just(1), side),
+                           st.tuples(side, st.just(1)), st.tuples(side, side)))
+    values = draw(st.sampled_from([st.just(0), st.integers(0, 2**16 - 1)]))
+    frame = DepthFrame(draw(arrays(np.uint16, shape, elements=values)))
+    h, w = shape
+    k = Intrinsics(
+        fx=draw(st.floats(0.5, 2000.0)), fy=draw(st.floats(0.5, 2000.0)),
+        cx=draw(st.floats(0.0, w, exclude_max=True)),
+        cy=draw(st.floats(0.0, h, exclude_max=True)),
+        depth_scale=draw(st.floats(0.01, 10.0)))
+    return frame, k
 
 
 class TestBackproject:
@@ -154,3 +193,15 @@ class TestBackproject:
         v_back = k.cy - pts[:, 1] * k.fy / pts[:, 2]
         np.testing.assert_allclose(u_back, us, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(v_back, vs, rtol=1e-9, atol=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=frames_and_cameras())
+    def test_matches_full_frame_inverse(self, case):
+        frame, k = case
+        np.testing.assert_array_equal(frame.pixels,
+                                      np.flatnonzero(frame.data))
+        assert frame.pixels.dtype == np.int64
+        got = backproject(frame, k)
+        want = pinhole_frame(frame, k)[frame.data > 0]
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
