@@ -9,10 +9,9 @@ max-pool passes gradient only to its critical points, the first point
 attaining each feature's maximum, so the point-layer backward runs on
 those rows alone.
 
-Also houses the class taxonomy (fine object classes and the coarse
-groupings used for training and for tactile labeling), input
-canonicalization and augmentation, OFF mesh surface sampling, and the
-flat binary model format.
+Also houses the class table (each fine object class with its training
+class and its tactile labeling class), input canonicalization and
+augmentation, OFF mesh surface sampling, and the flat binary model format.
 """
 
 from __future__ import annotations
@@ -26,61 +25,55 @@ import numpy as np
 # Taxonomy
 # ---------------------------------------------------------------------------
 
-FINE_CLASSES = (
-    "chair", "stool", "bed", "sofa", "bench",
-    "table", "desk", "night_stand",
-    "dresser", "wardrobe", "bookshelf",
-    "bathtub", "toilet", "stairs", "door", "window",
-)
-
-#: doors and windows are defined but kept out of training: as wall openings
-#: they are easily confused with holes and closed walls in depth data
-TRAINED_FINE_CLASSES = tuple(c for c in FINE_CLASSES if c not in ("door", "window"))
-
-_GROUP_OF_FINE = {
-    "chair": "sit_on", "stool": "sit_on", "bed": "sit_on",
-    "sofa": "sit_on", "bench": "sit_on",
-    "table": "put_on", "desk": "put_on", "night_stand": "put_on",
-    "dresser": "store_in", "wardrobe": "store_in", "bookshelf": "store_in",
-    "bathtub": "bathtub", "toilet": "toilet", "stairs": "stairs",
-    "door": "door", "window": "window",
+#: the class table, the one place class facts are written: each fine
+#: class with its training class and its labeling class.  Doors and
+#: windows have no training class: as wall openings they are easily
+#: confused with holes and closed walls in depth data.
+CLASS_TABLE = {
+    "chair": ("sit_on", "sit_on"), "stool": ("sit_on", "sit_on"),
+    "bed": ("sit_on", "sit_on"), "sofa": ("sit_on", "sit_on"),
+    "bench": ("sit_on", "sit_on"),
+    "table": ("put_on", "put_on"), "desk": ("put_on", "put_on"),
+    "night_stand": ("put_on", "put_on"),
+    "dresser": ("store_in", "store_in"), "wardrobe": ("store_in", "store_in"),
+    "bookshelf": ("store_in", "store_in"),
+    "bathtub": ("bathtub", "sanitary"), "toilet": ("toilet", "sanitary"),
+    "stairs": ("stairs", "stairs"),
+    "door": (None, "door"), "window": (None, "window"),
 }
+
+FINE_CLASSES = tuple(CLASS_TABLE)
+TRAINED_FINE_CLASSES = tuple(f for f, (t, _) in CLASS_TABLE.items() if t)
 
 #: training classes and their fine members, both in FINE_CLASSES order
 TRAINING_COARSE_CLASSES = tuple(dict.fromkeys(
-    _GROUP_OF_FINE[f] for f in TRAINED_FINE_CLASSES))
+    CLASS_TABLE[f][0] for f in TRAINED_FINE_CLASSES))
 TRAINING_MEMBERS = {
-    group: tuple(f for f in TRAINED_FINE_CLASSES if _GROUP_OF_FINE[f] == group)
+    group: tuple(f for f in TRAINED_FINE_CLASSES if CLASS_TABLE[f][0] == group)
     for group in TRAINING_COARSE_CLASSES}
-LABELING_COARSE_CLASSES = ("sit_on", "put_on", "store_in", "sanitary", "window", "door", "stairs")
+
+#: fine, training and labeling names alike, each to its labeling class
+_LABELING_CLASS = {name: labeling
+                   for fine, (training, labeling) in CLASS_TABLE.items()
+                   for name in (fine, training, labeling) if name}
 
 
-def merge_labels(fine: str, taxonomy: str = "training") -> str:
-    """Map a fine class to its coarse class.
-
-    The training taxonomy keeps bathtub and toilet separate (6 classes);
-    the labeling taxonomy folds them into "sanitary" and adds door and
-    window (7 classes).
-    """
-    if fine not in _GROUP_OF_FINE:
+def merge_labels(fine: str) -> str:
+    """The training class of a fine class."""
+    if fine not in CLASS_TABLE:
         raise ValueError(f"unknown fine class {fine!r}")
-    group = _GROUP_OF_FINE[fine]
-    if taxonomy == "training":
-        if group in ("door", "window"):
-            raise ValueError(f"{fine!r} has no training class")
-        return group
-    if taxonomy == "labeling":
-        return "sanitary" if group in ("bathtub", "toilet") else group
-    raise ValueError(f"unknown taxonomy {taxonomy!r}")
+    training = CLASS_TABLE[fine][0]
+    if training is None:
+        raise ValueError(f"{fine!r} has no training class")
+    return training
 
 
 def to_labeling_class(name: str) -> str:
-    """Translate a model output class (fine or training-coarse) for labeling."""
-    if name in _GROUP_OF_FINE:
-        return merge_labels(name, taxonomy="labeling")
-    if name in LABELING_COARSE_CLASSES:
-        return name
-    raise ValueError(f"unknown class {name!r}")
+    """The labeling class of a fine, training or labeling class name."""
+    try:
+        return _LABELING_CLASS[name]
+    except KeyError:
+        raise ValueError(f"unknown class {name!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +165,9 @@ def sample_mesh_off(off_bytes: bytes, n_points: int,
         raise MeshFormatError("trailing OFF data (face count mismatch?)")
     if not tris:
         raise MeshFormatError("mesh has no faces")
+    bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
+    if bad.size:
+        raise MeshFormatError(f"vertex {bad[0]} is not finite")
 
     tri = np.array(tris)
     a = verts[tri[:, 0]]

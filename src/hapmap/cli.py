@@ -14,7 +14,8 @@ from . import classifier as clf
 from . import dcgd, depthio, scenegen
 from .config import OUTPUT_FORMATS, PipelineConfig, format_config, parse_config
 from .pipeline import (StageError, analyze_depth_file, area_geometry,
-                       camera_intrinsics, load_inputs, run_pipeline)
+                       backproject_ground, camera_intrinsics, load_inputs,
+                       run_pipeline)
 from .synthgrid import emit, rasterize_raw
 
 CONFIG_ENV = "HAPMAP_CONFIG"
@@ -43,6 +44,8 @@ def _load_cloud(path: str, n_points: int, rng) -> np.ndarray:
                 x, y, z = map(float, line.split()[:3])
             except ValueError:
                 raise ValueError(f"cloud line {lineno}: expected x y z") from None
+            if not np.isfinite((x, y, z)).all():
+                raise ValueError(f"cloud line {lineno}: coordinates must be finite")
             rows.append((x, y, z))
     return np.array(rows, dtype=np.float64)
 
@@ -61,9 +64,9 @@ def _cmd_ground(args) -> int:
     cfg = _load_config(args)
     frame, k = load_inputs(cfg, args.depth)
     area_geometry(cfg, k, frame.width)   # the band must fit the grid here too
-    cloud = depthio.backproject(frame, k)
+    cloud, on_ground = backproject_ground(cfg, frame, k)
     mask = np.zeros(frame.data.size, dtype=bool)
-    mask[frame.pixels] = dcgd.detect_ground(frame, cloud, cfg.dcgd)
+    mask[frame.pixels] = on_ground
     Path(args.out).write_bytes(
         depthio.mask_to_pgm(mask.reshape(frame.data.shape)))
     if args.cuts:
@@ -222,11 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class", type=int, default=200,
                    help="synthetic training samples per class")
     p.add_argument("--test-per-class", type=int, default=50)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--n-points", type=int, default=256)
-    p.set_defaults(func=_cmd_train, seed=0)
+    train_defaults = clf.TrainConfig()
+    p.add_argument("--epochs", type=int, default=train_defaults.epochs)
+    p.add_argument("--batch", type=int, default=train_defaults.batch)
+    p.add_argument("--lr", type=float, default=train_defaults.lr)
+    p.add_argument("--n-points", type=int, default=train_defaults.n_points)
+    p.set_defaults(func=_cmd_train, seed=train_defaults.seed)
 
     p = sub.add_parser("synth", help="scene synthesis only")
     common(p)

@@ -130,6 +130,8 @@ class GlyphSheet:
         self._glyphs = {tag: glyphs[tag] for tag in REQUIRED_TAGS}
 
     def __getitem__(self, tag: str) -> Glyph:
+        if tag not in self._glyphs:
+            raise ValueError(f"no glyph for tag {tag!r}")
         return self._glyphs[tag]
 
     def to_text(self) -> str:
@@ -186,23 +188,6 @@ def builtin_sheet() -> GlyphSheet:
     return _builtin
 
 
-def glyph_for(coarse_class: str, stairs_dir: str | None = None,
-              sheet: GlyphSheet | None = None) -> Glyph:
-    """Glyph for a labeling-taxonomy class; stairs need a direction."""
-    if sheet is None:
-        sheet = builtin_sheet()
-    if coarse_class == "stairs":
-        if stairs_dir not in ("up", "down"):
-            raise ValueError("stairs glyph requires direction 'up' or 'down'")
-        return sheet[f"stairs_{stairs_dir}"]
-    if stairs_dir is not None:
-        raise ValueError("direction only applies to stairs")
-    if coarse_class not in ("sit_on", "put_on", "store_in", "sanitary",
-                            "window", "door"):
-        raise ValueError(f"no glyph for class {coarse_class!r}")
-    return sheet[coarse_class]
-
-
 def label_level(height_class: int) -> int:
     """Pin level carrying the glyph: height class 1/2/3 to level 2/3/4."""
     if height_class not in (1, 2, 3):
@@ -235,10 +220,9 @@ class ObjectDescriptor:
     segment_id: int
     footprint: Footprint
     geometry: GeometricClass
-    label: str | None = None          # labeling-taxonomy class, None when gated off
-    stairs_dir: str | None = None
+    label: str | None = None          # glyph tag, None when gated off
     confidence: float | None = None
 
     def __post_init__(self):
-        if (self.label == "stairs") != (self.stairs_dir is not None):
-            raise ValueError("stairs direction present iff the label is stairs")
+        if self.label is not None and self.label not in REQUIRED_TAGS:
+            raise ValueError(f"label {self.label!r} is not a glyph tag")

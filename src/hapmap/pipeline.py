@@ -47,8 +47,6 @@ class PipelineResult:
 
 def _class_cell(desc: ObjectDescriptor) -> str:
     if desc.label is not None:
-        if desc.label == "stairs":
-            return f"stairs_{desc.stairs_dir}"
         return desc.label
     if desc.confidence is not None:
         return f"rejected(p={desc.confidence:.2f})"
@@ -113,17 +111,23 @@ def load_inputs(config: PipelineConfig, depth_path: str | Path):
         return frame, camera_intrinsics(config)
 
 
+def backproject_ground(config: PipelineConfig, frame: depthio.DepthFrame,
+                       k: depthio.Intrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """(cloud, on_ground) under the dcgd stage: the frame's one
+    back-projection and DCGD's ground flag for each of its points."""
+    with _stage("dcgd"):
+        cloud = depthio.backproject(frame, k)
+        return cloud, dcgd.detect_ground(frame, cloud, config.dcgd)
+
+
 def analyze_scene(config: PipelineConfig, frame: depthio.DepthFrame,
                   k: depthio.Intrinsics) -> SceneAnalysis:
     """Ground, occupied-space segments and their geometric features.
 
-    The frame is back-projected once and DCGD flags that cloud's points.
     The depth cuts cover the whole band, so an in-band point implies
     detected ground; ground_y is 0 only when the band is empty.
     """
-    with _stage("dcgd"):
-        cloud = depthio.backproject(frame, k)
-        on_ground = dcgd.detect_ground(frame, cloud, config.dcgd)
+    cloud, on_ground = backproject_ground(config, frame, k)
 
     with _stage("segment"):
         near, far = config.dcgd.z0, config.dcgd.zf
@@ -171,6 +175,10 @@ def run_pipeline(config: PipelineConfig, depth_path: str | Path) -> PipelineResu
     if config.model_path:
         with _stage("classifier"):
             model = clf.load_model(Path(config.model_path).read_bytes())
+            # a class without a labeling class fails here, not at its
+            # first accepted segment
+            labeling_class = {c: clf.to_labeling_class(c)
+                              for c in model.classes}
 
     descriptors: list[ObjectDescriptor] = []
     with _stage("classifier"):
@@ -178,20 +186,19 @@ def run_pipeline(config: PipelineConfig, depth_path: str | Path) -> PipelineResu
                                scene.geometries):
             label = None
             confidence = None
-            direction = None
             if model is not None:
                 rng = np.random.default_rng([config.seed, s.id])
                 pred = clf.predict_gated(model, s.points,
                                          config.confidence_threshold, rng)
                 confidence = pred.confidence
                 if pred.accepted:
-                    label = clf.to_labeling_class(pred.label)
+                    label = labeling_class[pred.label]
                     if label == "stairs":
-                        direction = stairs_direction(s.points,
-                                                     scene.ground_y)
+                        direction = stairs_direction(s.points, scene.ground_y)
+                        label = f"stairs_{direction}"
             descriptors.append(ObjectDescriptor(
                 segment_id=s.id, footprint=fp, geometry=geom,
-                label=label, stairs_dir=direction, confidence=confidence))
+                label=label, confidence=confidence))
 
     with _stage("synthgrid"):
         sheet = builtin_sheet()

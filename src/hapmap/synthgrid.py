@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .depthio import Intrinsics
-from .labeling import GlyphSheet, ObjectDescriptor, builtin_sheet, glyph_for, label_level
+from .labeling import GlyphSheet, ObjectDescriptor, builtin_sheet, label_level
 
 INACTIVE = -1
 ASCII_INACTIVE = "·"   # middle dot
@@ -264,7 +264,7 @@ def rasterize_scene(ground_holes, objects: list[ObjectDescriptor],
             fill(obj.footprint.hull, 2, "max")
         if obj.label is None:
             continue
-        glyph = glyph_for(obj.label, obj.stairs_dir, sheet)
+        glyph = sheet[obj.label]
         level = label_level(obj.geometry.height_class)
         u0, v0 = barycenter_pin(obj, g)
         r, c = np.nonzero(glyph.as_array())

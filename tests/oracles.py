@@ -10,7 +10,7 @@ from scipy.spatial import cKDTree
 from hapmap.classifier import _softmax64 as softmax64
 from hapmap.dcgd import DcgdParams, DepthCut, SubCut
 from hapmap.geomfeat import Footprint, classify_geometry, polygon_area
-from hapmap.labeling import ObjectDescriptor, glyph_for, label_level
+from hapmap.labeling import ObjectDescriptor, label_level
 from hapmap.synthgrid import ASCII_INACTIVE, INACTIVE
 
 
@@ -356,7 +356,7 @@ def loop_glyph_stamp(cells, active, obj, g, sheet):
     """One labelled object's glyph stamped dot by dot, centred on its
     barycenter pin: the barycenter clamped into the view field, then
     rounded half up and clamped into the grid, all on scalars."""
-    glyph = glyph_for(obj.label, obj.stairs_dir, sheet)
+    glyph = sheet[obj.label]
     level = label_level(obj.geometry.height_class)
     bx, _, bz = obj.footprint.barycenter
     z = min(max(bz, g.near), g.far)
@@ -403,8 +403,8 @@ def as_partition(cloud, labels):
     return frozenset(frozenset(c) for c in clusters.values()), frozenset(noise)
 
 
-def rect_descriptor(cx, cz, w, d, height_mm, label=None, stairs_dir=None,
-                    confidence=None, y=-800.0, segment_id=0):
+def rect_descriptor(cx, cz, w, d, height_mm, label=None, confidence=None,
+                    y=-800.0, segment_id=0):
     """ObjectDescriptor with a rectangular footprint, for synthesis tests."""
     hull = np.array([[cx - w / 2, cz - d / 2], [cx + w / 2, cz - d / 2],
                      [cx + w / 2, cz + d / 2], [cx - w / 2, cz + d / 2]])
@@ -412,4 +412,4 @@ def rect_descriptor(cx, cz, w, d, height_mm, label=None, stairs_dir=None,
                    barycenter=np.array([cx, y, cz]), degenerate=False)
     geom = classify_geometry(height_mm, fp.area_m2)
     return ObjectDescriptor(segment_id, fp, geom, label=label,
-                            stairs_dir=stairs_dir, confidence=confidence)
+                            confidence=confidence)

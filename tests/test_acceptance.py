@@ -15,7 +15,7 @@ from hapmap import depthio, scenegen
 from hapmap.classifier import TrainConfig, forward, gate, grad_check, init_model, train
 from hapmap.config import PipelineConfig, parse_config
 from hapmap.geomfeat import height_p90
-from hapmap.labeling import glyph_for
+from hapmap.labeling import builtin_sheet
 from hapmap.pipeline import analyze_scene, run_pipeline
 from hapmap.segment import dbscan
 from hapmap.synthgrid import (AreaGeometry, emit, map_to_area, parse_grid_json,
@@ -118,7 +118,7 @@ def test_criterion_3_pin_level_contract():
     mask = trapezoid_mask(g)
     rng = np.random.default_rng(33)
     labels = (None, "sit_on", "put_on", "store_in", "sanitary", "window",
-              "door", "stairs")
+              "door", "stairs_up")
     for i in range(100):
         n_obj = i % 4
         n_holes = (i // 4) % 3
@@ -129,7 +129,6 @@ def test_criterion_3_pin_level_contract():
                 float(rng.uniform(-500, 500)), float(rng.uniform(1100, 3700)),
                 float(rng.uniform(150, 900)), float(rng.uniform(150, 900)),
                 float(rng.uniform(50, 2500)), label=lab,
-                stairs_dir="up" if lab == "stairs" else None,
                 confidence=None if lab is None else 0.95, segment_id=j))
         holes = []
         for _ in range(n_holes):
@@ -172,7 +171,7 @@ def test_criterion_4_confidence_gating():
     assert grid.cells.max() == 2          # footprint only, no glyph level
     pred, grid = synthesize([0.90, 0.10])
     assert pred.accepted
-    assert (grid.cells == 3).sum() == glyph_for("put_on").dots
+    assert (grid.cells == 3).sum() == builtin_sheet()["put_on"].dots
     pred, grid = synthesize([0.85, 0.15])
     assert not pred.accepted              # strict inequality at the threshold
     assert grid.cells.max() == 2
@@ -333,7 +332,7 @@ def test_criterion_8_end_to_end_localization(box_scene_files, tmp_path):
     assert len(result.descriptors) == 1
     desc = result.descriptors[0]
     assert desc.label is not None, "glyph was not stamped"
-    glyph = glyph_for(desc.label, desc.stairs_dir)
+    glyph = builtin_sheet()[desc.label]
     level = 1 + desc.geometry.height_class
     vs, us = np.nonzero(result.grid.cells == level)
     assert len(vs) > 0

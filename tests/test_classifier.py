@@ -16,6 +16,8 @@ from hapmap.classifier import (MeshFormatError, TrainConfig, TrainingError,
                                resample_points, sample_mesh_off, save_model,
                                to_labeling_class, train)
 
+from hapmap.labeling import REQUIRED_TAGS, builtin_sheet
+
 from oracles import dense_forward_batch, dense_loss_and_grads
 
 CUBE_OFF = b"""OFF
@@ -56,6 +58,14 @@ def toy_dataset(rng, n_each=60, n_pts=128):
     return clouds, np.array([0] * n_each + [1] * n_each)
 
 
+def sheet_tags(name):
+    """The glyph tags a class name can stamp: stairs in both directions."""
+    labeling = to_labeling_class(name)
+    if labeling == "stairs":
+        return {f"stairs_{d}" for d in ("up", "down")}
+    return {labeling}
+
+
 class TestTaxonomy:
     def test_paper_groupings(self):
         assert merge_labels("stool") == "sit_on"
@@ -64,17 +74,23 @@ class TestTaxonomy:
         assert merge_labels("stairs") == "stairs"
 
     def test_total_on_labeling_taxonomy(self):
-        for fine in clf.FINE_CLASSES:
-            assert merge_labels(fine, "labeling") in clf.LABELING_COARSE_CLASSES
+        # every fine and training class stamps a glyph of the built-in sheet
+        sheet = builtin_sheet()
+        for name in clf.FINE_CLASSES + clf.TRAINING_COARSE_CLASSES:
+            for tag in sheet_tags(name):
+                assert sheet[tag].tag == tag
 
     def test_surjective_onto_labeling(self):
-        image = {merge_labels(f, "labeling") for f in clf.FINE_CLASSES}
-        assert image == set(clf.LABELING_COARSE_CLASSES)
+        # every sheet tag is reachable; training reaches all but the openings
+        fine = set().union(*map(sheet_tags, clf.FINE_CLASSES))
+        trained = set().union(*map(sheet_tags, clf.TRAINING_COARSE_CLASSES))
+        assert fine == set(REQUIRED_TAGS)
+        assert trained == set(REQUIRED_TAGS) - {"door", "window"}
 
     def test_sanitary_merge(self):
-        assert merge_labels("bathtub", "labeling") == "sanitary"
-        assert merge_labels("toilet", "labeling") == "sanitary"
-        assert merge_labels("bathtub", "training") == "bathtub"
+        assert to_labeling_class("bathtub") == "sanitary"
+        assert to_labeling_class("toilet") == "sanitary"
+        assert merge_labels("bathtub") == "bathtub"
 
     def test_training_tables_in_fine_order(self):
         # build_synthetic_dataset cycles the members in this order
@@ -86,20 +102,23 @@ class TestTaxonomy:
             ("store_in", ("dresser", "wardrobe", "bookshelf")),
             ("bathtub", ("bathtub",)), ("toilet", ("toilet",)),
             ("stairs", ("stairs",))]
+        assert clf.TRAINED_FINE_CLASSES == tuple(
+            f for f in clf.FINE_CLASSES if f not in ("door", "window"))
 
     def test_untrained_classes(self):
-        with pytest.raises(ValueError):
-            merge_labels("door", "training")
-        assert merge_labels("door", "labeling") == "door"
+        with pytest.raises(ValueError, match="no training class"):
+            merge_labels("door")
+        assert to_labeling_class("door") == "door"
 
     def test_unknown_fine(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown fine class"):
             merge_labels("piano")
 
     def test_to_labeling_class(self):
         assert to_labeling_class("toilet") == "sanitary"
         assert to_labeling_class("sit_on") == "sit_on"
-        with pytest.raises(ValueError):
+        assert to_labeling_class("sanitary") == "sanitary"
+        with pytest.raises(ValueError, match="unknown class 'nonsense'"):
             to_labeling_class("nonsense")
 
 
@@ -209,6 +228,12 @@ class TestOffSampling:
     def test_not_off(self):
         with pytest.raises(MeshFormatError):
             sample_mesh_off(b"PLY\n", 16, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_vertex(self, value):
+        off = f"OFF\n3 1 0\n0 0 0\n2 {value} 0\n0 2 0\n3 0 1 2\n".encode()
+        with pytest.raises(MeshFormatError, match="vertex 1 is not finite"):
+            sample_mesh_off(off, 16, np.random.default_rng(0))
 
 
 class TestForward:

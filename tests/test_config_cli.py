@@ -348,11 +348,29 @@ class TestPipelineWithModel:
         cfg = parse_config(f"intrinsics.path={intr}\nmodel.path={model_path}\n")
         result = run_pipeline(cfg, depth)
         desc = result.descriptors[0]
-        assert desc.label == "stairs" and desc.stairs_dir == "up"
+        assert desc.label == "stairs_up"
         assert "stairs_up" in result.report
         from hapmap.labeling import builtin_sheet
         level = 1 + desc.geometry.height_class
         assert (result.grid.cells == level).sum() == builtin_sheet()["stairs_up"].dots
+
+
+    def test_unknown_class_fails_when_the_model_loads(self, box_scene,
+                                                     tmp_path, monkeypatch):
+        def not_reached(*args):
+            raise AssertionError("a segment was classified")
+
+        monkeypatch.setattr(clf, "predict_gated", not_reached)
+        model = clf.init_model(("foo", "bar"), point_widths=(3, 8),
+                               head_hidden=(4,))
+        model_path = tmp_path / "foo.bin"
+        model_path.write_bytes(clf.save_model(model))
+        depth, cfg_file, _ = box_scene
+        cfg = parse_config(cfg_file.read_text() + f"model.path={model_path}\n"
+                           "classifier.threshold=0.99\n")
+        with pytest.raises(StageError, match="unknown class 'foo'") as err:
+            run_pipeline(cfg, depth)
+        assert err.value.stage == "classifier"
 
 
 class TestCli:
@@ -427,8 +445,8 @@ class TestCli:
         rc = cli.main(["ground", "--depth", str(depth), "--out", str(out),
                        "--config", str(cfg_file)])
         assert rc == 1
-        assert capsys.readouterr().err == ("error: principal point lies "
-                                           "outside the image\n")
+        assert capsys.readouterr().err == ("error in stage dcgd: principal "
+                                           "point lies outside the image\n")
         assert not out.exists()
 
     def test_segment_subcommand(self, box_scene, tmp_path):
@@ -567,6 +585,28 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_train_flag_defaults_are_train_config(self):
+        args = cli.build_parser().parse_args(["train", "--out", "m.bin"])
+        fields = ("epochs", "batch", "lr", "seed", "n_points")
+        assert clf.TrainConfig(**{f: getattr(args, f) for f in fields}) \
+            == clf.TrainConfig()
+
+    def test_train_manifest_rejects_non_finite_cloud(self, tmp_path, capsys):
+        lines = []
+        for fine in ("chair", "table"):
+            path = tmp_path / f"{fine}.xyz"
+            path.write_text("0 0 0\n1 1 1\n2 0 inf\n")
+            lines.append(f"{path} {fine}")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("\n".join(lines))
+        out = tmp_path / "m.bin"
+        rc = cli.main(["train", "--manifest", str(manifest), "--out", str(out),
+                       "--epochs", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: cloud line 3: coordinates "
+                                           "must be finite\n")
+        assert not out.exists()
+
     def test_train_manifest(self, tmp_path, capsys):
         rng = np.random.default_rng(2)
         lines = []
@@ -633,3 +673,24 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == (f"error: cloud line {lineno}: "
                                            "expected x y z\n")
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("cloud.xyz", "1 2 3\ninf 0 0\n", "cloud line 2: coordinates must be finite"),
+        ("cloud.xyz", "# x y z\n1 nan 3\n", "cloud line 2: coordinates must be finite"),
+        ("mesh.off", "OFF\n3 1 0\n0 0 0\n900 nan 0\n0 0 900\n3 0 1 2\n",
+         "vertex 1 is not finite"),
+    ], ids=["inf", "nan", "off_nan"])
+    def test_classify_non_finite_cloud(self, tmp_path, capsys, name, text,
+                                       message):
+        model = clf.init_model(("a", "b"), point_widths=(3, 8),
+                               head_hidden=(4,))
+        model_path = tmp_path / "m.bin"
+        model_path.write_bytes(clf.save_model(model))
+        cloud_path = tmp_path / name
+        cloud_path.write_text(text)
+        rc = cli.main(["classify", "--model", str(model_path),
+                       "--cloud", str(cloud_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: {message}\n"
+        assert "p=" not in captured.out

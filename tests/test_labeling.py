@@ -5,8 +5,8 @@ import pytest
 
 from hapmap.geomfeat import classify_geometry, footprint
 from hapmap.labeling import (GlyphSheetError, ObjectDescriptor, REQUIRED_TAGS,
-                             builtin_sheet, glyph_for, label_level,
-                             parse_glyph_sheet, stairs_direction)
+                             builtin_sheet, label_level, parse_glyph_sheet,
+                             stairs_direction)
 from hapmap.scenegen import sample_box_cloud
 
 # frozen so accidental edits to the built-in sheet fail loudly
@@ -52,30 +52,24 @@ class TestSheet:
 
 
 class TestGlyphFor:
+    """The glyph for an object is the sheet's glyph under its tag."""
+
     def test_stairs_need_direction(self):
-        up = glyph_for("stairs", "up")
-        down = glyph_for("stairs", "down")
-        assert up.distance(down) >= 4
-        with pytest.raises(ValueError, match="direction"):
-            glyph_for("stairs")
+        sheet = builtin_sheet()
+        assert sheet["stairs_up"].distance(sheet["stairs_down"]) >= 4
+        with pytest.raises(ValueError, match="'stairs'"):
+            sheet["stairs"]
 
     def test_all_classes_distinct(self):
-        glyphs = [glyph_for(c) for c in
-                  ("sit_on", "put_on", "store_in", "sanitary", "window", "door")]
-        glyphs += [glyph_for("stairs", "up"), glyph_for("stairs", "down")]
-        tags = {g.tag for g in glyphs}
-        assert len(tags) == 8
+        sheet = builtin_sheet()
+        assert len({sheet[tag].tag for tag in REQUIRED_TAGS}) == 8
 
     def test_sanitary_is_bathtub_glyph(self):
-        assert glyph_for("sanitary").tag == "sanitary"
-
-    def test_direction_rejected_elsewhere(self):
-        with pytest.raises(ValueError):
-            glyph_for("put_on", "up")
+        assert builtin_sheet()["sanitary"].tag == "sanitary"
 
     def test_unknown_class(self):
-        with pytest.raises(ValueError):
-            glyph_for("spaceship")
+        with pytest.raises(ValueError, match="'spaceship'"):
+            builtin_sheet()["spaceship"]
 
 
 class TestLabelLevel:
@@ -109,10 +103,11 @@ class TestStairsDirection:
 
 class TestObjectDescriptor:
     def test_stairs_direction_invariant(self):
+        # the label is a glyph tag, so a stairs label carries its direction
         fp = footprint(np.random.default_rng(0).normal((0, 0, 2000), 100, (30, 3)))
         geom = classify_geometry(500, 0.3)
-        ObjectDescriptor(0, fp, geom, label="stairs", stairs_dir="up")
-        with pytest.raises(ValueError):
-            ObjectDescriptor(0, fp, geom, label="stairs")
-        with pytest.raises(ValueError):
-            ObjectDescriptor(0, fp, geom, label="put_on", stairs_dir="up")
+        for label in (None, *REQUIRED_TAGS):
+            ObjectDescriptor(0, fp, geom, label=label)
+        for label in ("stairs", "stairs_sideways", "toilet"):
+            with pytest.raises(ValueError, match=repr(label)):
+                ObjectDescriptor(0, fp, geom, label=label)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from hapmap import synthgrid
 from hapmap.depthio import Intrinsics
-from hapmap.labeling import builtin_sheet
+from hapmap.labeling import REQUIRED_TAGS, builtin_sheet
 from hapmap.synthgrid import (AreaGeometry, FrustumError, PinGrid, _fill_polygon,
                               clip_polygon_to_frustum, emit, map_continuous,
                               map_to_area, parse_grid_json, rasterize_raw,
@@ -142,13 +142,9 @@ def labelled_objects(draw, g):
                               st.floats(-4.0, hi + 4.0)))
     u, v = pin(g.cols), pin(g.rows)
     w, d = (draw(st.floats(0.5, 8.0)) / g.scale for _ in range(2))
-    label = draw(st.sampled_from(["sit_on", "put_on", "store_in", "sanitary",
-                                  "window", "door", "stairs"]))
     return rect_descriptor((u - g.cols / 2.0) / g.scale, g.near + v / g.scale,
                            w, d, draw(st.sampled_from([200.0, 700.0, 1500.0])),
-                           label=label,
-                           stairs_dir=draw(st.sampled_from(["up", "down"]))
-                           if label == "stairs" else None)
+                           label=draw(st.sampled_from(REQUIRED_TAGS)))
 
 
 class TestAreaMatchesLoops:
@@ -164,8 +160,8 @@ class TestAreaMatchesLoops:
     def test_glyph_stamp(self, data, g):
         objs = data.draw(st.lists(labelled_objects(g), max_size=5))
         sheet = builtin_sheet()
-        ref = rasterize_scene([], [replace(o, label=None, stairs_dir=None)
-                                   for o in objs], g, sheet)
+        ref = rasterize_scene([], [replace(o, label=None) for o in objs],
+                              g, sheet)
         for obj in objs:
             loop_glyph_stamp(ref.cells, ref.active, obj, g, sheet)
         assert rasterize_scene([], objs, g, sheet) == ref
@@ -221,8 +217,8 @@ class TestRasterizeScene:
         assert 0 < (grid.cells == 4).sum() < glyph.dots
 
     def test_stairs_glyphs_differ(self):
-        up = rect_descriptor(0, 2500, 600, 900, 700.0, label="stairs", stairs_dir="up")
-        down = rect_descriptor(0, 2500, 600, 900, 700.0, label="stairs", stairs_dir="down")
+        up = rect_descriptor(0, 2500, 600, 900, 700.0, label="stairs_up")
+        down = rect_descriptor(0, 2500, 600, 900, 700.0, label="stairs_down")
         assert rasterize_scene([], [up], G) != rasterize_scene([], [down], G)
 
     def test_clip_object_straddling_near_plane(self):
