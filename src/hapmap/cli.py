@@ -14,8 +14,8 @@ from . import classifier as clf
 from . import dcgd, depthio, scenegen
 from .config import OUTPUT_FORMATS, PipelineConfig, format_config, parse_config
 from .pipeline import (StageError, analyze_depth_file, area_geometry,
-                       backproject_ground, camera_intrinsics, load_inputs,
-                       run_pipeline)
+                       backproject_ground, camera_intrinsics, load_classifier,
+                       load_inputs, run_pipeline)
 from .synthgrid import emit, rasterize_raw
 
 CONFIG_ENV = "HAPMAP_CONFIG"
@@ -86,7 +86,7 @@ def _cmd_segment(args) -> int:
     cfg = _load_config(args)
     scene, _ = analyze_depth_file(cfg, args.depth)
     lines = [f"{p[0]:.1f} {p[1]:.1f} {p[2]:.1f} {lab}"
-             for p, lab in zip(scene.voxels, scene.segmentation.labels)]
+             for p, lab in zip(scene.points, scene.segmentation.labels)]
     Path(args.out).write_text("\n".join(lines) + "\n")
     return 0
 
@@ -107,9 +107,9 @@ def _cmd_classify(args) -> int:
     cfg = _load_config(args)
     if not cfg.model_path:
         raise ValueError("classify needs a model: pass --model or set model.path")
-    model = clf.load_model(Path(cfg.model_path).read_bytes())
     rng = np.random.default_rng(cfg.seed)
     cloud = _load_cloud(args.cloud, 2048, rng)
+    model, _ = load_classifier(cfg)   # the same class check as run
     pred = clf.predict_gated(model, cloud, cfg.confidence_threshold, rng)
     verdict = pred.label if pred.accepted else "rejected"
     print(f"{verdict}\tp={pred.confidence:.3f}")

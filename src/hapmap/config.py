@@ -20,9 +20,8 @@ OUTPUT_FORMATS = ("json", "ascii", "pgm")
 class PipelineConfig:
     intrinsics_path: str = ""
     dcgd: DcgdParams = DcgdParams()
-    voxel_leaf: float = 20.0
-    dbscan_eps: float = 80.0
-    dbscan_min_pts: int = 10
+    segment_link_mm: float = 80.0
+    segment_min_px: int = 200
     model_path: str = ""
     confidence_threshold: float = 0.85
     thresholds: GeometryThresholds = GeometryThresholds()
@@ -35,8 +34,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         positives = {
-            "voxel.leaf": self.voxel_leaf, "dbscan.eps": self.dbscan_eps,
-            "dbscan.min_pts": self.dbscan_min_pts,
+            "segment.link_mm": self.segment_link_mm,
+            "segment.min_px": self.segment_min_px,
             "grid.small_basis": self.grid_small_basis,
             "grid.rows": self.grid_rows, "grid.cols": self.grid_cols,
         }
@@ -54,9 +53,8 @@ class PipelineConfig:
 #: config keys, each with the PipelineConfig field it sets and its type
 SCALAR_KEYS = {
     "intrinsics.path": ("intrinsics_path", str),
-    "voxel.leaf": ("voxel_leaf", float),
-    "dbscan.eps": ("dbscan_eps", float),
-    "dbscan.min_pts": ("dbscan_min_pts", int),
+    "segment.link_mm": ("segment_link_mm", float),
+    "segment.min_px": ("segment_min_px", int),
     "model.path": ("model_path", str),
     "classifier.threshold": ("confidence_threshold", float),
     "grid.small_basis": ("grid_small_basis", int),

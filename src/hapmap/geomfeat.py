@@ -51,6 +51,50 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _prune_tol(pts: np.ndarray) -> float:
+    return _PRUNE_TOL * max(float(np.abs(pts).max()), 1.0)
+
+
+def _inside(pts: np.ndarray, eq: np.ndarray, tol: float) -> np.ndarray:
+    """Points inside every half-plane a*x + b*z + c <= 0 by more than tol.
+
+    (a, b) are unit outward normals.  One line at a time, so memory stays
+    O(n) for any number of lines.
+    """
+    inside = np.ones(pts.shape[0], dtype=bool)
+    for a, b, c in eq:
+        inside &= a * pts[:, 0] + b * pts[:, 1] + c < -tol
+    return inside
+
+
+def _octagon_prefilter(pts: np.ndarray) -> np.ndarray:
+    """Drop the points well inside the octagon of the extreme points.
+
+    Akl & Toussaint (IPL 1978): the points extreme in x, z, x + z and
+    x - z lie on the hull, so a point inside their octagon by more than
+    the pruning tolerance cannot be a hull vertex.  Input order is kept.
+    Fewer than 9 points, or an octagon of no area (all points identical
+    or collinear), keep every point.
+    """
+    if pts.shape[0] < 9:
+        return pts
+    x, z = pts[:, 0], pts[:, 1]
+    # counter-clockwise: support points of directions 0, 45, ..., 315 deg
+    octagon = pts[[np.argmax(x), np.argmax(x + z), np.argmax(z),
+                   np.argmax(z - x), np.argmin(x), np.argmin(x + z),
+                   np.argmin(z), np.argmax(x - z)]]
+    edge = np.roll(octagon, -1, axis=0) - octagon
+    length = np.hypot(edge[:, 0], edge[:, 1])
+    proper = length > 0
+    octagon, edge, length = octagon[proper], edge[proper], length[proper]
+    twice_area = np.sum(octagon[:, 0] * edge[:, 1] - octagon[:, 1] * edge[:, 0])
+    if not twice_area > 0:
+        return pts
+    normal = np.column_stack([edge[:, 1], -edge[:, 0]]) / length[:, None]
+    eq = np.column_stack([normal, -np.sum(normal * octagon, axis=1)])
+    return pts[~_inside(pts, eq, _prune_tol(pts))]
+
+
 def _hull_candidates(pts: np.ndarray) -> np.ndarray:
     """The points that may be hull vertices, in their input order.
 
@@ -62,37 +106,35 @@ def _hull_candidates(pts: np.ndarray) -> np.ndarray:
         eq = ConvexHull(pts).equations          # unit normals: inside < 0
     except QhullError:
         return pts
-    tol = _PRUNE_TOL * max(float(np.abs(pts).max()), 1.0)
-    # One facet at a time, so memory stays O(n) for any facet count.
-    inside = np.ones(pts.shape[0], dtype=bool)
-    for a, b, c in eq:
-        inside &= a * pts[:, 0] + b * pts[:, 1] + c < -tol
-    return pts[~inside]
+    return pts[~_inside(pts, eq, _prune_tol(pts))]
 
 
 def convex_hull_2d(points: np.ndarray) -> np.ndarray:
     """Monotone-chain convex hull, counter-clockwise, collinear-free.
 
     Fewer than 3 distinct non-collinear points yield a degenerate result
-    with fewer than 3 vertices.  Points are sorted by (x, z) and repeats
-    of the row before are dropped, keeping the first in input order.
-    Points well inside qhull's hull are dropped next; the chain runs over
-    the remaining candidates.
+    with fewer than 3 vertices.  Points well inside the octagon of the
+    extreme points are dropped first.  The rest are sorted by (x, z) and
+    repeats of the row before are dropped, keeping the first in input
+    order.  Points well inside qhull's hull are dropped next; the chain
+    runs over the remaining candidates.
     """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    pts = _octagon_prefilter(np.asarray(points, dtype=np.float64).reshape(-1, 2))
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     distinct = np.ones(pts.shape[0], dtype=bool)
     distinct[1:] = (pts[1:] != pts[:-1]).any(axis=1)
     pts = pts[distinct]
     if pts.shape[0] < 3:
         return pts
-    pts = _hull_candidates(pts)
-    lower: list[np.ndarray] = []
+    # Python floats: the same IEEE double arithmetic, without the cost
+    # of numpy scalars
+    pts = _hull_candidates(pts).tolist()
+    lower: list[list[float]] = []
     for p in pts:
         while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
-    upper: list[np.ndarray] = []
+    upper: list[list[float]] = []
     for p in pts[::-1]:
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()

@@ -76,8 +76,8 @@ class SceneAnalysis:
     on_ground: np.ndarray                       # ground flag per cloud row
     ground_y: float                             # ground elevation, mm
     cloud: np.ndarray                           # row i: pixel frame.pixels[i]
-    voxels: np.ndarray                          # downsampled occupied points
-    segmentation: seg.Segmentation              # one label per voxel
+    points: np.ndarray                          # occupied cloud rows
+    segmentation: seg.Segmentation              # one label per occupied row
     segments: list[seg.Segment]
     footprints: list[geomfeat.Footprint]        # one per segment
     geometries: list[geomfeat.GeometricClass]   # one per segment
@@ -134,10 +134,12 @@ def analyze_scene(config: PipelineConfig, frame: depthio.DepthFrame,
         in_band = (cloud[:, 2] >= near) & (cloud[:, 2] <= far)
         ground_y = (dcgd.ground_elevation(cloud, on_ground)
                     if on_ground.any() else 0.0)
-        occupied = cloud[in_band & ~on_ground]
-        voxels = seg.voxel_downsample(occupied, config.voxel_leaf)
-        labels = seg.dbscan(voxels, config.dbscan_eps, config.dbscan_min_pts)
-        segments = seg.extract_segments(voxels, labels)
+        occupied = in_band & ~on_ground
+        points = cloud[occupied]
+        labels = seg.image_segments(frame, cloud, occupied,
+                                    config.segment_link_mm,
+                                    config.segment_min_px)
+        segments = seg.extract_segments(points, labels)
 
     with _stage("features"):
         footprints = [geomfeat.footprint(s.points) for s in segments]
@@ -149,7 +151,7 @@ def analyze_scene(config: PipelineConfig, frame: depthio.DepthFrame,
         ]
 
     return SceneAnalysis(on_ground=on_ground, ground_y=ground_y, cloud=cloud,
-                         voxels=voxels, segmentation=labels, segments=segments,
+                         points=points, segmentation=labels, segments=segments,
                          footprints=footprints, geometries=geometries)
 
 
@@ -162,23 +164,31 @@ def analyze_depth_file(config: PipelineConfig, depth_path: str | Path
     return analyze_scene(config, frame, k), geometry
 
 
+def load_classifier(config: PipelineConfig
+                    ) -> tuple[clf.PointSetModel | None, dict[str, str]]:
+    """(model, labeling class of each model class) under the classifier
+    stage; (None, {}) without a model file.
+
+    A missing or corrupt file, or a class without a labeling class,
+    fails here, not at the first accepted segment.
+    """
+    if not config.model_path:
+        return None, {}
+    with _stage("classifier"):
+        model = clf.load_model(Path(config.model_path).read_bytes())
+        return model, {c: clf.to_labeling_class(c) for c in model.classes}
+
+
 def run_pipeline(config: PipelineConfig, depth_path: str | Path) -> PipelineResult:
     """Run every stage on one depth frame.
 
     Without a model file the pipeline degrades to geometry-only output:
     every object keeps its footprint and geometric classes, no glyphs.
+    The model loads first, so a bad one fails before any frame work.
     Given identical config and inputs the result is byte-stable.
     """
+    model, labeling_class = load_classifier(config)
     scene, geometry = analyze_depth_file(config, depth_path)
-
-    model = None
-    if config.model_path:
-        with _stage("classifier"):
-            model = clf.load_model(Path(config.model_path).read_bytes())
-            # a class without a labeling class fails here, not at its
-            # first accepted segment
-            labeling_class = {c: clf.to_labeling_class(c)
-                              for c in model.classes}
 
     descriptors: list[ObjectDescriptor] = []
     with _stage("classifier"):

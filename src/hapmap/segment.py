@@ -1,4 +1,10 @@
-"""Coarse occupied-space segmentation: voxel downsampling plus DBSCAN."""
+"""Occupied-space segmentation in the depth image.
+
+``image_segments`` is the pipeline's segmentation: neighbouring occupied
+pixels of similar depth are linked and the components taken.
+``voxel_downsample`` and ``dbscan`` are the earlier point-cloud front
+end, kept as library functions.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from .depthio import DepthFrame
 
 
 @dataclass
@@ -18,6 +26,49 @@ class Segmentation:
 class Segment:
     id: int
     points: np.ndarray   # (m, 3) subset of the segmented cloud
+
+
+def image_segments(frame: DepthFrame, cloud: np.ndarray, occupied: np.ndarray,
+                   link_mm: float, min_px: int) -> Segmentation:
+    """Connected components of the occupied pixels in the depth image.
+
+    Range-image segmentation (Bogoslavskyi & Stachniss, IROS 2016): two
+    occupied pixels that are 4-neighbours in the image are linked when
+    their depths (``cloud[:, 2]``) differ by at most link_mm (inclusive).
+    Cloud row i is pixel ``frame.pixels[i]`` and ``occupied`` flags the
+    rows to segment; the result has one label per occupied row, in row
+    order.  Components of fewer than min_px pixels are noise (-1).  Ids
+    follow the scan order of each component's first pixel.
+
+    The work scales with the occupied pixels, not the frame: their sorted
+    pixel indices give the right neighbour as the next entry and the
+    lower neighbour by a binary search for ``pixel + width``.
+    """
+    if not link_mm >= 0:
+        raise ValueError("link_mm must be non-negative")
+    if min_px < 1:
+        raise ValueError("min_px must be at least 1")
+    if not len(occupied) == len(cloud) == frame.pixels.size:
+        raise ValueError("cloud and occupied flags need one row per valid pixel")
+    rows = np.flatnonzero(occupied)
+    pix = frame.pixels[rows]
+    z = cloud[rows, 2]
+    n = pix.size
+    # right neighbour: the next occupied pixel, unless the row wraps
+    right = np.flatnonzero((pix[1:] == pix[:-1] + 1)
+                           & (pix[1:] % frame.width != 0))
+    # lower neighbour: the occupied pixel one row down, if any
+    below = np.minimum(np.searchsorted(pix, pix + frame.width), n - 1)
+    down = np.flatnonzero(pix[below] == pix + frame.width)
+    i = np.concatenate([right, down])
+    j = np.concatenate([right + 1, below[down]])
+    near = np.abs(z[i] - z[j]) <= link_mm
+    root = _roots(n, i[near], j[near])
+    big = np.bincount(root, minlength=n)[root] >= min_px
+    # a kept component's id: how many kept roots scan before its own
+    first = big & (root == np.arange(n))
+    labels = np.where(big, np.cumsum(first)[root] - 1, -1)
+    return Segmentation(labels=labels, k=int(first.sum()))
 
 
 def voxel_downsample(cloud: np.ndarray, leaf: float = 20.0) -> np.ndarray:

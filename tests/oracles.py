@@ -1,6 +1,7 @@
 """Independent reference implementations and builders shared across tests."""
 
 import math
+from collections import deque
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -101,6 +102,52 @@ def brute_voxel_downsample(cloud, leaf):
     np.add.at(sums, inverse, cloud)
     counts = np.bincount(inverse, minlength=uniq.shape[0]).astype(np.float64)
     return sums / counts[:, None]
+
+
+def flood_fill_segments(frame, cloud, occupied, link_mm, min_px):
+    """Breadth-first flood fill on an (height, width) grid of cloud rows:
+    4-neighbour occupied pixels whose depths differ by at most link_mm
+    are linked; same contract as ``image_segments``, labels per occupied
+    row.  The grid is rebuilt from ``frame.data``, not the pixel index."""
+    h, w = frame.height, frame.width
+    valid = frame.data > 0
+    occupied = np.asarray(occupied, dtype=bool)
+    row_at = np.full((h, w), -1, dtype=np.int64)
+    row_at[valid] = np.arange(occupied.size)
+    slot = np.full(occupied.size, -1, dtype=np.int64)
+    slot[occupied] = np.arange(int(occupied.sum()))
+    slot_at = np.full((h, w), -1, dtype=np.int64)
+    slot_at[valid] = slot
+    slot_at, row_at = slot_at.tolist(), row_at.tolist()
+    z = cloud[:, 2].tolist()
+    comp = [-1] * int(occupied.sum())
+    sizes = []
+    for v in range(h):
+        for u in range(w):
+            start = slot_at[v][u]
+            if start < 0 or comp[start] >= 0:
+                continue
+            comp[start] = len(sizes)
+            size = 0
+            queue = deque([(v, u)])
+            while queue:
+                a, b = queue.popleft()
+                size += 1
+                za = z[row_at[a][b]]
+                for c, d in ((a - 1, b), (a + 1, b), (a, b - 1), (a, b + 1)):
+                    if not (0 <= c < h and 0 <= d < w):
+                        continue
+                    other = slot_at[c][d]
+                    if (other >= 0 and comp[other] < 0
+                            and abs(z[row_at[c][d]] - za) <= link_mm):
+                        comp[other] = comp[start]
+                        queue.append((c, d))
+            sizes.append(size)
+    kept = [s >= min_px for s in sizes]
+    new_id = np.cumsum(kept) - 1
+    labels = np.array([new_id[c] if kept[c] else -1 for c in comp],
+                      dtype=np.int64)
+    return labels, int(sum(kept))
 
 
 def _cross(o, a, b):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hapmap import classifier as clf
-from hapmap import cli, dcgd, depthio, scenegen
+from hapmap import cli, dcgd, depthio, pipeline, scenegen
 from hapmap.config import PipelineConfig, format_config, parse_config
 from hapmap.pipeline import (StageError, analyze_scene, load_inputs,
                              run_pipeline)
@@ -40,9 +40,10 @@ class TestConfig:
         assert parse_config(format_config(cfg)) == cfg
 
     def test_section_overrides(self):
-        cfg = parse_config("dbscan.eps=120\ndcgd.dz=25\ngeometry.area_low=0.3\n"
-                           "classifier.threshold=0.7\nseed=9\n")
-        assert cfg.dbscan_eps == 120
+        cfg = parse_config("segment.link_mm=120\ndcgd.dz=25\ngeometry.area_low=0.3\n"
+                           "classifier.threshold=0.7\nseed=9\nsegment.min_px=50\n")
+        assert cfg.segment_link_mm == 120
+        assert cfg.segment_min_px == 50
         assert cfg.dcgd.dz == 25
         assert cfg.thresholds.area_m2 == (0.3, 1.0)
         assert cfg.confidence_threshold == 0.7
@@ -58,6 +59,13 @@ class TestConfig:
         # dcgd.z0/zf is the only depth band; the old per-stage copies are gone
         with pytest.raises(ValueError, match="unknown key"):
             parse_config(f"{key}=800\n")
+
+    @pytest.mark.parametrize("key", ["voxel.leaf", "dbscan.eps",
+                                     "dbscan.min_pts"])
+    def test_voxel_and_dbscan_keys_are_gone(self, key):
+        # segment.link_mm and segment.min_px set the image segmentation
+        with pytest.raises(ValueError, match="unknown key"):
+            parse_config(f"{key}=80\n")
 
     def test_readme_lists_every_key(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text()
@@ -79,7 +87,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config("dcgd.z0=0\n")
         with pytest.raises(ValueError):
-            parse_config("voxel.leaf=0\n")
+            parse_config("segment.min_px=0\n")
+        with pytest.raises(ValueError):
+            parse_config("segment.link_mm=-1\n")
         with pytest.raises(ValueError):
             parse_config("output.format=bmp\n")
 
@@ -91,14 +101,14 @@ class TestConfig:
             PipelineConfig(seed=-1)
 
     @pytest.mark.parametrize("parse, text", [
-        (parse_config, "dbscan.eps=nan"),
-        (parse_config, "voxel.leaf=nan"),
+        (parse_config, "segment.link_mm=nan"),
+        (parse_config, "segment.link_mm=inf"),
         (parse_config, "dcgd.zf=nan"),
         (parse_config, "dcgd.dz=nan"),
         (parse_config, "dcgd.z0=inf"),
         (parse_config, "geometry.height_high=inf"),
         (depthio.load_intrinsics, "fx=nan\nfy=575.8\ncx=319.5\ncy=239.5"),
-    ], ids=["eps", "leaf", "far", "dz", "near", "height_high", "fx"])
+    ], ids=["link_mm", "link_mm_inf", "far", "dz", "near", "height_high", "fx"])
     def test_non_finite_values(self, parse, text):
         # NaN fails every comparison, so a `value <= 0` check lets it through
         with pytest.raises(ValueError, match="finite"):
@@ -369,6 +379,27 @@ class TestPipelineWithModel:
         cfg = parse_config(cfg_file.read_text() + f"model.path={model_path}\n"
                            "classifier.threshold=0.99\n")
         with pytest.raises(StageError, match="unknown class 'foo'") as err:
+            run_pipeline(cfg, depth)
+        assert err.value.stage == "classifier"
+
+    @pytest.mark.parametrize("blob, message", [
+        (None, "No such file"), (b"junk", "not a model file"),
+        ("foo", "unknown class 'foo'")], ids=["missing", "corrupt", "unknown_class"])
+    def test_bad_model_fails_before_frame_analysis(self, box_scene, tmp_path,
+                                                   monkeypatch, blob, message):
+        def not_reached(*args):
+            raise AssertionError("the frame was analysed")
+
+        monkeypatch.setattr(pipeline, "analyze_scene", not_reached)
+        model_path = tmp_path / "model.bin"
+        if blob == "foo":
+            blob = clf.save_model(clf.init_model(
+                ("foo", "bar"), point_widths=(3, 8), head_hidden=(4,)))
+        if blob is not None:
+            model_path.write_bytes(blob)
+        depth, cfg_file, _ = box_scene
+        cfg = parse_config(cfg_file.read_text() + f"model.path={model_path}\n")
+        with pytest.raises(StageError, match=message) as err:
             run_pipeline(cfg, depth)
         assert err.value.stage == "classifier"
 
@@ -655,6 +686,23 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == ("error: classify needs a model: "
                                            "pass --model or set model.path\n")
+
+    def test_classify_unknown_class_fails(self, tmp_path, capsys,
+                                          monkeypatch):
+        # the class table check that run makes when the model loads
+        monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+        model = clf.init_model(("foo", "bar"), point_widths=(3, 8),
+                               head_hidden=(4,))
+        model_path = tmp_path / "foo.bin"
+        model_path.write_bytes(clf.save_model(model))
+        cloud_path = tmp_path / "cloud.xyz"
+        cloud_path.write_text("0 0 0\n10 20 30\n-5 7 2\n")
+        rc = cli.main(["classify", "--model", str(model_path),
+                       "--cloud", str(cloud_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "unknown class 'foo'" in captured.err
+        assert "p=" not in captured.out
 
     @pytest.mark.parametrize("text, lineno", [
         ("0 0 0\n1 1\n", 2),

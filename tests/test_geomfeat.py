@@ -1,13 +1,18 @@
 """Hull, area, and percentile-height features; hull checked against an
 all-pairs half-plane oracle and, vertex for vertex, against an unpruned
-monotone chain."""
+monotone chain, also on the pixel segments of rendered frames."""
+
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hapmap.geomfeat import (GeometricClass, GeometryThresholds, classify_geometry,
-                             convex_hull_2d, footprint, height_p90, polygon_area)
+from hapmap import depthio, pipeline, scenegen
+from hapmap.config import PipelineConfig
+from hapmap.geomfeat import (GeometricClass, GeometryThresholds, _octagon_prefilter,
+                             classify_geometry, convex_hull_2d, footprint,
+                             height_p90, polygon_area)
 
 from oracles import monotone_chain_hull
 
@@ -17,6 +22,26 @@ def assert_same_as_chain(pts):
     ref = monotone_chain_hull(pts)
     assert got.shape == ref.shape
     assert got.tobytes() == ref.tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def frame_segments(seed):
+    """(x, z) columns of the pixel segments of a 640x480 frame of five
+    boxes, each segment the occupied pixels analyze_scene groups."""
+    rng = np.random.default_rng(seed)
+    boxes = [scenegen.BoxSpec(float(x + rng.uniform(-80, 80)),
+                              float(z + rng.uniform(-80, 80)),
+                              float(rng.uniform(250, 600)),
+                              float(rng.uniform(250, 600)),
+                              float(rng.uniform(300, 1100)))
+             for x, z in ((-700, 2000), (0, 1600), (700, 2100), (-450, 3200),
+                          (500, 3300))]
+    spec = scenegen.SceneSpec(camera_height=1200, floor_extent=4500,
+                              noise_sigma=10, boxes=boxes, seed=seed)
+    k = depthio.DEFAULT_INTRINSICS
+    frame, _ = scenegen.render_depth(spec, k, 640, 480)
+    scene = pipeline.analyze_scene(PipelineConfig(), frame, k)
+    return [s.points[:, [0, 2]] for s in scene.segments]
 
 
 def brute_hull_vertices(pts):
@@ -146,6 +171,41 @@ class TestHullMatchesChain:
         pts = grid * 20.0 + rng.uniform(0, 20, size=grid.shape) - 300.0
         assert_same_as_chain(pts)
         assert_same_as_chain(grid * 20.0)          # exact lattice: collinear edges
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_pixel_segments(self, seed):
+        # thousands of noisy points per segment, as analyze_scene passes
+        segments = frame_segments(seed)
+        assert len(segments) >= 4
+        for xz in segments:
+            assert xz.shape[0] > 1000
+            assert _octagon_prefilter(xz).shape[0] < xz.shape[0] / 4
+            assert_same_as_chain(xz)
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 50])
+    def test_degenerate_octagons(self, n):
+        # inputs whose octagon has no area keep every point; so do inputs
+        # of fewer than 9 points
+        rng = np.random.default_rng(n)
+        t = rng.uniform(-500.0, 500.0, n)
+        two = np.array([[1.0, 2.0], [300.0, -7.0]])
+        for pts in (np.full((n, 2), -3.25),
+                    np.column_stack([t, 2.0 * t - 1.0]),
+                    np.column_stack([t, np.full(n, 5.0)]),
+                    two[rng.integers(0, 2, size=n)],
+                    1e6 + rng.uniform(-1e-9, 1e-9, size=(n, 2))):
+            assert _octagon_prefilter(pts).shape == pts.shape
+            assert_same_as_chain(pts)
+
+    def test_prefilter_keeps_the_order_and_the_vertices(self):
+        rng = np.random.default_rng(14)
+        pts = rng.uniform(-100.0, 100.0, size=(2000, 2))
+        kept = _octagon_prefilter(pts)
+        assert 8 <= kept.shape[0] < 1000
+        rows = [int(np.flatnonzero((pts == p).all(axis=1))[0]) for p in kept]
+        assert rows == sorted(rows)
+        hull = {tuple(p) for p in monotone_chain_hull(pts)}
+        assert hull <= {tuple(p) for p in kept}
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),

@@ -1,9 +1,11 @@
-"""Voxel filter and DBSCAN checked byte for byte against independent
-references: row-unique keys with an unbuffered add, a dense O(n^2)
+"""Image segmentation, voxel filter and DBSCAN checked byte for byte
+against independent references: a breadth-first flood fill over the
+depth image, row-unique keys with an unbuffered add, a dense O(n^2)
 DBSCAN, and on scene-sized clouds a DBSCAN built on scipy's
 connected_components."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 from hapmap import depthio, pipeline, scenegen
 from hapmap.config import PipelineConfig
 from hapmap.segment import (Segmentation, _roots, dbscan, extract_segments,
-                            voxel_downsample)
+                            image_segments, voxel_downsample)
 
 from oracles import (as_partition, blob_cloud, brute_dbscan, brute_voxel_downsample,
-                     csgraph_dbscan, csgraph_roots)
+                     csgraph_dbscan, csgraph_roots, flood_fill_segments)
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
 
@@ -39,9 +41,8 @@ def bridge_cloud():
 
 
 @functools.lru_cache(maxsize=None)
-def clutter_voxels(seed):
-    """The voxel cloud analyze_scene clusters on a 640x480 frame of 6-9
-    boxes and a hole: about 7k-10k points."""
+def clutter_scene(seed):
+    """(frame, scene analysis) of a 640x480 frame of 6-9 boxes and a hole."""
     rng = np.random.default_rng(seed)
     slots = [(f * z, z) for z in (1500.0, 2300.0, 3100.0) for f in (-0.33, 0.0, 0.33)]
     chosen = rng.permutation(len(slots))[:int(rng.integers(6, 10))]
@@ -54,7 +55,23 @@ def clutter_voxels(seed):
                               seed=seed)
     k = depthio.DEFAULT_INTRINSICS
     frame, _ = scenegen.render_depth(spec, k, 640, 480)
-    return pipeline.analyze_scene(PipelineConfig(), frame, k).voxels
+    return frame, pipeline.analyze_scene(PipelineConfig(), frame, k)
+
+
+def clutter_occupied(seed):
+    """(frame, cloud, occupied flag per cloud row) of clutter_scene(seed)."""
+    frame, scene = clutter_scene(seed)
+    band = PipelineConfig().dcgd
+    z = scene.cloud[:, 2]
+    occupied = (z >= band.z0) & (z <= band.zf) & ~scene.on_ground
+    return frame, scene.cloud, occupied
+
+
+@functools.lru_cache(maxsize=None)
+def clutter_voxels(seed):
+    """The occupied points of clutter_scene(seed) voxelised at 20 mm:
+    about 7k-10k points."""
+    return voxel_downsample(clutter_scene(seed)[1].points, 20.0)
 
 
 def random_label_path(rng, n):
@@ -99,6 +116,125 @@ def assert_same_as_brute(cloud, eps, min_pts):
     ref_labels, ref_k = brute_dbscan(cloud, eps, min_pts)
     assert got.k == ref_k
     np.testing.assert_array_equal(got.labels, ref_labels)
+
+
+def assert_same_as_flood_fill(frame, cloud, occupied, link_mm, min_px):
+    got = image_segments(frame, cloud, occupied, link_mm, min_px)
+    ref_labels, ref_k = flood_fill_segments(frame, cloud, occupied, link_mm,
+                                            min_px)
+    assert got.k == ref_k
+    assert got.labels.tobytes() == ref_labels.tobytes()
+    return got
+
+
+def image_and_cloud(depths):
+    frame = depthio.DepthFrame(np.asarray(depths, dtype=np.uint16))
+    return frame, depthio.backproject(frame, depthio.Intrinsics(1.0, 1.0, 0.0, 0.0))
+
+
+class TestImageSegments:
+    @settings(max_examples=300, deadline=None)
+    @given(h=st.integers(1, 7), w=st.integers(1, 7),
+           link_mm=st.sampled_from([0.0, 1.0, 2.0, 5.0]),
+           min_px=st.integers(1, 6), data=st.data())
+    def test_matches_flood_fill(self, h, w, link_mm, min_px, data):
+        # depths 0-6 against links 0-5 put many neighbour pairs exactly at
+        # link_mm; h or w of 1 gives 1-pixel columns or rows, and every
+        # width > 1 has pixels w-1 and w adjacent in the pixel index
+        depths = data.draw(st.lists(st.integers(0, 6), min_size=h * w,
+                                    max_size=h * w))
+        frame, cloud = image_and_cloud(np.reshape(depths, (h, w)))
+        n = cloud.shape[0]
+        occupied = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                               max_size=n)), dtype=bool)
+        assert_same_as_flood_fill(frame, cloud, occupied, link_mm, min_px)
+
+    def test_no_link_across_a_row_wrap(self):
+        # pixels 2 and 3 follow each other in the index but sit in
+        # different rows, at opposite edges of the image
+        frame, cloud = image_and_cloud([[0, 0, 500], [500, 0, 0]])
+        seg = image_segments(frame, cloud, np.ones(2, dtype=bool), 80.0, 1)
+        assert seg.k == 2 and seg.labels.tolist() == [0, 1]
+
+    def test_link_inclusive(self):
+        frame, cloud = image_and_cloud([[1000], [1080], [1161]])
+        seg = image_segments(frame, cloud, np.ones(3, dtype=bool), 80.0, 1)
+        assert seg.labels.tolist() == [0, 0, 1]
+
+    def test_small_components_are_noise_and_ids_follow_scan_order(self):
+        frame, cloud = image_and_cloud([[900, 900, 0, 2000],
+                                        [0, 0, 0, 2000],
+                                        [3000, 3000, 3000, 0]])
+        seg = image_segments(frame, cloud, np.ones(7, dtype=bool), 80.0, 3)
+        assert seg.k == 1
+        assert seg.labels.tolist() == [-1, -1, -1, -1, 0, 0, 0]
+        seg = image_segments(frame, cloud, np.ones(7, dtype=bool), 80.0, 2)
+        assert seg.labels.tolist() == [0, 0, 1, 1, 2, 2, 2]
+
+    def test_unoccupied_rows_break_links(self):
+        frame, cloud = image_and_cloud([[700, 700, 700, 700]])
+        occupied = np.array([True, True, False, True])
+        seg = image_segments(frame, cloud, occupied, 80.0, 1)
+        assert seg.labels.tolist() == [0, 0, 1]
+
+    def test_nothing_occupied(self):
+        frame, cloud = image_and_cloud([[0, 800], [800, 800]])
+        seg = image_segments(frame, cloud, np.zeros(3, dtype=bool), 80.0, 1)
+        assert seg.k == 0 and seg.labels.size == 0
+
+    def test_bad_params(self):
+        frame, cloud = image_and_cloud([[800]])
+        occupied = np.ones(1, dtype=bool)
+        for link_mm, min_px in ((-1.0, 1), (np.nan, 1), (80.0, 0)):
+            with pytest.raises(ValueError):
+                image_segments(frame, cloud, occupied, link_mm, min_px)
+        with pytest.raises(ValueError, match="one row per valid pixel"):
+            image_segments(frame, cloud, np.ones(2, dtype=bool), 80.0, 1)
+        with pytest.raises(ValueError, match="one row per valid pixel"):
+            image_segments(frame, np.vstack([cloud, cloud]),
+                           np.ones(2, dtype=bool), 80.0, 1)
+
+    def test_memory_follows_the_occupied_pixels(self):
+        # a 2000x2000 frame with 12 valid pixels: one (height, width)
+        # temporary would take at least 4 MB
+        data = np.zeros((2000, 2000), dtype=np.uint16)
+        data[1000, 500:506] = 1500
+        data[1001, 500:506] = 1520
+        frame, cloud = image_and_cloud(data)
+        occupied = np.ones(12, dtype=bool)
+        tracemalloc.start()
+        try:
+            seg = image_segments(frame, cloud, occupied, 80.0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seg.k == 1
+        assert peak < 100_000
+
+
+class TestImageSegmentsMatchFloodFill:
+    """Scene-sized frames: about 60k occupied pixels each."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("link_mm, min_px", [(80.0, 200), (20.0, 1),
+                                                 (10.0, 50)])
+    def test_clutter_frames(self, seed, link_mm, min_px):
+        frame, cloud, occupied = clutter_occupied(seed)
+        assert occupied.sum() > 40_000
+        seg = assert_same_as_flood_fill(frame, cloud, occupied, link_mm, min_px)
+        assert seg.k >= 5
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pipeline_segments(self, seed):
+        # analyze_scene's partition, with the default config, is the oracle's
+        frame, cloud, occupied = clutter_occupied(seed)
+        scene = clutter_scene(seed)[1]
+        cfg = PipelineConfig()
+        ref_labels, ref_k = flood_fill_segments(
+            frame, cloud, occupied, cfg.segment_link_mm, cfg.segment_min_px)
+        assert scene.segmentation.k == ref_k == len(scene.segments)
+        assert scene.segmentation.labels.tobytes() == ref_labels.tobytes()
+        assert scene.points.tobytes() == cloud[occupied].tobytes()
 
 
 class TestVoxelDownsample:
