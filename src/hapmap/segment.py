@@ -1,9 +1,11 @@
 """Occupied-space segmentation in the depth image.
 
 ``image_segments`` is the pipeline's segmentation: neighbouring occupied
-pixels of similar depth are linked and the components taken.
-``voxel_downsample`` and ``dbscan`` are the earlier point-cloud front
-end, kept as library functions.
+pixels of similar depth are linked and the components taken, and
+``extract_segments`` splits the points by segment.  ``voxel_downsample``
+and ``dbscan`` are the earlier point-cloud front end; nothing in the
+package calls them, and they stay only because ``perfbench/tracer.py``
+names them in ``TRACED``.
 """
 
 from __future__ import annotations
@@ -40,9 +42,17 @@ def image_segments(frame: DepthFrame, cloud: np.ndarray, occupied: np.ndarray,
     order.  Components of fewer than min_px pixels are noise (-1).  Ids
     follow the scan order of each component's first pixel.
 
-    The work scales with the occupied pixels, not the frame: their sorted
-    pixel indices give the right neighbour as the next entry and the
-    lower neighbour by a binary search for ``pixel + width``.
+    The components are joined on runs (He, Chao & Suzuki, "A Run-Based
+    Two-Scan Labeling Algorithm", IEEE TIP 2008): a run is a maximal
+    stretch of right-linked pixels in one image row.  Runs are numbered
+    in scan order and are the nodes of ``_roots``, so a component's root
+    run holds its first pixel; sizes sum the run lengths, and each pixel
+    takes its run's label.  A down link joins two runs, and one that
+    only repeats the link left of it is dropped, so there are about as
+    many edges as runs.  The work scales with the occupied pixels, not
+    the frame: their sorted pixel indices give the right neighbour as the
+    next entry and the lower neighbour by a binary search for
+    ``pixel + width``; no (height, width) array is made.
     """
     if not link_mm >= 0:
         raise ValueError("link_mm must be non-negative")
@@ -54,21 +64,30 @@ def image_segments(frame: DepthFrame, cloud: np.ndarray, occupied: np.ndarray,
     pix = frame.pixels[rows]
     z = cloud[rows, 2]
     n = pix.size
-    # right neighbour: the next occupied pixel, unless the row wraps
-    right = np.flatnonzero((pix[1:] == pix[:-1] + 1)
-                           & (pix[1:] % frame.width != 0))
-    # lower neighbour: the occupied pixel one row down, if any
+    # a run starts where the right link from the entry before fails: the
+    # pixel is not the next one, the depth steps, or an image row begins
+    # (one binary search per image row, not a modulo per pixel)
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (pix[1:] != pix[:-1] + 1) | ~(np.abs(np.diff(z)) <= link_mm)
+    row_first = np.searchsorted(pix, np.arange(1, frame.height) * frame.width)
+    starts[row_first[row_first < n]] = True
+    run = np.cumsum(starts) - 1
+    run_start = np.flatnonzero(starts)
+    n_runs = run_start.size
+    # down link: the occupied pixel one row down, if any, of similar depth
     below = np.minimum(np.searchsorted(pix, pix + frame.width), n - 1)
-    down = np.flatnonzero(pix[below] == pix + frame.width)
-    i = np.concatenate([right, down])
-    j = np.concatenate([right + 1, below[down]])
-    near = np.abs(z[i] - z[j]) <= link_mm
-    root = _roots(n, i[near], j[near])
-    big = np.bincount(root, minlength=n)[root] >= min_px
+    down = (pix[below] == pix + frame.width) & (np.abs(z - z[below]) <= link_mm)
+    # a link repeats the one left of it when neither end starts a run
+    down[1:] &= ~(down[:-1] & ~starts[1:] & ~starts[below[1:]])
+    link = np.flatnonzero(down)
+    root = _roots(n_runs, run[link], run[below[link]])
+    size = np.bincount(root, weights=np.diff(run_start, append=n),
+                       minlength=n_runs)
+    big = size[root] >= min_px
     # a kept component's id: how many kept roots scan before its own
-    first = big & (root == np.arange(n))
-    labels = np.where(big, np.cumsum(first)[root] - 1, -1)
-    return Segmentation(labels=labels, k=int(first.sum()))
+    first = big & (root == np.arange(n_runs))
+    run_label = np.where(big, np.cumsum(first)[root] - 1, -1)
+    return Segmentation(labels=run_label[run], k=int(first.sum()))
 
 
 def voxel_downsample(cloud: np.ndarray, leaf: float = 20.0) -> np.ndarray:
@@ -174,4 +193,10 @@ def extract_segments(cloud: np.ndarray, seg: Segmentation) -> list[Segment]:
     cloud = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
     if seg.labels.shape[0] != cloud.shape[0]:
         raise ValueError("labels do not align with the cloud")
-    return [Segment(id=i, points=cloud[seg.labels == i]) for i in range(seg.k)]
+    # one stable sort groups each id's points and keeps them in cloud order;
+    # np.take gathers rows several times faster than cloud[rows]
+    order = np.argsort(seg.labels, kind="stable")
+    bounds = np.searchsorted(seg.labels[order], np.arange(seg.k + 1))
+    return [Segment(id=i, points=np.take(cloud, order[bounds[i]:bounds[i + 1]],
+                                         axis=0))
+            for i in range(seg.k)]

@@ -123,11 +123,13 @@ def barycenter_pin(obj: ObjectDescriptor, g: AreaGeometry) -> tuple[int, int]:
 
 def trapezoid_mask(g: AreaGeometry) -> np.ndarray:
     """Active-pin mask: pins whose rounding pre-image meets the view field,
-    i.e. each row v spans the pins of the view-field edges at its far depth."""
+    i.e. each row v spans the pins of the view-field edges at its far depth.
+    The edge points go through ``map_to_pins``, so an in-view point and the
+    edge round through the same float product."""
     z_hi = np.minimum(g.far, g.near + (np.arange(g.v_max + 1) + 0.5) / g.scale)
-    half = g.scale * z_hi * g.half_tan
-    lo = _pin_index(g.cols / 2.0 - half, g.cols)
-    hi = _pin_index(g.cols / 2.0 + half, g.cols)
+    edge = z_hi * g.half_tan
+    lo, _ = map_to_pins(-edge, z_hi, g)
+    hi, _ = map_to_pins(edge, z_hi, g)
     col = np.arange(g.cols)
     mask = np.zeros((g.rows, g.cols), dtype=bool)
     mask[:g.v_max + 1] = (col >= lo[:, None]) & (col <= hi[:, None])

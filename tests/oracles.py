@@ -150,6 +150,14 @@ def flood_fill_segments(frame, cloud, occupied, link_mm, min_px):
     return labels, int(sum(kept))
 
 
+def mask_split_segments(cloud, seg):
+    """Each cluster id's points by one boolean mask over the whole cloud,
+    in cloud row order: the split ``extract_segments`` made before it
+    sorted."""
+    cloud = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
+    return [cloud[seg.labels == i] for i in range(seg.k)]
+
+
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
@@ -387,12 +395,12 @@ def loop_fill_polygon(cells, active, poly_uv, level, mode):
 
 def loop_trapezoid_mask(g):
     """Row by row: each row spans the rounded view-field edges at the far
-    depth of its pins' pre-image."""
+    depth of its pins' pre-image, scaled as a point's x is scaled."""
     mask = np.zeros((g.rows, g.cols), dtype=bool)
     v_max = int(math.floor(g.scale * (g.far - g.near) + 0.5))
     for v in range(v_max + 1):
         z_hi = min(g.far, g.near + (v + 0.5) / g.scale)
-        half = g.scale * z_hi * g.half_tan
+        half = g.scale * (z_hi * g.half_tan)
         lo = max(int(math.floor(g.cols / 2.0 - half + 0.5)), 0)
         hi = min(int(math.floor(g.cols / 2.0 + half + 0.5)), g.cols - 1)
         mask[v, lo:hi + 1] = True

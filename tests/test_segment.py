@@ -1,8 +1,8 @@
-"""Image segmentation, voxel filter and DBSCAN checked byte for byte
-against independent references: a breadth-first flood fill over the
-depth image, row-unique keys with an unbuffered add, a dense O(n^2)
-DBSCAN, and on scene-sized clouds a DBSCAN built on scipy's
-connected_components."""
+"""Image segmentation, segment split, voxel filter and DBSCAN checked
+byte for byte against independent references: a breadth-first flood
+fill over the depth image, one boolean mask per segment, row-unique keys
+with an unbuffered add, a dense O(n^2) DBSCAN, and on scene-sized clouds
+a DBSCAN built on scipy's connected_components."""
 
 import functools
 import tracemalloc
@@ -17,7 +17,8 @@ from hapmap.segment import (Segmentation, _roots, dbscan, extract_segments,
                             image_segments, voxel_downsample)
 
 from oracles import (as_partition, blob_cloud, brute_dbscan, brute_voxel_downsample,
-                     csgraph_dbscan, csgraph_roots, flood_fill_segments)
+                     csgraph_dbscan, csgraph_roots, flood_fill_segments,
+                     mask_split_segments)
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
 
@@ -176,6 +177,66 @@ class TestImageSegments:
         occupied = np.array([True, True, False, True])
         seg = image_segments(frame, cloud, occupied, 80.0, 1)
         assert seg.labels.tolist() == [0, 0, 1]
+
+    def test_u_joined_only_through_its_bottom_row(self):
+        # the right arm scans first, the left arm's runs join it only in
+        # the last row, and a separate pixel scans between the arms
+        frame, cloud = image_and_cloud([[0, 0, 0, 0, 1000],
+                                        [1000, 0, 3000, 0, 1000],
+                                        [1000, 0, 0, 0, 1000],
+                                        [1000, 1000, 1000, 1000, 1000]])
+        occupied = np.ones(cloud.shape[0], dtype=bool)
+        seg = assert_same_as_flood_fill(frame, cloud, occupied, 80.0, 1)
+        assert seg.k == 2
+        assert seg.labels.tolist() == [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]
+
+    @pytest.mark.parametrize("min_px, k", [(5, 1), (6, 0)])
+    def test_size_sums_runs_shorter_than_min_px(self, min_px, k):
+        # a one-pixel-wide column: five runs of one pixel each
+        frame, cloud = image_and_cloud([[0, 900, 0]] * 5)
+        seg = assert_same_as_flood_fill(frame, cloud, np.ones(5, dtype=bool),
+                                        80.0, min_px)
+        assert seg.k == k
+        assert seg.labels.tolist() == [k - 1] * 5
+
+    def test_depth_step_splits_a_run_and_a_lower_row_rejoins_it(self):
+        # 1000 -> 1200 steps by more than link_mm inside the first row;
+        # the second row ramps in steps of at most link_mm and links down
+        # to both halves
+        frame, cloud = image_and_cloud([[1000, 1000, 1200, 1200],
+                                        [1000, 1040, 1120, 1160]])
+        first_row = np.array([True] * 4 + [False] * 4)
+        seg = assert_same_as_flood_fill(frame, cloud, first_row, 80.0, 1)
+        assert seg.labels.tolist() == [0, 0, 1, 1]
+        seg = assert_same_as_flood_fill(frame, cloud, np.ones(8, dtype=bool),
+                                        80.0, 1)
+        assert seg.k == 1 and seg.labels.tolist() == [0] * 8
+        # the same with the step in the lower row: one upper run links
+        # down to both halves
+        frame, cloud = image_and_cloud([[1000, 1040, 1120, 1160],
+                                        [1000, 1000, 1200, 1200]])
+        seg = assert_same_as_flood_fill(frame, cloud, ~first_row, 80.0, 1)
+        assert seg.labels.tolist() == [0, 0, 1, 1]
+        seg = assert_same_as_flood_fill(frame, cloud, np.ones(8, dtype=bool),
+                                        80.0, 1)
+        assert seg.k == 1 and seg.labels.tolist() == [0] * 8
+
+    def test_every_pixel_its_own_run(self):
+        # a checkerboard of occupied pixels has no links at all
+        frame, cloud = image_and_cloud(np.full((6, 7), 1000))
+        r, c = np.divmod(frame.pixels, frame.width)
+        board = (r + c) % 2 == 0
+        seg = assert_same_as_flood_fill(frame, cloud, board, 80.0, 1)
+        assert seg.labels.tolist() == list(range(int(board.sum())))
+        seg = assert_same_as_flood_fill(frame, cloud, board, 80.0, 2)
+        assert seg.k == 0 and (seg.labels == -1).all()
+        # columns alternating in depth: one-pixel runs, joined down the
+        # columns only, so each column is one segment
+        depths = np.where(np.arange(7) % 2 == 0, 1000, 2000)
+        frame, cloud = image_and_cloud(np.tile(depths, (6, 1)))
+        seg = assert_same_as_flood_fill(frame, cloud, np.ones(42, dtype=bool),
+                                        80.0, 6)
+        assert seg.labels.tolist() == list(range(7)) * 6
 
     def test_nothing_occupied(self):
         frame, cloud = image_and_cloud([[0, 800], [800, 800]])
@@ -484,3 +545,41 @@ class TestExtractSegments:
     def test_misaligned_labels(self):
         with pytest.raises(ValueError):
             extract_segments(np.zeros((3, 3)), Segmentation(labels=np.zeros(2), k=1))
+
+
+def assert_same_as_mask_split(cloud, seg):
+    segs = extract_segments(cloud, seg)
+    ref = mask_split_segments(cloud, seg)
+    assert [s.id for s in segs] == list(range(seg.k))
+    # bytes fix the point order inside each segment, too
+    assert [s.points.tobytes() for s in segs] == [r.tobytes() for r in ref]
+
+
+class TestExtractMatchesMaskSplit:
+    """The one-sort split against one boolean mask per segment."""
+
+    def test_interleaved_labels_with_noise(self):
+        rng = np.random.default_rng(9)
+        cloud = rng.normal(0.0, 100.0, size=(500, 3))
+        labels = rng.integers(-1, 7, size=500)
+        assert_same_as_mask_split(cloud, Segmentation(labels=labels, k=7))
+
+    def test_all_noise(self):
+        # ids without a point still get an empty segment each
+        cloud = np.arange(12, dtype=float).reshape(4, 3)
+        assert_same_as_mask_split(cloud, Segmentation(labels=np.full(4, -1), k=3))
+
+    def test_k_zero(self):
+        cloud = np.arange(12, dtype=float).reshape(4, 3)
+        assert_same_as_mask_split(cloud, Segmentation(labels=np.full(4, -1), k=0))
+        assert_same_as_mask_split(np.zeros((0, 3)),
+                                  Segmentation(labels=np.zeros(0, dtype=np.int64), k=0))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_clutter_frames(self, seed):
+        frame, cloud, occupied = clutter_occupied(seed)
+        cfg = PipelineConfig()
+        seg = image_segments(frame, cloud, occupied, cfg.segment_link_mm,
+                             cfg.segment_min_px)
+        assert seg.k >= 5
+        assert_same_as_mask_split(cloud[occupied], seg)

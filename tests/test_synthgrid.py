@@ -11,15 +11,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hapmap import synthgrid
 from hapmap.depthio import Intrinsics
 from hapmap.labeling import REQUIRED_TAGS, builtin_sheet
 from hapmap.synthgrid import (AreaGeometry, FrustumError, PinGrid, _fill_polygon,
                               clip_polygon_to_frustum, emit, map_continuous,
-                              map_to_area, parse_grid_json, rasterize_raw,
-                              rasterize_scene, trapezoid_mask)
+                              map_to_area, map_to_pins, parse_grid_json,
+                              rasterize_raw, rasterize_scene, trapezoid_mask)
 
 from oracles import (loop_emit_ascii, loop_fill_polygon, loop_glyph_stamp,
                      loop_trapezoid_mask, rect_descriptor)
@@ -147,11 +147,45 @@ def labelled_objects(draw, g):
                            label=draw(st.sampled_from(REQUIRED_TAGS)))
 
 
+# view-field edges on a rounding tie, where the float product decides the
+# pin: here the far row's left edge point maps to u = 0.5 (pin 1), but
+# cols/2 - scale * z * half_tan gives 0.49999999999999956 (pin 0) ...
+TIE_AREA = AreaGeometry(near=100, far=200, half_tan=0.140625, small_basis=3,
+                        rows=12, cols=7)
+# ... and here the point maps to u = 0.4999999999999998 (pin 0), but that
+# expression gives 0.5 (pin 1), so a mask built on it misses the point
+DROPPED_EDGE_AREA = AreaGeometry(near=100.0, far=300.0, half_tan=1.05,
+                                 small_basis=1, rows=2, cols=4)
+
+
+class TestMaskCoversMapping:
+    """Every point in the view field maps to an active pin."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=area_geometries(), shares=st.lists(st.floats(0.0, 1.0), max_size=20))
+    @example(g=TIE_AREA, shares=[])
+    @example(g=DROPPED_EDGE_AREA, shares=[])
+    def test_in_view_points_land_on_active_pins(self, g, shares):
+        # depths: the row boundaries and their float neighbours, the band
+        # ends and random depths; at each, both view-field edges and the axis
+        bounds = g.near + (np.arange(g.v_max + 1) + 0.5) / g.scale
+        z = np.concatenate([bounds, np.nextafter(bounds, np.inf),
+                            np.nextafter(bounds, -np.inf), [g.near, g.far],
+                            g.near + np.array(shares) * (g.far - g.near)])
+        z = z[(z >= g.near) & (z <= g.far)]
+        edge = z * g.half_tan
+        x = np.concatenate([-edge, edge, np.zeros_like(z)])
+        u, v = map_to_pins(x, np.tile(z, 3), g)
+        assert trapezoid_mask(g)[v, u].all()
+
+
 class TestAreaMatchesLoops:
     """The array trapezoid and glyph stamp against the deleted loops."""
 
     @settings(max_examples=300, deadline=None)
     @given(g=area_geometries())
+    @example(g=TIE_AREA)
+    @example(g=DROPPED_EDGE_AREA)
     def test_trapezoid_mask(self, g):
         assert trapezoid_mask(g).tobytes() == loop_trapezoid_mask(g).tobytes()
 
