@@ -78,10 +78,6 @@ class DepthFrame:
     def height(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def valid_mask(self) -> np.ndarray:
-        return self.data > 0
-
     @cached_property
     def pixels(self) -> np.ndarray:
         """Flat row-major indices of the valid (nonzero) pixels, int64.

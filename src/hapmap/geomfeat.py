@@ -5,12 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 MM2_PER_M2 = 1e6
-# Hull pruning.  A pruned point lies inside every qhull facet by more than
-# this share of the largest coordinate: far above float64 rounding and
-# qhull's own error, so no point that could be a vertex is dropped.
+# Hull pruning.  A pruned point lies inside every octagon edge by more
+# than this share of the largest coordinate: far above float64 rounding,
+# so no point that could be a vertex is dropped.
 _PRUNE_TOL = 1e-9
 
 
@@ -51,22 +50,6 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _prune_tol(pts: np.ndarray) -> float:
-    return _PRUNE_TOL * max(float(np.abs(pts).max()), 1.0)
-
-
-def _inside(pts: np.ndarray, eq: np.ndarray, tol: float) -> np.ndarray:
-    """Points inside every half-plane a*x + b*z + c <= 0 by more than tol.
-
-    (a, b) are unit outward normals.  One line at a time, so memory stays
-    O(n) for any number of lines.
-    """
-    inside = np.ones(pts.shape[0], dtype=bool)
-    for a, b, c in eq:
-        inside &= a * pts[:, 0] + b * pts[:, 1] + c < -tol
-    return inside
-
-
 def _octagon_prefilter(pts: np.ndarray) -> np.ndarray:
     """Drop the points well inside the octagon of the extreme points.
 
@@ -90,23 +73,14 @@ def _octagon_prefilter(pts: np.ndarray) -> np.ndarray:
     twice_area = np.sum(octagon[:, 0] * edge[:, 1] - octagon[:, 1] * edge[:, 0])
     if not twice_area > 0:
         return pts
+    # unit outward normals (a, b): inside is a*x + b*z + c < 0
     normal = np.column_stack([edge[:, 1], -edge[:, 0]]) / length[:, None]
-    eq = np.column_stack([normal, -np.sum(normal * octagon, axis=1)])
-    return pts[~_inside(pts, eq, _prune_tol(pts))]
-
-
-def _hull_candidates(pts: np.ndarray) -> np.ndarray:
-    """The points that may be hull vertices, in their input order.
-
-    A point is dropped only when it lies inside every qhull facet by more
-    than a tolerance far above rounding error.  Inputs qhull rejects
-    (collinear, too few points) keep every point.
-    """
-    try:
-        eq = ConvexHull(pts).equations          # unit normals: inside < 0
-    except QhullError:
-        return pts
-    return pts[~_inside(pts, eq, _prune_tol(pts))]
+    offset = -np.sum(normal * octagon, axis=1)
+    tol = _PRUNE_TOL * max(float(np.abs(pts).max()), 1.0)
+    inside = np.ones(pts.shape[0], dtype=bool)
+    for a, b, c in zip(normal[:, 0], normal[:, 1], offset):
+        inside &= a * x + b * z + c < -tol
+    return np.compress(~inside, pts, axis=0)
 
 
 def convex_hull_2d(points: np.ndarray) -> np.ndarray:
@@ -116,8 +90,7 @@ def convex_hull_2d(points: np.ndarray) -> np.ndarray:
     with fewer than 3 vertices.  Points well inside the octagon of the
     extreme points are dropped first.  The rest are sorted by (x, z) and
     repeats of the row before are dropped, keeping the first in input
-    order.  Points well inside qhull's hull are dropped next; the chain
-    runs over the remaining candidates.
+    order; the chain runs over what remains.
     """
     pts = _octagon_prefilter(np.asarray(points, dtype=np.float64).reshape(-1, 2))
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
@@ -128,7 +101,7 @@ def convex_hull_2d(points: np.ndarray) -> np.ndarray:
         return pts
     # Python floats: the same IEEE double arithmetic, without the cost
     # of numpy scalars
-    pts = _hull_candidates(pts).tolist()
+    pts = pts.tolist()
     lower: list[list[float]] = []
     for p in pts:
         while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
@@ -139,8 +112,7 @@ def convex_hull_2d(points: np.ndarray) -> np.ndarray:
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = np.array(lower[:-1] + upper[:-1])
-    return hull
+    return np.array(lower[:-1] + upper[:-1])
 
 
 def polygon_area(polygon: np.ndarray) -> float:
@@ -184,8 +156,7 @@ def footprint(points: np.ndarray) -> Footprint:
     if pts.shape[0] == 0:
         raise ValueError("empty segment")
     hull = convex_hull_2d(pts[:, [0, 2]])
-    degenerate = hull.shape[0] < 3
     return Footprint(hull=hull,
-                     area_m2=0.0 if degenerate else polygon_area(hull),
+                     area_m2=polygon_area(hull),
                      barycenter=pts.mean(axis=0),
-                     degenerate=degenerate)
+                     degenerate=hull.shape[0] < 3)

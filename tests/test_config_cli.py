@@ -566,8 +566,8 @@ class TestCli:
                        "--ground-mask", str(mask)])
         assert rc == 0
         frame = depthio.load_depth_pgm(out.read_bytes())
-        assert frame.width == 160 and frame.valid_mask.sum() > 0
-        assert depthio.load_depth_pgm(mask.read_bytes()).valid_mask.sum() > 0
+        assert frame.width == 160 and frame.pixels.size > 0
+        assert depthio.load_depth_pgm(mask.read_bytes()).pixels.size > 0
 
     def test_scenegen_rejects_non_finite_spec(self, tmp_path, capsys):
         scene = tmp_path / "scene.txt"

@@ -30,7 +30,7 @@ class TestLoadDepth:
 
     def test_single_invalid_pixel(self):
         frame = load_depth_pgm(make_pgm(1, 1, [0]))
-        assert frame.valid_mask.sum() == 0
+        assert frame.pixels.size == 0
 
     def test_8bit_maxval(self):
         frame = load_depth_pgm(make_pgm(2, 1, [7, 255], maxval=255))

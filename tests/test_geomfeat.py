@@ -182,6 +182,20 @@ class TestHullMatchesChain:
             assert _octagon_prefilter(xz).shape[0] < xz.shape[0] / 4
             assert_same_as_chain(xz)
 
+    @pytest.mark.parametrize("axes, share", [((1000.0, 1000.0), 0.10),
+                                             ((1000.0, 150.0), 0.28)])
+    def test_filled_ellipse_little_pruned(self, axes, share):
+        # the slow case: uniform over a disk or a 1000:150 ellipse, the
+        # octagon drops only the interior, so the chain sees thousands of
+        # points (the octagon covers 2(a + b) / (pi sqrt(a² + b²)) of it)
+        rng = np.random.default_rng(7)
+        r = np.sqrt(rng.uniform(0.0, 1.0, 20_000))
+        t = rng.uniform(0.0, 2 * np.pi, 20_000)
+        pts = np.column_stack([r * np.cos(t), r * np.sin(t)]) * axes
+        kept = _octagon_prefilter(pts).shape[0] / pts.shape[0]
+        assert share - 0.03 < kept < share + 0.03
+        assert_same_as_chain(pts)
+
     @pytest.mark.parametrize("n", [8, 9, 10, 50])
     def test_degenerate_octagons(self, n):
         # inputs whose octagon has no area keep every point; so do inputs
