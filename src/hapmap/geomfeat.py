@@ -7,10 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 MM2_PER_M2 = 1e6
-# Hull pruning.  A pruned point lies inside every octagon edge by more
-# than this share of the largest coordinate: far above float64 rounding,
-# so no point that could be a vertex is dropped.
-_PRUNE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -40,7 +36,8 @@ class GeometricClass:
 
 @dataclass
 class Footprint:
-    hull: np.ndarray          # (m, 2) counter-clockwise (x, z) vertices
+    hull: np.ndarray          # (m, 2) counter-clockwise (x, z) hull of each
+                              # image column's nearest and farthest point
     area_m2: float
     barycenter: np.ndarray    # (3,) centroid of the segment points, mm
     degenerate: bool
@@ -50,49 +47,15 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _octagon_prefilter(pts: np.ndarray) -> np.ndarray:
-    """Drop the points well inside the octagon of the extreme points.
-
-    Akl & Toussaint (IPL 1978): the points extreme in x, z, x + z and
-    x - z lie on the hull, so a point inside their octagon by more than
-    the pruning tolerance cannot be a hull vertex.  Input order is kept.
-    Fewer than 9 points, or an octagon of no area (all points identical
-    or collinear), keep every point.
-    """
-    if pts.shape[0] < 9:
-        return pts
-    x, z = pts[:, 0], pts[:, 1]
-    # counter-clockwise: support points of directions 0, 45, ..., 315 deg
-    octagon = pts[[np.argmax(x), np.argmax(x + z), np.argmax(z),
-                   np.argmax(z - x), np.argmin(x), np.argmin(x + z),
-                   np.argmin(z), np.argmax(x - z)]]
-    edge = np.roll(octagon, -1, axis=0) - octagon
-    length = np.hypot(edge[:, 0], edge[:, 1])
-    proper = length > 0
-    octagon, edge, length = octagon[proper], edge[proper], length[proper]
-    twice_area = np.sum(octagon[:, 0] * edge[:, 1] - octagon[:, 1] * edge[:, 0])
-    if not twice_area > 0:
-        return pts
-    # unit outward normals (a, b): inside is a*x + b*z + c < 0
-    normal = np.column_stack([edge[:, 1], -edge[:, 0]]) / length[:, None]
-    offset = -np.sum(normal * octagon, axis=1)
-    tol = _PRUNE_TOL * max(float(np.abs(pts).max()), 1.0)
-    inside = np.ones(pts.shape[0], dtype=bool)
-    for a, b, c in zip(normal[:, 0], normal[:, 1], offset):
-        inside &= a * x + b * z + c < -tol
-    return np.compress(~inside, pts, axis=0)
-
-
 def convex_hull_2d(points: np.ndarray) -> np.ndarray:
     """Monotone-chain convex hull, counter-clockwise, collinear-free.
 
     Fewer than 3 distinct non-collinear points yield a degenerate result
-    with fewer than 3 vertices.  Points well inside the octagon of the
-    extreme points are dropped first.  The rest are sorted by (x, z) and
+    with fewer than 3 vertices.  The points are sorted by (x, z) and
     repeats of the row before are dropped, keeping the first in input
     order; the chain runs over what remains.
     """
-    pts = _octagon_prefilter(np.asarray(points, dtype=np.float64).reshape(-1, 2))
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     distinct = np.ones(pts.shape[0], dtype=bool)
     distinct[1:] = (pts[1:] != pts[:-1]).any(axis=1)
@@ -150,12 +113,30 @@ def classify_geometry(height_mm: float, area_m2: float,
                           height_mm=height_mm, area_m2=area_m2)
 
 
-def footprint(points: np.ndarray) -> Footprint:
-    """Ground-plane footprint of a segment: hull over (x, z) plus centroid."""
+def footprint(points: np.ndarray, columns: np.ndarray) -> Footprint:
+    """Ground-plane footprint of a segment: hull over (x, z) plus centroid.
+
+    columns holds each point's image column.  The points of one column
+    lie on one ray from the camera in (x, z), so only the column's
+    nearest and farthest points (least and greatest z) can be hull
+    vertices, and the chain runs on those alone.  Without an image,
+    np.arange(n) gives each point its own column and drops nothing.
+    """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    columns = np.asarray(columns)
     if pts.shape[0] == 0:
         raise ValueError("empty segment")
-    hull = convex_hull_2d(pts[:, [0, 2]])
+    if columns.shape != (pts.shape[0],):
+        raise ValueError("columns need one entry per point")
+    if columns.min() < 0:
+        raise ValueError("columns must be non-negative")
+    z = pts[:, 2]
+    near = np.full(columns.max() + 1, np.inf)
+    far = np.full(near.size, -np.inf)
+    np.minimum.at(near, columns, z)
+    np.maximum.at(far, columns, z)
+    ends = (z == near[columns]) | (z == far[columns])
+    hull = convex_hull_2d(np.compress(ends, pts, axis=0)[:, [0, 2]])
     return Footprint(hull=hull,
                      area_m2=polygon_area(hull),
                      barycenter=pts.mean(axis=0),

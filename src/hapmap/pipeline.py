@@ -139,10 +139,12 @@ def analyze_scene(config: PipelineConfig, frame: depthio.DepthFrame,
         labels = seg.image_segments(frame, cloud, occupied,
                                     config.segment_link_mm,
                                     config.segment_min_px)
-        segments = seg.extract_segments(points, labels)
+        segments = seg.extract_segments(
+            points, np.compress(occupied, frame.pixels), labels)
 
     with _stage("features"):
-        footprints = [geomfeat.footprint(s.points) for s in segments]
+        footprints = [geomfeat.footprint(s.points, s.pixels % frame.width)
+                      for s in segments]
         geometries = [
             geomfeat.classify_geometry(
                 geomfeat.height_p90(s.points, ground_y),

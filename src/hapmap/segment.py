@@ -2,10 +2,10 @@
 
 ``image_segments`` is the pipeline's segmentation: neighbouring occupied
 pixels of similar depth are linked and the components taken, and
-``extract_segments`` splits the points by segment.  ``voxel_downsample``
-and ``dbscan`` are the earlier point-cloud front end; nothing in the
-package calls them, and they stay only because ``perfbench/tracer.py``
-names them in ``TRACED``.
+``extract_segments`` splits the points and their pixel indices by
+segment.  ``voxel_downsample`` and ``dbscan`` are the earlier
+point-cloud front end; nothing in the package calls them, and they stay
+only because ``perfbench/tracer.py`` names them in ``TRACED``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .depthio import DepthFrame
 
 @dataclass
 class Segmentation:
-    labels: np.ndarray   # per-point int: -1 noise, 0..k-1 cluster ids
+    labels: np.ndarray   # one segment id per occupied cloud row, -1 for noise
     k: int
 
 
@@ -28,6 +28,7 @@ class Segmentation:
 class Segment:
     id: int
     points: np.ndarray   # (m, 3) subset of the segmented cloud
+    pixels: np.ndarray   # (m,) flat pixel index of each point, in point order
 
 
 def image_segments(frame: DepthFrame, cloud: np.ndarray, occupied: np.ndarray,
@@ -188,15 +189,20 @@ def dbscan(cloud: np.ndarray, eps: float = 80.0, min_pts: int = 10) -> Segmentat
     return Segmentation(labels=labels, k=int(k))
 
 
-def extract_segments(cloud: np.ndarray, seg: Segmentation) -> list[Segment]:
-    """One Segment per cluster id, ordered by id; noise points are dropped."""
+def extract_segments(cloud: np.ndarray, pixels: np.ndarray,
+                     seg: Segmentation) -> list[Segment]:
+    """One Segment per cluster id, ordered by id; noise points are dropped.
+
+    pixels holds the flat pixel index of each cloud row; each segment
+    takes its points' indices in the same order as its points.
+    """
     cloud = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
-    if seg.labels.shape[0] != cloud.shape[0]:
-        raise ValueError("labels do not align with the cloud")
+    if not seg.labels.shape[0] == cloud.shape[0] == len(pixels):
+        raise ValueError("labels and pixels do not align with the cloud")
     # one stable sort groups each id's points and keeps them in cloud order;
     # np.take gathers rows several times faster than cloud[rows]
     order = np.argsort(seg.labels, kind="stable")
     bounds = np.searchsorted(seg.labels[order], np.arange(seg.k + 1))
-    return [Segment(id=i, points=np.take(cloud, order[bounds[i]:bounds[i + 1]],
-                                         axis=0))
-            for i in range(seg.k)]
+    return [Segment(id=i, points=np.take(cloud, order[a:b], axis=0),
+                    pixels=np.take(pixels, order[a:b]))
+            for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]

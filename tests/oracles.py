@@ -150,12 +150,13 @@ def flood_fill_segments(frame, cloud, occupied, link_mm, min_px):
     return labels, int(sum(kept))
 
 
-def mask_split_segments(cloud, seg):
-    """Each cluster id's points by one boolean mask over the whole cloud,
-    in cloud row order: the split ``extract_segments`` made before it
-    sorted."""
+def mask_split_segments(cloud, pixels, seg):
+    """Each cluster id's (points, pixel indices) by one boolean mask over
+    the whole cloud, in cloud row order: the split ``extract_segments``
+    made before it sorted."""
     cloud = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
-    return [cloud[seg.labels == i] for i in range(seg.k)]
+    return [(cloud[seg.labels == i], pixels[seg.labels == i])
+            for i in range(seg.k)]
 
 
 def _cross(o, a, b):

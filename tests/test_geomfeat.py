@@ -1,6 +1,9 @@
-"""Hull, area, and percentile-height features; hull checked against an
-all-pairs half-plane oracle and, vertex for vertex, against an unpruned
-monotone chain, also on the pixel segments of rendered frames."""
+"""Hull, area, and percentile-height features.  The hull is checked
+against an all-pairs half-plane oracle and, vertex for vertex, against
+an independent monotone chain over every point.  The footprint hull,
+taken from each image column's nearest and farthest point, is checked
+against that chain as a polygon on the pixel segments of rendered
+frames."""
 
 import functools
 
@@ -10,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hapmap import depthio, pipeline, scenegen
 from hapmap.config import PipelineConfig
-from hapmap.geomfeat import (GeometricClass, GeometryThresholds, _octagon_prefilter,
+from hapmap.geomfeat import (GeometricClass, GeometryThresholds,
                              classify_geometry, convex_hull_2d, footprint,
                              height_p90, polygon_area)
 
@@ -24,10 +27,23 @@ def assert_same_as_chain(pts):
     assert got.tobytes() == ref.tobytes()
 
 
+def assert_same_polygon(hull, ref):
+    """hull and the oracle hull ref are one polygon: every vertex of hull
+    is a vertex of ref, no vertex of ref lies outside hull by more than
+    1e-9 of the largest coordinate, and the areas agree to 1e-12."""
+    assert {tuple(p) for p in hull} <= {tuple(p) for p in ref}
+    edge = np.roll(hull, -1, axis=0) - hull
+    rel = ref[:, None, :] - hull[None, :, :]
+    inward = ((edge[:, 0] * rel[..., 1] - edge[:, 1] * rel[..., 0])
+              / np.hypot(edge[:, 0], edge[:, 1]))
+    assert -inward.min(axis=1).max() <= 1e-9 * np.abs(ref).max()
+    assert polygon_area(hull) == pytest.approx(polygon_area(ref), rel=1e-12)
+
+
 @functools.lru_cache(maxsize=None)
 def frame_segments(seed):
-    """(x, z) columns of the pixel segments of a 640x480 frame of five
-    boxes, each segment the occupied pixels analyze_scene groups."""
+    """(points, image columns) of the pixel segments of a 640x480 frame of
+    five boxes, each segment the occupied pixels analyze_scene groups."""
     rng = np.random.default_rng(seed)
     boxes = [scenegen.BoxSpec(float(x + rng.uniform(-80, 80)),
                               float(z + rng.uniform(-80, 80)),
@@ -41,7 +57,7 @@ def frame_segments(seed):
     k = depthio.DEFAULT_INTRINSICS
     frame, _ = scenegen.render_depth(spec, k, 640, 480)
     scene = pipeline.analyze_scene(PipelineConfig(), frame, k)
-    return [s.points[:, [0, 2]] for s in scene.segments]
+    return [(s.points, s.pixels % frame.width) for s in scene.segments]
 
 
 def brute_hull_vertices(pts):
@@ -116,7 +132,7 @@ class TestConvexHull:
 
 
 class TestHullMatchesChain:
-    """Pruned hull equals the unpruned monotone chain, in vertex order."""
+    """convex_hull_2d equals the oracle's monotone chain, in vertex order."""
 
     @pytest.mark.parametrize("n", [3, 5, 16, 17, 40, 500, 3000])
     def test_random(self, n):
@@ -177,49 +193,9 @@ class TestHullMatchesChain:
         # thousands of noisy points per segment, as analyze_scene passes
         segments = frame_segments(seed)
         assert len(segments) >= 4
-        for xz in segments:
-            assert xz.shape[0] > 1000
-            assert _octagon_prefilter(xz).shape[0] < xz.shape[0] / 4
-            assert_same_as_chain(xz)
-
-    @pytest.mark.parametrize("axes, share", [((1000.0, 1000.0), 0.10),
-                                             ((1000.0, 150.0), 0.28)])
-    def test_filled_ellipse_little_pruned(self, axes, share):
-        # the slow case: uniform over a disk or a 1000:150 ellipse, the
-        # octagon drops only the interior, so the chain sees thousands of
-        # points (the octagon covers 2(a + b) / (pi sqrt(a² + b²)) of it)
-        rng = np.random.default_rng(7)
-        r = np.sqrt(rng.uniform(0.0, 1.0, 20_000))
-        t = rng.uniform(0.0, 2 * np.pi, 20_000)
-        pts = np.column_stack([r * np.cos(t), r * np.sin(t)]) * axes
-        kept = _octagon_prefilter(pts).shape[0] / pts.shape[0]
-        assert share - 0.03 < kept < share + 0.03
-        assert_same_as_chain(pts)
-
-    @pytest.mark.parametrize("n", [8, 9, 10, 50])
-    def test_degenerate_octagons(self, n):
-        # inputs whose octagon has no area keep every point; so do inputs
-        # of fewer than 9 points
-        rng = np.random.default_rng(n)
-        t = rng.uniform(-500.0, 500.0, n)
-        two = np.array([[1.0, 2.0], [300.0, -7.0]])
-        for pts in (np.full((n, 2), -3.25),
-                    np.column_stack([t, 2.0 * t - 1.0]),
-                    np.column_stack([t, np.full(n, 5.0)]),
-                    two[rng.integers(0, 2, size=n)],
-                    1e6 + rng.uniform(-1e-9, 1e-9, size=(n, 2))):
-            assert _octagon_prefilter(pts).shape == pts.shape
-            assert_same_as_chain(pts)
-
-    def test_prefilter_keeps_the_order_and_the_vertices(self):
-        rng = np.random.default_rng(14)
-        pts = rng.uniform(-100.0, 100.0, size=(2000, 2))
-        kept = _octagon_prefilter(pts)
-        assert 8 <= kept.shape[0] < 1000
-        rows = [int(np.flatnonzero((pts == p).all(axis=1))[0]) for p in kept]
-        assert rows == sorted(rows)
-        hull = {tuple(p) for p in monotone_chain_hull(pts)}
-        assert hull <= {tuple(p) for p in kept}
+        for points, _ in segments:
+            assert points.shape[0] > 1000
+            assert_same_as_chain(points[:, [0, 2]])
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
@@ -234,6 +210,90 @@ class TestHullMatchesChain:
     @example([(-0.0, 1.0), (5.0, 2.0), (0.0, 1.0), (3.0, -4.0)])
     def test_random_floats(self, coords):
         assert_same_as_chain(np.array(coords))
+
+
+class TestColumnFilter:
+    """footprint keeps each image column's nearest and farthest point and
+    runs the chain on them; checked against the chain over every point."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_pixel_segments_match_chain_as_polygons(self, seed):
+        for points, columns in frame_segments(seed):
+            fp = footprint(points, columns)
+            ref = monotone_chain_hull(points[:, [0, 2]])
+            assert fp.hull.shape[0] >= 4
+            assert_same_polygon(fp.hull, ref)
+
+    def test_own_column_per_point_is_the_chain(self):
+        rng = np.random.default_rng(15)
+        lattice = rng.integers(-3, 4, size=(200, 3)) * 100.0
+        lattice[(lattice == 0) & (rng.random(lattice.shape) < 0.5)] = -0.0
+        for pts in (rng.normal((0, -600, 2500), 300, size=(500, 3)),
+                    lattice, np.full((5, 3), 7.0), rng.normal(0, 1, (2, 3))):
+            hull = footprint(pts, np.arange(len(pts))).hull
+            assert hull.tobytes() == monotone_chain_hull(pts[:, [0, 2]]).tobytes()
+
+    def test_rays_keep_their_end_points(self):
+        # 40 image columns u, 50 points each on the ray x = (u - cx) z / fx,
+        # as backproject computes it: the hull is the hull of each ray's
+        # nearest and farthest point, while rounding leaves some inner
+        # points a few ulps off their ray, where the full chain keeps them
+        rng = np.random.default_rng(16)
+        u = np.arange(200, 240)
+        z = rng.uniform(1000.0, 3000.0, size=(40, 50))
+        pts = np.stack([(u[:, None] - 319.5) * z / 525.0,
+                        rng.uniform(-900, -300, z.shape), z],
+                       axis=-1).reshape(-1, 3)
+        columns = np.repeat(u, 50)
+        rays = np.arange(40)
+        ends = np.concatenate([pts.reshape(40, 50, 3)[rays, z.argmin(axis=1)],
+                               pts.reshape(40, 50, 3)[rays, z.argmax(axis=1)]])
+        hull = footprint(pts, columns).hull
+        assert hull.tobytes() == monotone_chain_hull(ends[:, [0, 2]]).tobytes()
+        full = monotone_chain_hull(pts[:, [0, 2]])
+        assert len(full) > len(hull)
+        assert_same_polygon(hull, full)
+
+    def test_one_column_is_degenerate(self):
+        rng = np.random.default_rng(17)
+        pts = rng.normal((0, -600, 2500), 300, size=(100, 3))
+        fp = footprint(pts, np.zeros(100, dtype=np.int64))
+        near, far = pts[pts[:, 2].argmin()], pts[pts[:, 2].argmax()]
+        assert {tuple(p) for p in fp.hull} == {(near[0], near[2]), (far[0], far[2])}
+        assert fp.degenerate and fp.area_m2 == 0.0
+
+    def test_ties_at_the_nearest_and_farthest_depth_are_kept(self):
+        pts = np.array([[0.0, 0, 1000], [50, 0, 1000], [20, 0, 1500],
+                        [-40, 0, 1200], [-10, 0, 1500], [80, 0, 1300]])
+        columns = np.array([3, 3, 3, 3, 3, 5])
+        hull = footprint(pts, columns).hull
+        # column 3 drops only (-40, 1200), which the full chain would keep
+        kept = pts[[0, 1, 2, 4, 5]][:, [0, 2]]
+        assert hull.tobytes() == monotone_chain_hull(kept).tobytes()
+        assert len(hull) == 5 and len(monotone_chain_hull(pts[:, [0, 2]])) == 6
+        # one depth throughout a column: every point is nearest and farthest
+        flat = np.column_stack([pts[:, 0], np.zeros(6), np.full(6, 2000.0)])
+        hull = footprint(flat, np.zeros(6, dtype=np.int64)).hull
+        assert hull.tolist() == [[-40.0, 2000.0], [80.0, 2000.0]]
+
+    def test_sparse_column_ids(self):
+        rng = np.random.default_rng(18)
+        pts = rng.normal((0, -600, 2500), 300, size=(60, 3))
+        columns = np.where(np.arange(60) % 2, 639, 0)
+        ends = [np.flatnonzero(columns == c)[[pts[columns == c, 2].argmin(),
+                                              pts[columns == c, 2].argmax()]]
+                for c in (0, 639)]
+        hull = footprint(pts, columns).hull
+        ref = monotone_chain_hull(pts[np.sort(np.concatenate(ends))][:, [0, 2]])
+        assert hull.tobytes() == ref.tobytes()
+
+    def test_bad_columns_rejected(self):
+        pts = np.zeros((4, 3))
+        for columns in (np.arange(3), np.arange(5), np.zeros((4, 1), dtype=int)):
+            with pytest.raises(ValueError, match="one entry per point"):
+                footprint(pts, columns)
+        with pytest.raises(ValueError, match="non-negative"):
+            footprint(pts, np.array([0, 1, -1, 2]))
 
 
 class TestPolygonArea:
@@ -317,12 +377,12 @@ class TestFootprint:
     def test_barycenter_is_centroid(self):
         rng = np.random.default_rng(3)
         pts = rng.normal((100, -600, 2500), 80, size=(200, 3))
-        fp = footprint(pts)
+        fp = footprint(pts, np.arange(200))
         np.testing.assert_allclose(fp.barycenter, pts.mean(axis=0))
         assert not fp.degenerate
         assert fp.area_m2 > 0
 
     def test_degenerate_line(self):
         pts = np.array([[0, 0, 0], [0, 5, 0], [0, 9, 0]], dtype=float)
-        fp = footprint(pts)
+        fp = footprint(pts, np.arange(3))
         assert fp.degenerate and fp.area_m2 == 0.0

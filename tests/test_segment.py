@@ -526,33 +526,41 @@ class TestExtractSegments:
     def test_counts_and_order(self):
         cloud = np.arange(30, dtype=float).reshape(10, 3)
         labels = np.array([0, 0, 1, -1, 1, 1, 0, -1, 1, 0])
-        segs = extract_segments(cloud, Segmentation(labels=labels, k=2))
+        segs = extract_segments(cloud, np.arange(10),
+                                Segmentation(labels=labels, k=2))
         assert [s.id for s in segs] == [0, 1]
         assert [len(s.points) for s in segs] == [4, 4]
+        assert [s.pixels.tolist() for s in segs] == [[0, 1, 6, 9], [2, 4, 5, 8]]
 
     def test_all_noise(self):
         cloud = np.zeros((3, 3))
-        segs = extract_segments(cloud, Segmentation(labels=np.full(3, -1), k=0))
+        segs = extract_segments(cloud, np.arange(3),
+                                Segmentation(labels=np.full(3, -1), k=0))
         assert segs == []
 
     def test_partition_sizes(self):
         rng = np.random.default_rng(6)
         cloud = blob_cloud(rng)
         seg = dbscan(cloud, 120.0, 5)
-        segs = extract_segments(cloud, seg)
+        segs = extract_segments(cloud, np.arange(len(cloud)), seg)
         assert sum(len(s.points) for s in segs) + (seg.labels == -1).sum() == len(cloud)
 
     def test_misaligned_labels(self):
         with pytest.raises(ValueError):
-            extract_segments(np.zeros((3, 3)), Segmentation(labels=np.zeros(2), k=1))
+            extract_segments(np.zeros((3, 3)), np.arange(3),
+                             Segmentation(labels=np.zeros(2), k=1))
+        with pytest.raises(ValueError):
+            extract_segments(np.zeros((3, 3)), np.arange(2),
+                             Segmentation(labels=np.zeros(3), k=1))
 
 
-def assert_same_as_mask_split(cloud, seg):
-    segs = extract_segments(cloud, seg)
-    ref = mask_split_segments(cloud, seg)
+def assert_same_as_mask_split(cloud, pixels, seg):
+    segs = extract_segments(cloud, pixels, seg)
+    ref = mask_split_segments(cloud, pixels, seg)
     assert [s.id for s in segs] == list(range(seg.k))
     # bytes fix the point order inside each segment, too
-    assert [s.points.tobytes() for s in segs] == [r.tobytes() for r in ref]
+    assert [s.points.tobytes() for s in segs] == [p.tobytes() for p, _ in ref]
+    assert [s.pixels.tobytes() for s in segs] == [x.tobytes() for _, x in ref]
 
 
 class TestExtractMatchesMaskSplit:
@@ -562,18 +570,22 @@ class TestExtractMatchesMaskSplit:
         rng = np.random.default_rng(9)
         cloud = rng.normal(0.0, 100.0, size=(500, 3))
         labels = rng.integers(-1, 7, size=500)
-        assert_same_as_mask_split(cloud, Segmentation(labels=labels, k=7))
+        pixels = np.sort(rng.choice(640 * 480, size=500, replace=False))
+        assert_same_as_mask_split(cloud, pixels, Segmentation(labels=labels, k=7))
 
     def test_all_noise(self):
         # ids without a point still get an empty segment each
         cloud = np.arange(12, dtype=float).reshape(4, 3)
-        assert_same_as_mask_split(cloud, Segmentation(labels=np.full(4, -1), k=3))
+        assert_same_as_mask_split(cloud, np.arange(4),
+                                  Segmentation(labels=np.full(4, -1), k=3))
 
     def test_k_zero(self):
         cloud = np.arange(12, dtype=float).reshape(4, 3)
-        assert_same_as_mask_split(cloud, Segmentation(labels=np.full(4, -1), k=0))
-        assert_same_as_mask_split(np.zeros((0, 3)),
-                                  Segmentation(labels=np.zeros(0, dtype=np.int64), k=0))
+        assert_same_as_mask_split(cloud, np.arange(4),
+                                  Segmentation(labels=np.full(4, -1), k=0))
+        empty = np.zeros(0, dtype=np.int64)
+        assert_same_as_mask_split(np.zeros((0, 3)), empty,
+                                  Segmentation(labels=empty, k=0))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_clutter_frames(self, seed):
@@ -582,4 +594,16 @@ class TestExtractMatchesMaskSplit:
         seg = image_segments(frame, cloud, occupied, cfg.segment_link_mm,
                              cfg.segment_min_px)
         assert seg.k >= 5
-        assert_same_as_mask_split(cloud[occupied], seg)
+        assert_same_as_mask_split(cloud[occupied], frame.pixels[occupied], seg)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_pixels_back_project_to_the_points(self, seed):
+        # a segment's pixels, looked up in the frame's pixel index, are the
+        # cloud rows that back-project to its points
+        frame, scene = clutter_scene(seed)
+        cloud = depthio.backproject(frame, depthio.DEFAULT_INTRINSICS)
+        assert len(scene.segments) >= 5
+        for s in scene.segments:
+            rows = np.searchsorted(frame.pixels, s.pixels)
+            assert (frame.pixels[rows] == s.pixels).all()
+            assert cloud[rows].tobytes() == s.points.tobytes()
