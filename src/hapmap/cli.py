@@ -64,14 +64,14 @@ def _cmd_ground(args) -> int:
     cfg = _load_config(args)
     frame, k = load_inputs(cfg, args.depth)
     area_geometry(cfg, k, frame.width)   # the band must fit the grid here too
-    cloud, on_ground = backproject_ground(cfg, frame, k)
+    band, cloud, on_ground = backproject_ground(cfg, frame, k)
     mask = np.zeros(frame.data.size, dtype=bool)
-    mask[frame.pixels] = on_ground
+    mask[band.pixels] = on_ground
     Path(args.out).write_bytes(
         depthio.mask_to_pgm(mask.reshape(frame.data.shape)))
     if args.cuts:
         lines = []
-        for cut in dcgd.compute_depth_cuts(frame, cloud, cfg.dcgd.z0,
+        for cut in dcgd.compute_depth_cuts(band, cloud, cfg.dcgd.z0,
                                            cfg.dcgd.zf, cfg.dcgd.dz):
             if cut.is_empty:
                 continue

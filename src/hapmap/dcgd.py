@@ -6,11 +6,14 @@ Cut entries near the ground elevation are concave (ground candidates);
 entries rising above it are convex (objects) and are stripped together
 with everything above them in their column/bin cell.
 
-One pass over the frame's back-projected cloud builds the (n+1, width)
-table of cut entries: one ``np.minimum.at`` keyed on ``bin * width + column``
-gives every cell's lowest elevation.  The claim rule then runs once per
-non-empty cut on its table row, and one gather of the concave flags and
-entries at each point's cell yields the ground flag of every point.
+The pipeline applies the band as a pass-through first: ``band_frame``
+keeps the pixels that some cut reaches, and only those are back-projected,
+ground-detected and segmented.  One pass over the back-projected cloud
+builds the (n+1, width) table of cut entries: one ``np.minimum.at`` keyed
+on ``bin * width + column`` gives every cell's lowest elevation.  The
+claim rule then runs on the whole table at once, and one gather of the
+concave flags and entries at each point's cell yields the ground flag of
+every point.
 
 The concave/convex criterion used here: a per-cut baseline found as the
 median of unclaimed entry elevations, with entries claimed as object when
@@ -21,6 +24,7 @@ object surfaces (no ground in the bin) are rejected whole.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,25 +85,63 @@ class SubCut:
             raise ValueError("kind must be concave or convex")
 
 
+def _cut_index(z, z0: float, dz: float):
+    """Nearest cut index of depth z, as a float: floor((z - z0) / dz + 0.5).
+
+    The half-up tie break keeps |z - z_i| <= dz/2.  Every step is a
+    correctly rounded or monotone operation, so the index never falls as z
+    rises; the same holds for z = raw * depth_scale as raw rises.
+    """
+    return np.floor((z - z0) / dz + 0.5)
+
+
+def _last_cut(z0: float, zf: float, dz: float) -> int:
+    """n = ceil((zf - z0) / dz): cuts 0..n cover the whole band [z0, zf]."""
+    return int(np.ceil((zf - z0) / dz))
+
+
+def band_frame(frame: DepthFrame, depth_scale: float,
+               params: DcgdParams) -> DepthFrame:
+    """The pass-through: frame with only the pixels some depth cut reaches
+    left valid, for depth z = raw * depth_scale as ``backproject`` has it.
+
+    DCGD flags no pixel outside the cuts, so back-projecting and
+    ground-detecting this frame gives every pixel it keeps the flag the
+    whole frame would.  The cut index never falls as the raw value rises,
+    so the raw values some cut reaches form one range; bisection on the
+    same cut-index expression finds its ends, and one mask over the raster
+    picks the pixels.
+    """
+    n = _last_cut(params.z0, params.zf, params.dz)
+
+    def index(raw):
+        return _cut_index(raw * depth_scale, params.z0, params.dz)
+
+    raws = range(1, 2**16)   # raw 0 is no return
+    lo = 1 + bisect_left(raws, 0, key=index)
+    hi = bisect_right(raws, n, key=index)
+    return frame.within(lo, hi)
+
+
 def _entry_table(frame: DepthFrame, cloud: np.ndarray, z0: float, zf: float,
                  dz: float):
     """Cut entries of every (cut, column) cell in one pass over the cloud.
 
-    Returns (entry, key, in_band, pixel), n = ceil((zf - z0) / dz): entry is
-    the (n+1, width) table of each cell's lowest y, inf where the cell is
-    empty; in_band flags the cloud rows a cut reaches; key and pixel are the
-    flat cell index bin * width + column and the flat pixel index of each
-    in-band point, in cloud order.
+    Returns (entry, key, in_band, y): entry is the (n+1, width) table of
+    each cell's lowest y, inf where the cell is empty, n = ceil((zf - z0)
+    / dz); in_band flags the cloud rows a cut reaches; key and y are the
+    flat cell index bin * width + column and the elevation of each in-band
+    point, in cloud order.
     """
-    n = int(np.ceil((zf - z0) / dz))
-    # nearest-bin assignment; the half-up tie break keeps |z - z_i| <= dz/2
-    bins = np.floor((cloud[:, 2] - z0) / dz + 0.5).astype(np.int64)
+    n = _last_cut(z0, zf, dz)
+    bins = _cut_index(cloud[:, 2], z0, dz)
     in_band = (bins >= 0) & (bins <= n)
-    pixel = frame.pixels[in_band]
-    key = bins[in_band] * frame.width + pixel % frame.width
+    key = (bins.astype(np.int64) * frame.width
+           + frame.rows_columns[1])[in_band]
+    y = cloud[:, 1][in_band]   # column first: far faster than cloud[in_band, 1]
     entry = np.full((n + 1) * frame.width, np.inf)
-    np.minimum.at(entry, key, cloud[in_band, 1])
-    return entry.reshape(n + 1, frame.width), key, in_band, pixel
+    np.minimum.at(entry, key, y)
+    return entry.reshape(-1, frame.width), key, in_band, y
 
 
 def compute_depth_cuts(frame: DepthFrame, cloud: np.ndarray, z0: float = 800.0,
@@ -113,10 +155,10 @@ def compute_depth_cuts(frame: DepthFrame, cloud: np.ndarray, z0: float = 800.0,
     """
     if z0 >= zf or dz <= 0:
         raise ValueError("need z0 < zf and dz > 0")
-    entry, key, in_band, pixel = _entry_table(frame, cloud, z0, zf, dz)
-    ties = cloud[in_band, 1] == entry.ravel()[key]
+    entry, key, in_band, y = _entry_table(frame, cloud, z0, zf, dz)
+    ties = y == entry.ravel()[key]
     rows = np.full(entry.size, frame.height, dtype=np.int32)
-    np.minimum.at(rows, key[ties], pixel[ties] // frame.width)
+    np.minimum.at(rows, key[ties], frame.rows_columns[0][in_band][ties])
     occupied = entry < np.inf
     rows = np.where(occupied.ravel(), rows, -1).reshape(entry.shape)
     yentry = np.where(occupied, entry, np.nan)
@@ -124,38 +166,46 @@ def compute_depth_cuts(frame: DepthFrame, cloud: np.ndarray, z0: float = 800.0,
             for i in range(len(entry))]
 
 
-def _claims(yv: np.ndarray, baseline_tol: float,
+def _claims(entry: np.ndarray, baseline_tol: float,
             ground_prior: float | None) -> np.ndarray:
-    """Convex flags of one cut's entries: the iterative-median claim rule.
+    """Convex flags of a (cuts, width) table of cut entries, inf where a
+    cell is empty (empty cells come out convex): the iterative-median
+    claim rule, run on every cut at once.
 
-    The baseline is the median elevation of entries not claimed as object;
-    claims start from the optional ground_prior (entries above
-    prior + tol) and grow by re-running the median until stable.
+    Per cut, the baseline is the median elevation of entries not claimed
+    as object; claims start from the optional ground_prior (entries above
+    prior + tol) and grow by re-running the median until stable.  Claims
+    only ever add entries above a threshold, so a cut's unclaimed entries
+    are a prefix of its sorted row: each round's median is
+    (S[lo] + S[hi]) / 2 over that prefix, as ``np.median`` computes it.
     """
-    claimed = np.zeros(yv.size, dtype=bool)
-    if ground_prior is not None:
-        claimed = yv > ground_prior + baseline_tol
-    while not claimed.all():
-        baseline = np.median(yv[~claimed])
-        newly = yv > baseline + baseline_tol
-        if not np.any(newly & ~claimed):
-            break
-        claimed |= newly
-    return claimed
+    s = np.sort(entry, axis=1)
+    limit = np.inf if ground_prior is None else ground_prior + baseline_tol
+    unclaimed = ((s < np.inf) & (s <= limit)).sum(axis=1)   # prefix lengths
+    active = np.flatnonzero(unclaimed)
+    while active.size:
+        m = unclaimed[active]
+        baseline = (s[active, (m - 1) // 2] + s[active, m // 2]) / 2
+        kept = np.minimum(
+            (s[active] <= (baseline + baseline_tol)[:, None]).sum(axis=1), m)
+        unclaimed[active] = kept
+        active = active[(kept < m) & (kept > 0)]
+    top = s[np.arange(len(s)), np.maximum(unclaimed - 1, 0)]
+    return entry > np.where(unclaimed > 0, top, -np.inf)[:, None]
 
 
 def split_subcuts(cut: DepthCut, baseline_tol: float = 50.0,
                   ground_prior: float | None = None) -> list[SubCut]:
     """Split a cut into maximal concave/convex column runs.
 
-    Entries are claimed as convex by ``_claims``.  Runs break at unoccupied
-    columns and at kind changes.
+    Entries are claimed as convex by ``_claims`` on a one-row table.  Runs
+    break at unoccupied columns and at kind changes.
     """
     cols = cut.columns
     if cols.size == 0:
         raise ValueError("cut has no entries")
     yv = cut.y[cols]
-    claimed = _claims(yv, baseline_tol, ground_prior)
+    claimed = _claims(yv[None, :], baseline_tol, ground_prior)[0]
     breaks = np.flatnonzero((np.diff(cols) != 1)
                             | (claimed[1:] != claimed[:-1])) + 1
     starts = np.concatenate(([0], breaks))
@@ -177,22 +227,15 @@ def detect_ground(frame: DepthFrame, cloud: np.ndarray,
     the cell stays excluded.
     """
     on_ground = np.zeros(len(cloud), dtype=bool)
-    entry, key, in_band, _ = _entry_table(frame, cloud, params.z0, params.zf,
+    entry, key, in_band, y = _entry_table(frame, cloud, params.z0, params.zf,
                                           params.dz)
     if not key.size:
         return on_ground
-
     # Elevation prior: the ground is the lowest surface in view.
-    y_band = cloud[in_band, 1]
-    prior = float(np.percentile(y_band, 2.0))
-
-    occupied = entry < np.inf
-    concave = np.zeros(entry.shape, dtype=bool)
-    for i in np.flatnonzero(occupied.any(axis=1)):
-        cols = np.flatnonzero(occupied[i])
-        concave[i, cols] = ~_claims(entry[i, cols], params.baseline_tol, prior)
+    prior = float(np.percentile(y, 2.0))
+    concave = ~_claims(entry, params.baseline_tol, prior)
     on_ground[in_band] = (concave.ravel()[key]
-                          & (y_band <= entry.ravel()[key] + params.include_tol))
+                          & (y <= entry.ravel()[key] + params.include_tol))
     return on_ground
 
 

@@ -56,7 +56,9 @@ class DepthFrame:
     """A 16-bit depth raster. data is a (height, width) uint16 array.
 
     data is read-only through the frame, so the pixel index computed from
-    it stays valid for the frame's lifetime.
+    it stays valid for the frame's lifetime.  Other input must hold whole
+    numbers in uint16 range: nan, inf or 1.7 raise instead of casting to
+    a quiet 0 or a truncated depth.
     """
 
     def __init__(self, data: np.ndarray):
@@ -64,6 +66,9 @@ class DepthFrame:
         if data.ndim != 2:
             raise ValueError("depth data must be a 2-D raster")
         if data.dtype != np.uint16:
+            if data.dtype.kind not in "biu" and not np.all(
+                    np.isfinite(data) & (data == np.floor(data))):
+                raise ValueError("depth values must be finite whole numbers")
             if data.size and (np.any(data < 0) or np.any(data >= 2**16)):
                 raise ValueError("depth values must fit in uint16")
             data = data.astype(np.uint16)
@@ -86,6 +91,25 @@ class DepthFrame:
         step from the image to the cloud and back reads this one index.
         """
         return np.flatnonzero(self.data)
+
+    @cached_property
+    def rows_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """(image row, image column) of each pixel of ``pixels``."""
+        return np.divmod(self.pixels, self.width)
+
+    def within(self, lo: int, hi: int) -> DepthFrame:
+        """The frame with only the pixels of raw value lo..hi left valid
+        (1 <= lo); the others read 0.
+
+        The new frame's pixel index comes from the same mask, so its data
+        is never searched again.
+        """
+        if lo < 1:
+            raise ValueError("the lowest kept raw value must be at least 1")
+        keep = (self.data >= lo) & (self.data <= hi)
+        frame = DepthFrame(self.data * keep)
+        frame.pixels = np.flatnonzero(keep)   # fills the cached_property
+        return frame
 
     def __eq__(self, other):
         return isinstance(other, DepthFrame) and np.array_equal(self.data, other.data)
@@ -224,9 +248,11 @@ def backproject(frame: DepthFrame, k: Intrinsics) -> np.ndarray:
     """
     if not (0 <= k.cx < frame.width and 0 <= k.cy < frame.height):
         raise ValueError("principal point lies outside the image")
-    vs, us = np.divmod(frame.pixels, frame.width)
+    vs, us = frame.rows_columns
     z = frame.data.ravel()[frame.pixels].astype(np.float64) * k.depth_scale
-    cloud = np.empty((z.size, 3))
+    # coordinate-major storage: each coordinate column is contiguous, so
+    # the cut bins and elevations read them without a stride
+    cloud = np.empty((3, z.size)).T
     cloud[:, 0] = (us - k.cx) * z / k.fx
     cloud[:, 1] = (k.cy - vs) * z / k.fy
     cloud[:, 2] = z

@@ -73,9 +73,12 @@ def format_report(descriptors, pins) -> str:
 class SceneAnalysis:
     """One frame's front end, read by run_pipeline and the stage subcommands."""
 
+    frame: depthio.DepthFrame                   # the band frame: the pixels
+                                                # some depth cut reaches
     on_ground: np.ndarray                       # ground flag per cloud row
     ground_y: float                             # ground elevation, mm
-    cloud: np.ndarray                           # row i: pixel frame.pixels[i]
+    cloud: np.ndarray                           # the band frame's points:
+                                                # row i is pixel frame.pixels[i]
     points: np.ndarray                          # occupied cloud rows
     segmentation: seg.Segmentation              # one label per occupied row
     segments: list[seg.Segment]
@@ -112,12 +115,16 @@ def load_inputs(config: PipelineConfig, depth_path: str | Path):
 
 
 def backproject_ground(config: PipelineConfig, frame: depthio.DepthFrame,
-                       k: depthio.Intrinsics) -> tuple[np.ndarray, np.ndarray]:
-    """(cloud, on_ground) under the dcgd stage: the frame's one
-    back-projection and DCGD's ground flag for each of its points."""
+                       k: depthio.Intrinsics
+                       ) -> tuple[depthio.DepthFrame, np.ndarray, np.ndarray]:
+    """(band, cloud, on_ground) under the dcgd stage: the band frame (the
+    pass-through, ``dcgd.band_frame``), its one back-projection and DCGD's
+    ground flag for each of its points.  Pixels outside the band are never
+    back-projected."""
     with _stage("dcgd"):
-        cloud = depthio.backproject(frame, k)
-        return cloud, dcgd.detect_ground(frame, cloud, config.dcgd)
+        band = dcgd.band_frame(frame, k.depth_scale, config.dcgd)
+        cloud = depthio.backproject(band, k)
+        return band, cloud, dcgd.detect_ground(band, cloud, config.dcgd)
 
 
 def analyze_scene(config: PipelineConfig, frame: depthio.DepthFrame,
@@ -125,9 +132,11 @@ def analyze_scene(config: PipelineConfig, frame: depthio.DepthFrame,
     """Ground, occupied-space segments and their geometric features.
 
     The depth cuts cover the whole band, so an in-band point implies
-    detected ground; ground_y is 0 only when the band is empty.
+    detected ground; ground_y is 0 only when the band is empty.  Every
+    stage reads the band frame: the cloud, the ground flags and the
+    segmentation are row-aligned with its pixel index.
     """
-    cloud, on_ground = backproject_ground(config, frame, k)
+    band, cloud, on_ground = backproject_ground(config, frame, k)
 
     with _stage("segment"):
         near, far = config.dcgd.z0, config.dcgd.zf
@@ -136,11 +145,11 @@ def analyze_scene(config: PipelineConfig, frame: depthio.DepthFrame,
                     if on_ground.any() else 0.0)
         occupied = in_band & ~on_ground
         points = np.compress(occupied, cloud, axis=0)   # cloud[occupied], faster
-        labels = seg.image_segments(frame, cloud, occupied,
+        labels = seg.image_segments(band, cloud, occupied,
                                     config.segment_link_mm,
                                     config.segment_min_px)
         segments = seg.extract_segments(
-            points, np.compress(occupied, frame.pixels), labels)
+            points, np.compress(occupied, band.pixels), labels)
 
     with _stage("features"):
         footprints = [geomfeat.footprint(s.points, s.pixels % frame.width)
@@ -152,9 +161,10 @@ def analyze_scene(config: PipelineConfig, frame: depthio.DepthFrame,
             for s, fp in zip(segments, footprints)
         ]
 
-    return SceneAnalysis(on_ground=on_ground, ground_y=ground_y, cloud=cloud,
-                         points=points, segmentation=labels, segments=segments,
-                         footprints=footprints, geometries=geometries)
+    return SceneAnalysis(frame=band, on_ground=on_ground, ground_y=ground_y,
+                         cloud=cloud, points=points, segmentation=labels,
+                         segments=segments, footprints=footprints,
+                         geometries=geometries)
 
 
 def analyze_depth_file(config: PipelineConfig, depth_path: str | Path

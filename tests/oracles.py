@@ -9,9 +9,13 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from hapmap.classifier import _softmax64 as softmax64
-from hapmap.dcgd import DcgdParams, DepthCut, SubCut
-from hapmap.geomfeat import Footprint, classify_geometry, polygon_area
+from hapmap.dcgd import (DcgdParams, DepthCut, SubCut, detect_ground,
+                         ground_elevation)
+from hapmap.depthio import backproject
+from hapmap.geomfeat import (Footprint, classify_geometry, footprint,
+                             polygon_area)
 from hapmap.labeling import ObjectDescriptor, label_level
+from hapmap.segment import extract_segments, image_segments
 from hapmap.synthgrid import ASCII_INACTIVE, INACTIVE
 
 
@@ -312,11 +316,15 @@ def loop_depth_cuts(frame, k, z0=800.0, zf=4000.0, dz=50.0):
     return cuts
 
 
-def loop_split_subcuts(cut, baseline_tol=50.0, ground_prior=None):
-    """Iterative-median claims, then runs found column by column."""
-    cols = cut.columns
-    yv = cut.y[cols]
-    claimed = np.zeros(cols.size, dtype=bool)
+def loop_claims(yv, baseline_tol, ground_prior):
+    """Convex flags of one cut's entries: the iterative-median claim rule,
+    one ``np.median`` per round over the entries not yet claimed.
+
+    The baseline is the median elevation of entries not claimed as object;
+    claims start from the optional ground_prior (entries above
+    prior + tol) and grow by re-running the median until stable.
+    """
+    claimed = np.zeros(yv.size, dtype=bool)
     if ground_prior is not None:
         claimed = yv > ground_prior + baseline_tol
     while not claimed.all():
@@ -325,6 +333,14 @@ def loop_split_subcuts(cut, baseline_tol=50.0, ground_prior=None):
         if not np.any(newly & ~claimed):
             break
         claimed |= newly
+    return claimed
+
+
+def loop_split_subcuts(cut, baseline_tol=50.0, ground_prior=None):
+    """Iterative-median claims, then runs found column by column."""
+    cols = cut.columns
+    yv = cut.y[cols]
+    claimed = loop_claims(yv, baseline_tol, ground_prior)
     subcuts = []
     run_start = 0
     for idx in range(1, cols.size + 1):
@@ -357,6 +373,26 @@ def loop_detect_ground(frame, k, params=DcgdParams()):
             low = y[:, span] <= cut.y[span][None, :] + params.include_tol
             mask[:, span] |= cell & low
     return mask
+
+
+def full_frame_analysis(config, frame, k):
+    """The front end with the band test last: every valid pixel
+    back-projected and ground-detected, then the [z0, zf] test picks the
+    occupied points.  Returns (ground mask over the frame, ground_y,
+    occupied points, segmentation, footprints)."""
+    cloud = backproject(frame, k)
+    on_ground = detect_ground(frame, cloud, config.dcgd)
+    z = cloud[:, 2]
+    occupied = (z >= config.dcgd.z0) & (z <= config.dcgd.zf) & ~on_ground
+    ground_y = ground_elevation(cloud, on_ground) if on_ground.any() else 0.0
+    labels = image_segments(frame, cloud, occupied, config.segment_link_mm,
+                            config.segment_min_px)
+    segments = extract_segments(cloud[occupied], frame.pixels[occupied],
+                                labels)
+    mask = np.zeros(frame.data.size, dtype=bool)
+    mask[frame.pixels] = on_ground
+    return (mask.reshape(frame.data.shape), ground_y, cloud[occupied], labels,
+            [footprint(s.points, s.pixels % frame.width) for s in segments])
 
 
 def loop_fill_polygon(cells, active, poly_uv, level, mode):

@@ -1,17 +1,24 @@
 """Ground detection against hand-built cuts and the synthetic-scene oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hapmap import scenegen
-from hapmap.dcgd import (DcgdParams, DepthCut, compute_depth_cuts, detect_ground,
-                         ground_elevation, split_subcuts)
+from hapmap.config import PipelineConfig
+from hapmap.dcgd import (DcgdParams, DepthCut, _claims, band_frame,
+                         compute_depth_cuts, detect_ground, ground_elevation,
+                         split_subcuts)
 from hapmap.depthio import DepthFrame, Intrinsics, backproject
+from hapmap.pipeline import analyze_scene
 from hapmap.scenegen import BoxSpec, HoleSpec, SceneSpec
 
 from conftest import SMALL_H, SMALL_W, ground_mask
-from oracles import loop_depth_cuts, loop_detect_ground, loop_split_subcuts
+from oracles import (full_frame_analysis, loop_claims, loop_depth_cuts,
+                     loop_detect_ground, loop_split_subcuts)
 
 
 def render(spec, cam, seed=0):
@@ -294,3 +301,122 @@ class TestEntryTableMatchesLoops:
         want = loop_split_subcuts(cut, tol, ground_prior=prior)
         assert [(s.start, s.end, s.kind, s.y.tobytes()) for s in got] == \
             [(s.start, s.end, s.kind, s.y.tobytes()) for s in want]
+
+
+#: entry elevations for the claim-rule tables: ties, and steps near the
+#: drawn tolerances; inf is an empty cell
+CLAIM_YS = (-1250.0, -1200.0, -1195.0, -1190.0, -1150.0, -1100.0, -900.0,
+            -300.0, 0.0, np.inf)
+
+
+class TestClaimsMatchLoop:
+    """The whole-table claim rule against one np.median loop per cut."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(table=arrays(np.float64, st.tuples(st.integers(1, 6),
+                                              st.integers(1, 12)),
+                        elements=st.one_of(st.sampled_from(CLAIM_YS),
+                                           st.floats(-2000.0, 500.0))),
+           tol=st.sampled_from([5.0, 50.0, 150.0]),
+           prior=st.sampled_from([None, -1250.0, -1200.0, -800.0]))
+    def test_tables(self, table, tol, prior):
+        got = _claims(table, tol, prior)
+        assert got.shape == table.shape and got.dtype == bool
+        for row, claimed in zip(table, got):
+            occupied = row < np.inf
+            assert claimed[~occupied].all()   # empty cells are never concave
+            want = loop_claims(row[occupied], tol, prior)
+            assert claimed[occupied].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("row, prior, want", [
+        ([-1200.0], None, [False]),                    # single entry
+        ([-1200.0, np.inf, np.inf], -1200.0, [False, True, True]),
+        ([-700.0, -750.0], -1200.0, [True, True]),     # wholly above prior
+        # medians 60, then 20, then 0: two rounds of claims
+        ([0.0, 130.0, 40.0, 80.0, 0.0, 130.0], None,
+         [False, True, False, True, False, True]),
+        ([np.inf, np.inf], None, [True, True]),        # empty cut
+    ])
+    def test_hand_rows(self, row, prior, want):
+        assert _claims(np.array([row]), 50.0, prior)[0].tolist() == want
+
+
+#: depths (mm) at the band edges for the default z0 = 800, zf = 4000 and
+#: dz = 50: 774 and 4025 lie outside every cut, 775 and 4024 inside the
+#: first and last cut but outside [z0, zf]
+EDGE_MM = (774, 775, 800, 4000, 4024, 4025)
+
+
+def edge_raster(seed, depth_scale):
+    """(frame, intrinsics): a 24x16 raster of band-edge depths, mid-band
+    depths and invalid pixels, with raw = mm / depth_scale."""
+    rng = np.random.default_rng(seed)
+    mm = np.array([0, *EDGE_MM, 1500, 2500])[rng.integers(0, 9, (24, 16))]
+    raw = np.rint(mm / depth_scale).astype(np.uint16)
+    k = Intrinsics(fx=10.0, fy=10.0, cx=7.5, cy=6.0, depth_scale=depth_scale)
+    return DepthFrame(raw), k
+
+
+class TestBandFirst:
+    """The band frame against the whole frame: cutting out the pixels no
+    depth cut reaches before back-projection changes no output byte."""
+
+    @pytest.mark.parametrize("depth_scale", [1.0, 0.1])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_analysis_matches_full_frame(self, seed, depth_scale):
+        frame, k = edge_raster(seed, depth_scale)
+        cfg = replace(PipelineConfig(), segment_min_px=2)
+        scene = analyze_scene(cfg, frame, k)
+        mask, ground_y, points, labels, footprints = full_frame_analysis(
+            cfg, frame, k)
+        assert mask.any() and len(footprints) >= 1
+        got = np.zeros(frame.data.size, dtype=bool)
+        got[scene.frame.pixels] = scene.on_ground
+        assert got.tobytes() == mask.ravel().tobytes()
+        assert np.float64(scene.ground_y).tobytes() == \
+            np.float64(ground_y).tobytes()
+        assert scene.points.tobytes() == points.tobytes()
+        assert scene.segmentation.k == labels.k
+        assert scene.segmentation.labels.tobytes() == labels.labels.tobytes()
+        assert len(scene.footprints) == len(footprints)
+        for a, b in zip(scene.footprints, footprints):
+            assert a.hull.tobytes() == b.hull.tobytes()
+            assert a.barycenter.tobytes() == b.barycenter.tobytes()
+            assert (a.area_m2, a.degenerate) == (b.area_m2, b.degenerate)
+
+    @settings(max_examples=300, deadline=None)
+    @given(scale=st.sampled_from([0.1, 0.125, 0.3, 1.0, 1.7, 7.0]),
+           z0=st.sampled_from([20.0, 775.0, 800.0, 1000.3]),
+           width=st.sampled_from([50.0, 3200.0, 40000.0]),
+           dz=st.sampled_from([0.7, 50.0, 70.0, 130.0]),
+           data=st.data())
+    def test_pixels_some_cut_reaches(self, scale, z0, width, dz, data):
+        # raw values at and around both ends of the band, and out of range
+        params = DcgdParams(z0=z0, zf=z0 + width, dz=dz)
+        n = int(np.ceil(width / dz))
+        ends = [(z0 - dz / 2) / scale, (z0 + (n + 0.5) * dz) / scale]
+        near = [int(e) + d for e in ends for d in range(-2, 3)]
+        values = [v for v in near + [0, 1, 2**16 - 1] if 0 <= v < 2**16]
+        raw = data.draw(arrays(np.uint16, (3, 7),
+                               elements=st.sampled_from(values)))
+        frame = DepthFrame(raw)
+        band = band_frame(frame, scale, params)
+        z = backproject(frame, Intrinsics(1.0, 1.0, 0.0, 0.0, scale))[:, 2]
+        bins = np.floor((z - z0) / dz + 0.5)
+        keep = (bins >= 0) & (bins <= n)
+        assert band.pixels.tobytes() == frame.pixels[keep].tobytes()
+        assert band.data.tobytes() == np.where(
+            band.data > 0, frame.data, 0).tobytes()
+        np.testing.assert_array_equal(band.pixels, np.flatnonzero(band.data))
+
+    @pytest.mark.parametrize("depth_scale", [1.0, 0.1])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_band_rows_of_the_full_cloud(self, seed, depth_scale):
+        frame, k = edge_raster(seed, depth_scale)
+        band = band_frame(frame, depth_scale, DcgdParams())
+        mm = np.rint(frame.data.ravel()[frame.pixels] * depth_scale)
+        keep = (mm >= 775) & (mm <= 4024)
+        assert band.pixels.tobytes() == frame.pixels[keep].tobytes()
+        np.testing.assert_array_equal(band.pixels, np.flatnonzero(band.data))
+        cloud = backproject(frame, k)
+        assert backproject(band, k).tobytes() == cloud[keep].tobytes()

@@ -112,6 +112,46 @@ class TestPixelIndex:
         with pytest.raises(ValueError, match="read-only"):
             frame.data[0, 0] = 1
 
+    def test_rows_columns_follow_the_index(self):
+        frame = frame_of([[0, 5, 0], [7, 0, 9]])
+        rows, cols = frame.rows_columns
+        assert rows.tolist() == [0, 1, 1] and cols.tolist() == [1, 0, 2]
+
+    def test_within_keeps_a_raw_range(self):
+        frame = frame_of([[0, 5, 0], [7, 0, 9]])
+        part = frame.within(5, 8)
+        assert part.data.tolist() == [[0, 5, 0], [7, 0, 0]]
+        assert part.pixels.tolist() == [1, 3]
+        np.testing.assert_array_equal(part.pixels, np.flatnonzero(part.data))
+        assert frame.data.tolist() == [[0, 5, 0], [7, 0, 9]]
+        assert not part.data.flags.writeable
+        assert frame.within(10, 2**16).pixels.size == 0
+        with pytest.raises(ValueError, match="at least 1"):
+            frame.within(0, 8)
+
+
+class TestFrameValues:
+    """Non-uint16 input must hold whole uint16 values; nothing is cast
+    into a quiet 0 (no return) or a truncated depth."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.7, 999.5])
+    def test_non_finite_or_fractional_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite whole numbers"):
+            DepthFrame(np.array([[bad, 1000.0]]))
+
+    @pytest.mark.parametrize("bad", [-1, 2**16, -1.0, 65536.0])
+    def test_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError, match="fit in uint16"):
+            DepthFrame(np.array([[bad, 1000]]))
+
+    @pytest.mark.parametrize("data", [np.array([[0.0, 1000.0, 65535.0]]),
+                                      np.array([[0, 1000, 65535]]),
+                                      np.array([[False, True, True]])])
+    def test_whole_values_accepted(self, data):
+        frame = DepthFrame(data)
+        assert frame.data.dtype == np.uint16
+        assert frame.data.tolist() == data.astype(np.int64).tolist()
+
 
 @st.composite
 def frames_and_cameras(draw):

@@ -60,12 +60,14 @@ def clutter_scene(seed):
 
 
 def clutter_occupied(seed):
-    """(frame, cloud, occupied flag per cloud row) of clutter_scene(seed)."""
-    frame, scene = clutter_scene(seed)
+    """(band frame, cloud, occupied flag per cloud row) of clutter_scene(seed):
+    the cloud's rows are the band frame's pixels, as analyze_scene segments
+    them."""
+    scene = clutter_scene(seed)[1]
     band = PipelineConfig().dcgd
     z = scene.cloud[:, 2]
     occupied = (z >= band.z0) & (z <= band.zf) & ~scene.on_ground
-    return frame, scene.cloud, occupied
+    return scene.frame, scene.cloud, occupied
 
 
 @functools.lru_cache(maxsize=None)
