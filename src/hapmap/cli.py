@@ -13,9 +13,8 @@ import numpy as np
 from . import classifier as clf
 from . import dcgd, depthio, scenegen
 from .config import OUTPUT_FORMATS, PipelineConfig, format_config, parse_config
-from .pipeline import (StageError, analyze_depth_file, area_geometry,
-                       backproject_ground, camera_intrinsics, load_classifier,
-                       load_inputs, run_pipeline)
+from .pipeline import (StageError, analyze_depth_file, camera_intrinsics,
+                       load_classifier, run_pipeline)
 from .synthgrid import emit, rasterize_raw
 
 CONFIG_ENV = "HAPMAP_CONFIG"
@@ -62,17 +61,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_ground(args) -> int:
     cfg = _load_config(args)
-    frame, k = load_inputs(cfg, args.depth)
-    area_geometry(cfg, k, frame.width)   # the band must fit the grid here too
-    band, cloud, on_ground = backproject_ground(cfg, frame, k)
-    mask = np.zeros(frame.data.size, dtype=bool)
-    mask[band.pixels] = on_ground
-    Path(args.out).write_bytes(
-        depthio.mask_to_pgm(mask.reshape(frame.data.shape)))
+    scene, _ = analyze_depth_file(cfg, args.depth)
+    mask = np.zeros(scene.frame.data.shape, dtype=bool)
+    mask.flat[scene.frame.pixels] = scene.on_ground
+    Path(args.out).write_bytes(depthio.mask_to_pgm(mask))
     if args.cuts:
         lines = []
-        for cut in dcgd.compute_depth_cuts(band, cloud, cfg.dcgd.z0,
-                                           cfg.dcgd.zf, cfg.dcgd.dz):
+        for cut in dcgd.compute_depth_cuts(scene.frame, scene.cloud,
+                                           cfg.dcgd.z0, cfg.dcgd.zf,
+                                           cfg.dcgd.dz):
             if cut.is_empty:
                 continue
             lines.append(f"cut {cut.index} z={cut.z:.1f}")
@@ -95,9 +92,10 @@ def _cmd_features(args) -> int:
     cfg = _load_config(args)
     scene, _ = analyze_depth_file(cfg, args.depth)
     print("# segment\theight_mm\tarea_m2\theight_class\tarea_class\tbarycenter")
-    for s, fp, geom in zip(scene.segments, scene.footprints, scene.geometries):
+    for obj in scene.objects:
+        fp, geom = obj.footprint, obj.geometry
         b = fp.barycenter
-        print(f"{s.id}\t{geom.height_mm:.1f}\t{geom.area_m2:.4f}"
+        print(f"{obj.segment_id}\t{geom.height_mm:.1f}\t{fp.area_m2:.4f}"
               f"\t{geom.height_class}\t{geom.area_class}"
               f"\t{b[0]:.1f},{b[1]:.1f},{b[2]:.1f}")
     return 0
@@ -126,11 +124,16 @@ def _cmd_train(args) -> int:
     classes = clf.TRAINING_COARSE_CLASSES
     if args.manifest:
         clouds, labels = [], []
-        for line in Path(args.manifest).read_text().splitlines():
+        manifest = Path(args.manifest).read_text().splitlines()
+        for lineno, line in enumerate(manifest, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            path, fine = line.rsplit(maxsplit=1)
+            try:
+                path, fine = line.rsplit(maxsplit=1)
+            except ValueError:
+                raise ValueError(f"manifest line {lineno}: expected "
+                                 "<path> <fine_class>") from None
             clouds.append(_load_cloud(path, max(args.n_points, 1024), rng))
             labels.append(classes.index(clf.merge_labels(fine)))
         labels = np.array(labels)

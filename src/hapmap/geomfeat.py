@@ -31,7 +31,6 @@ class GeometricClass:
     height_class: int    # 1..3
     area_class: int      # 1..3
     height_mm: float
-    area_m2: float
 
 
 @dataclass
@@ -40,7 +39,11 @@ class Footprint:
                               # image column's nearest and farthest point
     area_m2: float
     barycenter: np.ndarray    # (3,) centroid of the segment points, mm
-    degenerate: bool
+
+    @property
+    def degenerate(self) -> bool:
+        """Fewer than 3 hull vertices: a point or a line, zero area."""
+        return self.hull.shape[0] < 3
 
 
 def _cross(o, a, b):
@@ -110,7 +113,7 @@ def classify_geometry(height_mm: float, area_m2: float,
     height_class = 1 if height_mm < h1 else (2 if height_mm < h2 else 3)
     area_class = 1 if area_m2 < a1 else (2 if area_m2 < a2 else 3)
     return GeometricClass(height_class=height_class, area_class=area_class,
-                          height_mm=height_mm, area_m2=area_m2)
+                          height_mm=height_mm)
 
 
 def footprint(points: np.ndarray, columns: np.ndarray) -> Footprint:
@@ -139,5 +142,4 @@ def footprint(points: np.ndarray, columns: np.ndarray) -> Footprint:
     hull = convex_hull_2d(np.compress(ends, pts, axis=0)[:, [0, 2]])
     return Footprint(hull=hull,
                      area_m2=polygon_area(hull),
-                     barycenter=pts.mean(axis=0),
-                     degenerate=hull.shape[0] < 3)
+                     barycenter=pts.mean(axis=0))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +61,7 @@ def format_report(descriptors, pins) -> str:
             str(desc.segment_id),
             _class_cell(desc),
             f"{g.height_mm:.1f}",
-            f"{g.area_m2:.4f}",
+            f"{desc.footprint.area_m2:.4f}",
             str(g.height_class),
             str(g.area_class),
             f"{u},{v}",
@@ -71,7 +71,11 @@ def format_report(descriptors, pins) -> str:
 
 @dataclass(frozen=True)
 class SceneAnalysis:
-    """One frame's front end, read by run_pipeline and the stage subcommands."""
+    """One frame's front end, read by run_pipeline and the stage subcommands.
+
+    Each segment has one label-free object record, ``objects[i]`` for
+    ``segments[i]``: its footprint and geometric classes.
+    """
 
     frame: depthio.DepthFrame                   # the band frame: the pixels
                                                 # some depth cut reaches
@@ -82,8 +86,7 @@ class SceneAnalysis:
     points: np.ndarray                          # occupied cloud rows
     segmentation: seg.Segmentation              # one label per occupied row
     segments: list[seg.Segment]
-    footprints: list[geomfeat.Footprint]        # one per segment
-    geometries: list[geomfeat.GeometricClass]   # one per segment
+    objects: list[ObjectDescriptor]             # one per segment, no label
 
 
 def camera_intrinsics(config: PipelineConfig) -> depthio.Intrinsics:
@@ -93,50 +96,20 @@ def camera_intrinsics(config: PipelineConfig) -> depthio.Intrinsics:
     return depthio.DEFAULT_INTRINSICS
 
 
-def area_geometry(config: PipelineConfig, k: depthio.Intrinsics,
-                  width: int) -> AreaGeometry:
-    """The configured synthesis area for a camera of the given image width.
-
-    Built under the synthgrid stage right after the inputs load, so a band
-    or grid that cannot fit fails before any frame analysis runs.
-    """
-    with _stage("synthgrid"):
-        return AreaGeometry.from_intrinsics(
-            k, width, near=config.dcgd.z0, far=config.dcgd.zf,
-            small_basis=config.grid_small_basis, rows=config.grid_rows,
-            cols=config.grid_cols)
-
-
-def load_inputs(config: PipelineConfig, depth_path: str | Path):
-    """(frame, intrinsics) for one depth file, under the depthio stage."""
-    with _stage("depthio"):
-        frame = depthio.load_depth_pgm(Path(depth_path).read_bytes())
-        return frame, camera_intrinsics(config)
-
-
-def backproject_ground(config: PipelineConfig, frame: depthio.DepthFrame,
-                       k: depthio.Intrinsics
-                       ) -> tuple[depthio.DepthFrame, np.ndarray, np.ndarray]:
-    """(band, cloud, on_ground) under the dcgd stage: the band frame (the
-    pass-through, ``dcgd.band_frame``), its one back-projection and DCGD's
-    ground flag for each of its points.  Pixels outside the band are never
-    back-projected."""
-    with _stage("dcgd"):
-        band = dcgd.band_frame(frame, k.depth_scale, config.dcgd)
-        cloud = depthio.backproject(band, k)
-        return band, cloud, dcgd.detect_ground(band, cloud, config.dcgd)
-
-
 def analyze_scene(config: PipelineConfig, frame: depthio.DepthFrame,
                   k: depthio.Intrinsics) -> SceneAnalysis:
     """Ground, occupied-space segments and their geometric features.
 
     The depth cuts cover the whole band, so an in-band point implies
     detected ground; ground_y is 0 only when the band is empty.  Every
-    stage reads the band frame: the cloud, the ground flags and the
+    stage reads the band frame (``dcgd.band_frame``), and pixels outside
+    it are never back-projected: the cloud, the ground flags and the
     segmentation are row-aligned with its pixel index.
     """
-    band, cloud, on_ground = backproject_ground(config, frame, k)
+    with _stage("dcgd"):
+        band = dcgd.band_frame(frame, k.depth_scale, config.dcgd)
+        cloud = depthio.backproject(band, k)
+        on_ground = dcgd.detect_ground(band, cloud, config.dcgd)
 
     with _stage("segment"):
         near, far = config.dcgd.z0, config.dcgd.zf
@@ -152,27 +125,32 @@ def analyze_scene(config: PipelineConfig, frame: depthio.DepthFrame,
             points, np.compress(occupied, band.pixels), labels)
 
     with _stage("features"):
-        footprints = [geomfeat.footprint(s.points, s.pixels % frame.width)
-                      for s in segments]
-        geometries = [
-            geomfeat.classify_geometry(
-                geomfeat.height_p90(s.points, ground_y),
-                fp.area_m2, config.thresholds)
-            for s, fp in zip(segments, footprints)
-        ]
+        objects = []
+        for s in segments:
+            fp = geomfeat.footprint(s.points, s.pixels % frame.width)
+            geom = geomfeat.classify_geometry(
+                geomfeat.height_p90(s.points, ground_y), fp.area_m2,
+                config.thresholds)
+            objects.append(ObjectDescriptor(s.id, fp, geom))
 
     return SceneAnalysis(frame=band, on_ground=on_ground, ground_y=ground_y,
                          cloud=cloud, points=points, segmentation=labels,
-                         segments=segments, footprints=footprints,
-                         geometries=geometries)
+                         segments=segments, objects=objects)
 
 
 def analyze_depth_file(config: PipelineConfig, depth_path: str | Path
                        ) -> tuple[SceneAnalysis, AreaGeometry]:
-    """(scene analysis, synthesis area) of one depth file; the area comes
-    first, so a band that does not fit the grid fails before analysis."""
-    frame, k = load_inputs(config, depth_path)
-    geometry = area_geometry(config, k, frame.width)
+    """(scene analysis, synthesis area) of one depth file; the area is
+    built right after the frame loads, so a band that does not fit the
+    grid fails before analysis."""
+    with _stage("depthio"):
+        frame = depthio.load_depth_pgm(Path(depth_path).read_bytes())
+        k = camera_intrinsics(config)
+    with _stage("synthgrid"):
+        geometry = AreaGeometry.from_intrinsics(
+            k, frame.width, near=config.dcgd.z0, far=config.dcgd.zf,
+            small_basis=config.grid_small_basis, rows=config.grid_rows,
+            cols=config.grid_cols)
     return analyze_scene(config, frame, k), geometry
 
 
@@ -202,25 +180,21 @@ def run_pipeline(config: PipelineConfig, depth_path: str | Path) -> PipelineResu
     model, labeling_class = load_classifier(config)
     scene, geometry = analyze_depth_file(config, depth_path)
 
-    descriptors: list[ObjectDescriptor] = []
+    descriptors = []
     with _stage("classifier"):
-        for s, fp, geom in zip(scene.segments, scene.footprints,
-                               scene.geometries):
-            label = None
-            confidence = None
+        for s, obj in zip(scene.segments, scene.objects):
             if model is not None:
                 rng = np.random.default_rng([config.seed, s.id])
                 pred = clf.predict_gated(model, s.points,
                                          config.confidence_threshold, rng)
-                confidence = pred.confidence
+                label = None
                 if pred.accepted:
                     label = labeling_class[pred.label]
                     if label == "stairs":
                         direction = stairs_direction(s.points, scene.ground_y)
                         label = f"stairs_{direction}"
-            descriptors.append(ObjectDescriptor(
-                segment_id=s.id, footprint=fp, geometry=geom,
-                label=label, confidence=confidence))
+                obj = replace(obj, label=label, confidence=pred.confidence)
+            descriptors.append(obj)
 
     with _stage("synthgrid"):
         sheet = builtin_sheet()

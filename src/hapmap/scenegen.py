@@ -99,11 +99,12 @@ class SceneSpec:
         if self.noise_sigma < 0:
             raise ValueError("noise sigma must be non-negative")
         half = self.floor_extent / 2
-        for box in self.boxes:
-            if (abs(box.center_x) + box.width / 2 > half
-                    or box.center_z - box.depth / 2 < 0
-                    or box.center_z + box.depth / 2 > self.floor_extent):
-                raise ValueError(f"box at ({box.center_x}, {box.center_z}) "
+        for kind, rect in ([("box", b) for b in self.boxes]
+                           + [("hole", h) for h in self.holes]):
+            if (abs(rect.center_x) + rect.width / 2 > half
+                    or rect.center_z - rect.depth / 2 < 0
+                    or rect.center_z + rect.depth / 2 > self.floor_extent):
+                raise ValueError(f"{kind} at ({rect.center_x}, {rect.center_z}) "
                                  "lies outside the floor extent")
 
 

@@ -501,7 +501,7 @@ def rect_descriptor(cx, cz, w, d, height_mm, label=None, confidence=None,
     hull = np.array([[cx - w / 2, cz - d / 2], [cx + w / 2, cz - d / 2],
                      [cx + w / 2, cz + d / 2], [cx - w / 2, cz + d / 2]])
     fp = Footprint(hull=hull, area_m2=polygon_area(hull),
-                   barycenter=np.array([cx, y, cz]), degenerate=False)
+                   barycenter=np.array([cx, y, cz]))
     geom = classify_geometry(height_mm, fp.area_m2)
     return ObjectDescriptor(segment_id, fp, geom, label=label,
                             confidence=confidence)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hapmap import classifier as clf
 from hapmap import cli, dcgd, depthio, pipeline, scenegen
 from hapmap.config import PipelineConfig, format_config, parse_config
-from hapmap.pipeline import (StageError, analyze_scene, load_inputs,
+from hapmap.pipeline import (StageError, analyze_depth_file, analyze_scene,
                              run_pipeline)
 from hapmap.synthgrid import AreaGeometry, map_to_area, parse_grid_json
 
@@ -209,22 +209,33 @@ class TestRunPipeline:
 
     def test_one_backprojection_per_frame(self, box_scene, tmp_path,
                                           monkeypatch):
-        calls = []
+        calls, scenes = [], []
         backproject = depthio.backproject
 
         def counted(frame, k):
             calls.append(frame.data.shape)
             return backproject(frame, k)
 
+        def analyze(*args):
+            scenes.append(args)
+            return analyze_scene(*args)
+
         monkeypatch.setattr(depthio, "backproject", counted)
         depth, cfg_file, _ = box_scene
         cfg = parse_config(cfg_file.read_text())
-        analyze_scene(cfg, *load_inputs(cfg, depth))
+        analyze_depth_file(cfg, depth)
         assert calls == [(120, 160)]
-        rc = cli.main(["ground", "--depth", str(depth), "--config",
-                       str(cfg_file), "--out", str(tmp_path / "mask.pgm"),
-                       "--cuts", str(tmp_path / "cuts.txt")])
-        assert rc == 0 and calls == [(120, 160)] * 2
+        # every depth subcommand runs the one front end once
+        monkeypatch.setattr(pipeline, "analyze_scene", analyze)
+        for argv in (["run"], ["ground", "--cuts", str(tmp_path / "cuts.txt")],
+                     ["segment"], ["features"], ["synth", "--raw"]):
+            calls.clear()
+            scenes.clear()
+            out = [] if argv == ["features"] else ["--out", str(tmp_path / "o")]
+            rc = cli.main([*argv, "--depth", str(depth), "--config",
+                           str(cfg_file), *out])
+            assert rc == 0, argv
+            assert calls == [(120, 160)] and len(scenes) == 1, argv
 
     @pytest.mark.parametrize("extra, message", [
         ("", "far basis exceeds the grid width"),
@@ -636,6 +647,19 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == ("error: cloud line 3: coordinates "
                                            "must be finite\n")
+        assert not out.exists()
+
+    def test_train_manifest_line_without_class(self, tmp_path, capsys):
+        cloud = tmp_path / "chair.xyz"
+        cloud.write_text("0 0 0\n1 1 1\n")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"# clouds\n{cloud} chair\n\n{cloud}\n")
+        out = tmp_path / "m.bin"
+        rc = cli.main(["train", "--manifest", str(manifest), "--out", str(out),
+                       "--epochs", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: manifest line 4: expected "
+                                           "<path> <fine_class>\n")
         assert not out.exists()
 
     def test_train_manifest(self, tmp_path, capsys):

@@ -378,8 +378,8 @@ class TestBandFirst:
         assert scene.points.tobytes() == points.tobytes()
         assert scene.segmentation.k == labels.k
         assert scene.segmentation.labels.tobytes() == labels.labels.tobytes()
-        assert len(scene.footprints) == len(footprints)
-        for a, b in zip(scene.footprints, footprints):
+        assert len(scene.objects) == len(footprints)
+        for a, b in zip((obj.footprint for obj in scene.objects), footprints):
             assert a.hull.tobytes() == b.hull.tobytes()
             assert a.barycenter.tobytes() == b.barycenter.tobytes()
             assert (a.area_m2, a.degenerate) == (b.area_m2, b.degenerate)

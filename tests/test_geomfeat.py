@@ -359,7 +359,7 @@ class TestClassifyGeometry:
     def test_boundary_inclusive(self):
         assert classify_geometry(400.0, 0.25).height_class == 2
         assert classify_geometry(400.0, 0.25).area_class == 2
-        assert classify_geometry(1000.0, 1.0) == GeometricClass(3, 3, 1000.0, 1.0)
+        assert classify_geometry(1000.0, 1.0) == GeometricClass(3, 3, 1000.0)
 
     def test_monotone_in_height(self):
         heights = np.linspace(0, 2000, 60)

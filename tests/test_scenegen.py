@@ -98,6 +98,12 @@ class TestRender:
         with pytest.raises(ValueError):
             SceneSpec(camera_height=1000, floor_extent=2000,
                       boxes=[BoxSpec(0, 2500, 400, 400, 300)])
+        # a hole off the floor would knock out nothing: the box rule holds
+        for hole in [(0, 2500, 400, 400), (0, 100, 400, 400),
+                     (900, 1000, 400, 400)]:
+            with pytest.raises(ValueError, match="hole at .* outside the floor"):
+                SceneSpec(camera_height=1000, floor_extent=2000,
+                          holes=[HoleSpec(*hole)])
 
 
 #: one value per key of a valid scene file
