@@ -196,28 +196,28 @@ MODEL_MAGIC = b"PSM1"
 
 @dataclass
 class PointSetModel:
+    """The shared per-point MLP and the head as ``(weights, bias)`` layer
+    pairs, weights (n_in, n_out).  ``parameters()`` is the one parameter
+    order (point layers first, each weight then its bias): the gradients
+    of ``loss_and_grads`` and the model file's data follow it."""
+
     classes: tuple[str, ...]
     n_points: int
-    point_weights: list[np.ndarray]
-    point_biases: list[np.ndarray]
-    head_weights: list[np.ndarray]
-    head_biases: list[np.ndarray]
+    point_layers: list[tuple[np.ndarray, np.ndarray]]
+    head_layers: list[tuple[np.ndarray, np.ndarray]]
     meta: dict = field(default_factory=dict)
 
-    def parameters(self):
-        yield from self.point_weights
-        yield from self.point_biases
-        yield from self.head_weights
-        yield from self.head_biases
+    def parameters(self) -> list[np.ndarray]:
+        return [a for layer in self.point_layers + self.head_layers
+                for a in layer]
 
     def astype(self, dtype) -> "PointSetModel":
-        return PointSetModel(
-            classes=self.classes, n_points=self.n_points,
-            point_weights=[w.astype(dtype) for w in self.point_weights],
-            point_biases=[b.astype(dtype) for b in self.point_biases],
-            head_weights=[w.astype(dtype) for w in self.head_weights],
-            head_biases=[b.astype(dtype) for b in self.head_biases],
-            meta=dict(self.meta))
+        def cast(layers):
+            return [(w.astype(dtype), b.astype(dtype)) for w, b in layers]
+        return PointSetModel(classes=self.classes, n_points=self.n_points,
+                             point_layers=cast(self.point_layers),
+                             head_layers=cast(self.head_layers),
+                             meta=dict(self.meta))
 
 
 def init_model(classes, n_points: int = 256,
@@ -233,22 +233,17 @@ def init_model(classes, n_points: int = 256,
         rng = np.random.default_rng(0)
     head_widths = (point_widths[-1], *head_hidden, len(classes))
 
-    def layer(n_in, n_out):
-        w = rng.normal(0.0, np.sqrt(2.0 / n_in), (n_in, n_out))
-        return w.astype(dtype), np.zeros(n_out, dtype=dtype)
+    def layers(widths):
+        out = []
+        for n_in, n_out in zip(widths[:-1], widths[1:]):
+            w = rng.normal(0.0, np.sqrt(2.0 / n_in), (n_in, n_out))
+            out.append((w.astype(dtype), np.zeros(n_out, dtype=dtype)))
+        return out
 
-    pw, pb, hw, hb = [], [], [], []
-    for a, b in zip(point_widths[:-1], point_widths[1:]):
-        w, bias = layer(a, b)
-        pw.append(w)
-        pb.append(bias)
-    for a, b in zip(head_widths[:-1], head_widths[1:]):
-        w, bias = layer(a, b)
-        hw.append(w)
-        hb.append(bias)
+    point_layers = layers(point_widths)   # drawn before the head's
     return PointSetModel(classes=classes, n_points=n_points,
-                         point_weights=pw, point_biases=pb,
-                         head_weights=hw, head_biases=hb)
+                         point_layers=point_layers,
+                         head_layers=layers(head_widths))
 
 
 def _forward_batch(model: PointSetModel, x: np.ndarray, want_cache: bool):
@@ -260,13 +255,13 @@ def _forward_batch(model: PointSetModel, x: np.ndarray, want_cache: bool):
     the cache no argmax is taken.
     """
     bsz, npts, dim = x.shape
-    if dim != model.point_weights[0].shape[0]:
+    w0 = model.point_layers[0][0]
+    if dim != w0.shape[0]:
         raise ValueError(f"width mismatch: points have {dim} coordinates, "
-                         f"model expects {model.point_weights[0].shape[0]}")
-    dtype = model.point_weights[0].dtype
-    h = x.reshape(bsz * npts, dim).astype(dtype)
+                         f"model expects {w0.shape[0]}")
+    h = x.reshape(bsz * npts, dim).astype(w0.dtype)
     acts = [h]
-    for w, b in zip(model.point_weights, model.point_biases):
+    for w, b in model.point_layers:
         h = h @ w
         h += b
         np.maximum(h, 0, out=h)
@@ -280,10 +275,10 @@ def _forward_batch(model: PointSetModel, x: np.ndarray, want_cache: bool):
 
     head_inputs = []
     h = pooled
-    for i, (w, b) in enumerate(zip(model.head_weights, model.head_biases)):
+    for i, (w, b) in enumerate(model.head_layers):
         head_inputs.append(h)
         h = h @ w + b
-        if i < len(model.head_weights) - 1:
+        if i < len(model.head_layers) - 1:
             h = np.maximum(h, 0.0)
     logits = h
     if not want_cache:
@@ -309,7 +304,8 @@ def forward(model: PointSetModel, cloud: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grads(model: PointSetModel, x: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy over the batch plus gradients for every parameter.
+    """Mean cross-entropy over the batch, the gradient of every parameter
+    in ``model.parameters()`` order, and the batch accuracy.
 
     Max-pool routes each pooled feature's gradient to the first point that
     attains the maximum, which matches the forward tie-break.  Every other
@@ -323,20 +319,18 @@ def loss_and_grads(model: PointSetModel, x: np.ndarray, y: np.ndarray):
     probs = _softmax64(logits)
     logp = np.log(probs[np.arange(bsz), y])
     loss = float(-logp.mean())
-    dtype = model.point_weights[0].dtype
+    dtype = model.point_layers[0][0].dtype
 
     dlogits = probs.astype(dtype)
     dlogits[np.arange(bsz), y] -= 1.0
     dlogits /= bsz
 
-    hw_grads = [None] * len(model.head_weights)
-    hb_grads = [None] * len(model.head_weights)
+    head_grads = []
     d = dlogits
-    for i in range(len(model.head_weights) - 1, -1, -1):
+    for i in range(len(model.head_layers) - 1, -1, -1):
         inp = cache["head_inputs"][i]
-        hw_grads[i] = inp.T @ d
-        hb_grads[i] = d.sum(axis=0)
-        d = d @ model.head_weights[i].T
+        head_grads = [inp.T @ d, d.sum(axis=0)] + head_grads
+        d = d @ model.head_layers[i][0].T
         if i > 0:
             d = d * (inp > 0)
 
@@ -349,18 +343,15 @@ def loss_and_grads(model: PointSetModel, x: np.ndarray, y: np.ndarray):
     d[slot.reshape(dpooled.shape), np.arange(dpooled.shape[1])] = dpooled
 
     acts = cache["acts"]
-    pw_grads = [None] * len(model.point_weights)
-    pb_grads = [None] * len(model.point_weights)
-    for i in range(len(model.point_weights) - 1, -1, -1):
+    point_grads = []
+    for i in range(len(model.point_layers) - 1, -1, -1):
         d *= acts[i + 1][rows] > 0   # relu mask
-        pw_grads[i] = acts[i][rows].T @ d
-        pb_grads[i] = d.sum(axis=0)
+        point_grads = [acts[i][rows].T @ d, d.sum(axis=0)] + point_grads
         if i > 0:
-            d = d @ model.point_weights[i].T
+            d = d @ model.point_layers[i][0].T
 
-    grads = {"pw": pw_grads, "pb": pb_grads, "hw": hw_grads, "hb": hb_grads}
     acc = float((probs.argmax(axis=1) == y).mean())
-    return loss, grads, acc
+    return loss, point_grads + head_grads, acc
 
 
 def grad_check(model: PointSetModel, x: np.ndarray, y: np.ndarray,
@@ -374,7 +365,6 @@ def grad_check(model: PointSetModel, x: np.ndarray, y: np.ndarray,
     m = model.astype(np.float64)
     x = np.asarray(x, dtype=np.float64)
     _, grads, _ = loss_and_grads(m, x, y)
-    flat_grads = grads["pw"] + grads["pb"] + grads["hw"] + grads["hb"]
 
     def batch_loss():
         logits, _ = _forward_batch(m, x, want_cache=False)
@@ -382,7 +372,7 @@ def grad_check(model: PointSetModel, x: np.ndarray, y: np.ndarray,
         return float(-np.log(probs[np.arange(len(y)), y]).mean())
 
     worst = 0.0
-    for param, grad in zip(m.parameters(), flat_grads):
+    for param, grad in zip(m.parameters(), grads):
         flat_p = param.reshape(-1)
         flat_g = grad.reshape(-1)
         for j in range(flat_p.size):
@@ -515,8 +505,7 @@ def train(train_clouds, train_labels, test_clouds, test_labels, classes,
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {lo // config.batch} "
                     f"(lr={lr}); aborting")
-            flat = grads["pw"] + grads["pb"] + grads["hw"] + grads["hb"]
-            for vel, param, grad in zip(velocity, model.parameters(), flat):
+            for vel, param, grad in zip(velocity, model.parameters(), grads):
                 vel *= MOMENTUM
                 vel -= lr * grad
                 param += vel
@@ -576,7 +565,9 @@ def predict_gated(model: PointSetModel, cloud: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def save_model(model: PointSetModel) -> bytes:
-    """MODEL_MAGIC | u32 n_points | classes | point/head layer shapes | f32 data."""
+    """MODEL_MAGIC | u32 n_points | u32 n_classes, each a u16 length and
+    UTF-8 | per group (point, head) a u32 layer count and u32 (n_in, n_out)
+    per layer | f32 data: ``parameters()`` in order, row-major."""
     out = bytearray()
     out += MODEL_MAGIC
     out += struct.pack("<I", model.n_points)
@@ -584,14 +575,12 @@ def save_model(model: PointSetModel) -> bytes:
     for name in model.classes:
         raw = name.encode("utf-8")
         out += struct.pack("<H", len(raw)) + raw
-    for group_w in (model.point_weights, model.head_weights):
-        out += struct.pack("<I", len(group_w))
-        for w in group_w:
-            out += struct.pack("<II", w.shape[0], w.shape[1])
-    for w, b in zip(model.point_weights + model.head_weights,
-                    model.point_biases + model.head_biases):
-        out += np.ascontiguousarray(w, dtype="<f4").tobytes()
-        out += np.ascontiguousarray(b, dtype="<f4").tobytes()
+    for group in (model.point_layers, model.head_layers):
+        out += struct.pack("<I", len(group))
+        for w, _ in group:
+            out += struct.pack("<II", *w.shape)
+    for a in model.parameters():
+        out += np.ascontiguousarray(a, dtype="<f4").tobytes()
     return bytes(out)
 
 
@@ -635,14 +624,10 @@ def load_model(blob: bytes) -> PointSetModel:
     def read_array(count):
         return np.frombuffer(take(4 * count), dtype="<f4").copy()
 
-    weights = [[], []]
-    biases = [[], []]
-    for gi, group in enumerate(shapes):
-        for n_in, n_out in group:
-            weights[gi].append(read_array(n_in * n_out).reshape(n_in, n_out))
-            biases[gi].append(read_array(n_out))
+    point_layers, head_layers = (
+        [(read_array(n_in * n_out).reshape(n_in, n_out), read_array(n_out))
+         for n_in, n_out in group] for group in shapes)
     if pos != len(blob):
         raise ValueError(f"{len(blob) - pos} trailing bytes after the model data")
     return PointSetModel(classes=classes, n_points=n_points,
-                         point_weights=weights[0], point_biases=biases[0],
-                         head_weights=weights[1], head_biases=biases[1])
+                         point_layers=point_layers, head_layers=head_layers)

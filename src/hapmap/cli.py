@@ -67,9 +67,7 @@ def _cmd_ground(args) -> int:
     Path(args.out).write_bytes(depthio.mask_to_pgm(mask))
     if args.cuts:
         lines = []
-        for cut in dcgd.compute_depth_cuts(scene.frame, scene.cloud,
-                                           cfg.dcgd.z0, cfg.dcgd.zf,
-                                           cfg.dcgd.dz):
+        for cut in dcgd.compute_depth_cuts(scene.frame, scene.cloud, cfg.dcgd):
             if cut.is_empty:
                 continue
             lines.append(f"cut {cut.index} z={cut.z:.1f}")
@@ -134,8 +132,10 @@ def _cmd_train(args) -> int:
             except ValueError:
                 raise ValueError(f"manifest line {lineno}: expected "
                                  "<path> <fine_class>") from None
+            group = depthio.parse_value(clf.merge_labels, fine,
+                                        f"manifest line {lineno}")
             clouds.append(_load_cloud(path, max(args.n_points, 1024), rng))
-            labels.append(classes.index(clf.merge_labels(fine)))
+            labels.append(classes.index(group))
         labels = np.array(labels)
         perm = rng.permutation(len(clouds))
         split = max(1, int(0.8 * len(clouds)))

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .dcgd import DcgdParams
-from .depthio import key_value_lines
+from .depthio import key_value_lines, parse_value
 from .geomfeat import GeometryThresholds
 
 OUTPUT_FORMATS = ("json", "ascii", "pgm")
@@ -82,16 +82,17 @@ def parse_config(text: str) -> PipelineConfig:
     thr_kw: dict = {}
     updates: dict = {}
     for lineno, key, value in key_value_lines(text, "config"):
+        where = f"config line {lineno}: {key}"
         if key in SCALAR_KEYS:
             attr, conv = SCALAR_KEYS[key]
-            updates[attr] = conv(value)
+            updates[attr] = parse_value(conv, value, where)
         elif key in DCGD_KEYS:
-            dcgd_kw[DCGD_KEYS[key]] = float(value)
+            dcgd_kw[DCGD_KEYS[key]] = parse_value(float, value, where)
         elif key in THRESHOLD_KEYS:
             field_name, idx = THRESHOLD_KEYS[key]
             pair = list(thr_kw.get(field_name,
                                    getattr(cfg.thresholds, field_name)))
-            pair[idx] = float(value)
+            pair[idx] = parse_value(float, value, where)
             thr_kw[field_name] = tuple(pair)
         else:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")

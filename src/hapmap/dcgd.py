@@ -123,18 +123,17 @@ def band_frame(frame: DepthFrame, depth_scale: float,
     return frame.within(lo, hi)
 
 
-def _entry_table(frame: DepthFrame, cloud: np.ndarray, z0: float, zf: float,
-                 dz: float):
+def _entry_table(frame: DepthFrame, cloud: np.ndarray, params: DcgdParams):
     """Cut entries of every (cut, column) cell in one pass over the cloud.
 
     Returns (entry, key, in_band, y): entry is the (n+1, width) table of
     each cell's lowest y, inf where the cell is empty, n = ceil((zf - z0)
-    / dz); in_band flags the cloud rows a cut reaches; key and y are the
-    flat cell index bin * width + column and the elevation of each in-band
-    point, in cloud order.
+    / dz) for the band of params; in_band flags the cloud rows a cut
+    reaches; key and y are the flat cell index bin * width + column and
+    the elevation of each in-band point, in cloud order.
     """
-    n = _last_cut(z0, zf, dz)
-    bins = _cut_index(cloud[:, 2], z0, dz)
+    n = _last_cut(params.z0, params.zf, params.dz)
+    bins = _cut_index(cloud[:, 2], params.z0, params.dz)
     in_band = (bins >= 0) & (bins <= n)
     key = (bins.astype(np.int64) * frame.width
            + frame.rows_columns[1])[in_band]
@@ -144,25 +143,25 @@ def _entry_table(frame: DepthFrame, cloud: np.ndarray, z0: float, zf: float,
     return entry.reshape(-1, frame.width), key, in_band, y
 
 
-def compute_depth_cuts(frame: DepthFrame, cloud: np.ndarray, z0: float = 800.0,
-                       zf: float = 4000.0, dz: float = 50.0) -> list[DepthCut]:
+def compute_depth_cuts(frame: DepthFrame, cloud: np.ndarray,
+                       params: DcgdParams = DcgdParams()) -> list[DepthCut]:
     """All n+1 cuts for z_i = z0 + i*dz, n = ceil((zf - z0) / dz) (cuts may
-    be empty); the last cut reaches zf or beyond.
+    be empty), with z0, zf and dz from params; the last cut reaches zf or
+    beyond.
 
     cloud = ``depthio.backproject(frame, k)``: row i is pixel
     ``frame.pixels[i]``.  A point joins cut i when |z - z_i| <= dz/2; per column
     the entry is the point with the minimal y, the topmost row among ties.
     """
-    if z0 >= zf or dz <= 0:
-        raise ValueError("need z0 < zf and dz > 0")
-    entry, key, in_band, y = _entry_table(frame, cloud, z0, zf, dz)
+    entry, key, in_band, y = _entry_table(frame, cloud, params)
     ties = y == entry.ravel()[key]
     rows = np.full(entry.size, frame.height, dtype=np.int32)
     np.minimum.at(rows, key[ties], frame.rows_columns[0][in_band][ties])
     occupied = entry < np.inf
     rows = np.where(occupied.ravel(), rows, -1).reshape(entry.shape)
     yentry = np.where(occupied, entry, np.nan)
-    return [DepthCut(index=i, z=z0 + i * dz, rows=rows[i], y=yentry[i])
+    return [DepthCut(index=i, z=params.z0 + i * params.dz, rows=rows[i],
+                     y=yentry[i])
             for i in range(len(entry))]
 
 
@@ -227,8 +226,7 @@ def detect_ground(frame: DepthFrame, cloud: np.ndarray,
     the cell stays excluded.
     """
     on_ground = np.zeros(len(cloud), dtype=bool)
-    entry, key, in_band, y = _entry_table(frame, cloud, params.z0, params.zf,
-                                          params.dz)
+    entry, key, in_band, y = _entry_table(frame, cloud, params)
     if not key.size:
         return on_ground
     # Elevation prior: the ground is the lowest surface in view.

@@ -215,13 +215,23 @@ def key_value_lines(text: str, what: str, error: type[Exception] = ValueError):
         yield lineno, key.strip(), value.strip()
 
 
+def parse_value(conv, text: str, where: str, error: type[Exception] = ValueError):
+    """conv(text); a ValueError it raises becomes ``error("<where>: ...")``,
+    where names the line and key, as in "config line 3: seed"."""
+    try:
+        return conv(text)
+    except ValueError as exc:
+        raise error(f"{where}: {exc}") from None
+
+
 def load_intrinsics(text: str) -> Intrinsics:
     """Parse the flat key-value intrinsics file (fx=, fy=, cx=, cy=, depth_scale=)."""
     values = {}
     for lineno, key, val in key_value_lines(text, "intrinsics", DepthFormatError):
         if key not in ("fx", "fy", "cx", "cy", "depth_scale"):
             raise DepthFormatError(f"intrinsics line {lineno}: unknown key {key!r}")
-        values[key] = float(val)
+        values[key] = parse_value(float, val, f"intrinsics line {lineno}: {key}",
+                                  DepthFormatError)
     missing = {"fx", "fy", "cx", "cy"} - values.keys()
     if missing:
         raise DepthFormatError(f"intrinsics file missing keys: {sorted(missing)}")

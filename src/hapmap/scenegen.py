@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields as dataclass_fields
 
 import numpy as np
 
-from .depthio import DepthFrame, Intrinsics, key_value_lines
+from .depthio import DepthFrame, Intrinsics, key_value_lines, parse_value
 
 
 def _require_finite(spec) -> None:
@@ -112,8 +112,6 @@ class SceneSpec:
 class GroundTruth:
     ground_mask: np.ndarray                # (h, w) bool, noiseless classification
     object_masks: list[np.ndarray]         # one (h, w) bool per box
-    object_heights: list[float]            # mm
-    object_footprints: list[np.ndarray]    # (4, 2) floor-plane rectangles
 
 
 def render_depth(spec: SceneSpec, k: Intrinsics, width: int = 640,
@@ -204,8 +202,6 @@ def render_depth(spec: SceneSpec, k: Intrinsics, width: int = 640,
     truth = GroundTruth(
         ground_mask=(hit_id == 0) & ~hole_mask,
         object_masks=[hit_id == i + 1 for i in range(len(spec.boxes))],
-        object_heights=[box.height for box in spec.boxes],
-        object_footprints=[box.footprint for box in spec.boxes],
     )
     return DepthFrame(raw), truth
 
@@ -222,6 +218,11 @@ def floor_depth_at(v: int, k: Intrinsics, camera_height: float) -> float:
 # Scene spec text format
 # ---------------------------------------------------------------------------
 
+#: scene file keys and the number of fields each takes
+_SCENE_FIELDS = {"camera_height": 1, "floor_extent": 1, "noise_sigma": 1,
+                 "seed": 1, "box": 6, "hole": 4}
+
+
 def parse_scene_spec(text: str) -> SceneSpec:
     """Parse the flat scene file: key=value lines, repeated box=/hole= entries.
 
@@ -233,22 +234,23 @@ def parse_scene_spec(text: str) -> SceneSpec:
     boxes: list[BoxSpec] = []
     holes: list[HoleSpec] = []
     for lineno, key, val in key_value_lines(text, "scene"):
-        fields = val.replace(",", " ").split()
-        if key == "box":
-            if len(fields) != 6:
-                raise ValueError(f"scene line {lineno}: box needs 6 fields")
-            boxes.append(BoxSpec(*(float(f) for f in fields[:5]),
-                                 fine_class=fields[5]))
-        elif key == "hole":
-            if len(fields) != 4:
-                raise ValueError(f"scene line {lineno}: hole needs 4 fields")
-            holes.append(HoleSpec(*(float(f) for f in fields)))
-        elif key in ("camera_height", "floor_extent", "noise_sigma"):
-            kwargs[key] = float(fields[0])
-        elif key == "seed":
-            kwargs[key] = int(fields[0])
-        else:
+        if key not in _SCENE_FIELDS:
             raise ValueError(f"scene line {lineno}: unknown key {key!r}")
+        where = f"scene line {lineno}: {key}"
+        fields = val.replace(",", " ").split()
+        count = _SCENE_FIELDS[key]
+        if len(fields) != count:
+            raise ValueError(f"{where} needs {count} "
+                             + ("value" if count == 1 else "fields"))
+        if key == "box":
+            dims = [parse_value(float, f, where) for f in fields[:5]]
+            boxes.append(BoxSpec(*dims, fine_class=fields[5]))
+        elif key == "hole":
+            holes.append(HoleSpec(*(parse_value(float, f, where)
+                                    for f in fields)))
+        else:
+            conv = int if key == "seed" else float
+            kwargs[key] = parse_value(conv, fields[0], where)
     if kwargs["camera_height"] is None:
         raise ValueError("scene file must set camera_height")
     return SceneSpec(boxes=boxes, holes=holes, **kwargs)

@@ -192,14 +192,14 @@ def monotone_chain_hull(points):
 def dense_forward_batch(model, x, want_cache):
     """Logits for x of shape (B, n, 3); optionally the dense backprop cache."""
     bsz, npts, dim = x.shape
-    if dim != model.point_weights[0].shape[0]:
+    w0 = model.point_layers[0][0]
+    if dim != w0.shape[0]:
         raise ValueError(f"width mismatch: points have {dim} coordinates, "
-                         f"model expects {model.point_weights[0].shape[0]}")
-    dtype = model.point_weights[0].dtype
-    h = x.reshape(bsz * npts, dim).astype(dtype)
+                         f"model expects {w0.shape[0]}")
+    h = x.reshape(bsz * npts, dim).astype(w0.dtype)
     point_inputs = []
     point_outputs = []
-    for w, b in zip(model.point_weights, model.point_biases):
+    for w, b in model.point_layers:
         point_inputs.append(h)
         h = np.maximum(h @ w + b, 0.0)
         point_outputs.append(h)
@@ -209,10 +209,10 @@ def dense_forward_batch(model, x, want_cache):
 
     head_inputs = []
     h = pooled
-    for i, (w, b) in enumerate(zip(model.head_weights, model.head_biases)):
+    for i, (w, b) in enumerate(model.head_layers):
         head_inputs.append(h)
         h = h @ w + b
-        if i < len(model.head_weights) - 1:
+        if i < len(model.head_layers) - 1:
             h = np.maximum(h, 0.0)
     logits = h
     if not want_cache:
@@ -223,8 +223,9 @@ def dense_forward_batch(model, x, want_cache):
 
 
 def dense_loss_and_grads(model, x, y):
-    """Mean cross-entropy over the batch plus gradients for every parameter,
-    with the point-layer backward over all B * n rows.
+    """Mean cross-entropy over the batch plus gradients for every parameter
+    in ``model.parameters()`` order, with the point-layer backward over all
+    B * n rows.
 
     Max-pool routes each pooled feature's gradient to the first point that
     attains the maximum, which matches the forward tie-break.
@@ -234,20 +235,18 @@ def dense_loss_and_grads(model, x, y):
     probs = softmax64(logits)
     logp = np.log(probs[np.arange(bsz), y])
     loss = float(-logp.mean())
-    dtype = model.point_weights[0].dtype
+    dtype = model.point_layers[0][0].dtype
 
     dlogits = probs.astype(dtype)
     dlogits[np.arange(bsz), y] -= 1.0
     dlogits /= bsz
 
-    hw_grads = [None] * len(model.head_weights)
-    hb_grads = [None] * len(model.head_weights)
+    head_grads = []
     d = dlogits
-    for i in range(len(model.head_weights) - 1, -1, -1):
+    for i in range(len(model.head_layers) - 1, -1, -1):
         inp = cache["head_inputs"][i]
-        hw_grads[i] = inp.T @ d
-        hb_grads[i] = d.sum(axis=0)
-        d = d @ model.head_weights[i].T
+        head_grads = [inp.T @ d, d.sum(axis=0)] + head_grads
+        d = d @ model.head_layers[i][0].T
         if i > 0:
             d = d * (inp > 0)
 
@@ -259,19 +258,16 @@ def dense_loss_and_grads(model, x, y):
     dfeat[rows, cache["argmax"], cols] = dpooled
     d = dfeat.reshape(bsz * npts, nfeat)
 
-    pw_grads = [None] * len(model.point_weights)
-    pb_grads = [None] * len(model.point_weights)
-    for i in range(len(model.point_weights) - 1, -1, -1):
+    point_grads = []
+    for i in range(len(model.point_layers) - 1, -1, -1):
         inp = cache["point_inputs"][i]
         d = d * (cache["point_outputs"][i] > 0)   # relu mask
-        pw_grads[i] = inp.T @ d
-        pb_grads[i] = d.sum(axis=0)
+        point_grads = [inp.T @ d, d.sum(axis=0)] + point_grads
         if i > 0:
-            d = d @ model.point_weights[i].T
+            d = d @ model.point_layers[i][0].T
 
-    grads = {"pw": pw_grads, "pb": pb_grads, "hw": hw_grads, "hb": hb_grads}
     acc = float((probs.argmax(axis=1) == y).mean())
-    return loss, grads, acc
+    return loss, point_grads + head_grads, acc
 
 
 def pinhole_frame(frame, k):

@@ -2,6 +2,7 @@
 network itself, training, the finite-difference gradient oracle and the
 dense-backward oracle for the critical-row backward."""
 
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -281,11 +282,10 @@ class TestGradCheck:
         x = rng.normal(size=(4, 16, 3))
         logits, _ = clf._forward_batch(model, x, want_cache=False)
         y = logits.argmax(axis=1)
-        model.head_weights[-1] *= 200.0   # saturate the softmax at the argmax
-        model.head_biases[-1] *= 200.0
+        for a in model.head_layers[-1]:
+            a *= 200.0   # saturate the softmax at the argmax
         _, grads, _ = loss_and_grads(model, x, y)
-        worst = max(np.abs(g).max() for g in
-                    grads["pw"] + grads["pb"] + grads["hw"] + grads["hb"])
+        worst = max(np.abs(g).max() for g in grads)
         assert worst < 1e-6
 
     def test_repeatable(self):
@@ -301,11 +301,10 @@ def assert_matches_dense(model, x, y, rtol):
     loss, grads, acc = loss_and_grads(model, x, y)
     ref_loss, ref, ref_acc = dense_loss_and_grads(model, x, y)
     assert (loss, acc) == (ref_loss, ref_acc)
-    for key in ("pw", "pb", "hw", "hb"):
-        for got, want in zip(grads[key], ref[key], strict=True):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            np.testing.assert_allclose(got, want, rtol=rtol,
-                                       atol=rtol * np.abs(want).max())
+    for got, want, param in zip(grads, ref, model.parameters(), strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape == param.shape
+        np.testing.assert_allclose(got, want, rtol=rtol,
+                                   atol=rtol * np.abs(want).max())
     return grads
 
 
@@ -317,7 +316,7 @@ def lattice_model(seed):
                        head_hidden=(4,), rng=np.random.default_rng(seed),
                        dtype=np.float64)
     rng = np.random.default_rng(seed + 100)
-    for w in model.point_weights:
+    for w, _ in model.point_layers:
         w[...] = rng.integers(-1, 2, size=w.shape)
     return model
 
@@ -366,13 +365,17 @@ class TestCriticalRowBackward:
     def test_dead_features(self):
         rng = np.random.default_rng(11)
         model = tiny_model(seed=11).astype(np.float64)
-        model.point_biases[0][2] = -1e3    # unit 2 of layer 0 never fires
-        model.point_biases[-1][5] = -1e3   # pooled feature 5 is 0 everywhere
+        model.point_layers[0][1][2] = -1e3    # unit 2 of layer 0 never fires
+        model.point_layers[-1][1][5] = -1e3   # pooled feature 5 is 0 everywhere
         x = rng.normal(size=(4, 16, 3))
         grads = assert_matches_dense(model, x, np.array([0, 1, 2, 0]),
                                      rtol=1e-12)
-        assert not grads["pw"][0][:, 2].any() and grads["pb"][0][2] == 0
-        assert not grads["pw"][-1][:, 5].any() and grads["pb"][-1][5] == 0
+        # (weights, bias) gradients per layer, point layers first
+        layers = list(zip(grads[::2], grads[1::2]))
+        gw, gb = layers[0]
+        assert not gw[:, 2].any() and gb[2] == 0
+        gw, gb = layers[len(model.point_layers) - 1]
+        assert not gw[:, 5].any() and gb[5] == 0
 
     @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5),
                                              (np.float64, 1e-12)])
@@ -513,6 +516,34 @@ class TestSerialization:
         assert again.n_points == model.n_points
         assert save_model(again) == blob
 
+    def test_layout_bytes(self):
+        # the PSM1 layout written out with struct: fixed weights, exact in
+        # f32, so the bytes are the same on every machine
+        model = init_model(("ab", "c", "d"), n_points=7, point_widths=(3, 2, 4),
+                           head_hidden=(5,), rng=np.random.default_rng(0))
+        for a in model.parameters():   # every shape distinct: values by shape
+            a[...] = (np.arange(a.size).reshape(a.shape) - a.ndim) / 8
+        shapes = [[(3, 2), (2, 4)], [(4, 5), (5, 3)]]
+        want = b"PSM1" + struct.pack("<II", 7, 3)
+        for name in (b"ab", b"c", b"d"):
+            want += struct.pack("<H", len(name)) + name
+        for group in shapes:
+            want += struct.pack("<I", len(group))
+            for n_in, n_out in group:
+                want += struct.pack("<II", n_in, n_out)
+        for n_in, n_out in shapes[0] + shapes[1]:
+            for size, ndim in ((n_in * n_out, 2), (n_out, 1)):
+                want += struct.pack(f"<{size}f",
+                                    *((i - ndim) / 8 for i in range(size)))
+        assert save_model(model) == want
+        again = load_model(want)
+        assert (again.classes, again.n_points) == (model.classes, 7)
+        for got, param in zip(again.parameters(), model.parameters(),
+                              strict=True):
+            assert got.dtype == np.float32
+            assert got.shape == param.shape
+            assert np.array_equal(got, param)
+
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="model"):
             load_model(b"XXXX" + b"\x00" * 32)
@@ -537,8 +568,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("group", ["point", "head"])
     def test_group_without_layers(self, group):
-        model = replace(tiny_model(), **{f"{group}_weights": [],
-                                         f"{group}_biases": []})
+        model = replace(tiny_model(), **{f"{group}_layers": []})
         with pytest.raises(ValueError, match=f"no {group} layers"):
             load_model(save_model(model))
 
@@ -550,8 +580,9 @@ class TestSerialization:
     def test_broken_width_chain(self, group, index, n_in, message):
         # tiny_model widths: point 3 -> 8 -> 8, head 8 -> 8 -> 3
         model = tiny_model()
-        weights = getattr(model, f"{group}_weights")
-        weights[index] = np.zeros((n_in, weights[index].shape[1]), np.float32)
+        layers = getattr(model, f"{group}_layers")
+        w, b = layers[index]
+        layers[index] = (np.zeros((n_in, w.shape[1]), np.float32), b)
         with pytest.raises(ValueError, match=message):
             load_model(save_model(model))
 

@@ -129,6 +129,38 @@ class TestConfig:
             parse(head + " bogus.key = 1  # trailing comment\n")
         assert str(exc.value) == message.format(n=4) + "unknown key 'bogus.key'"
 
+    @pytest.mark.parametrize("parse, error, line, message", [
+        (parse_config, ValueError, "seed=1.5", "config line 4: seed: "
+         "invalid literal for int() with base 10: '1.5'"),
+        (parse_config, ValueError, "dcgd.dz=", "config line 4: dcgd.dz: "
+         "could not convert string to float: ''"),
+        (parse_config, ValueError, "geometry.area_low=x", "config line 4: "
+         "geometry.area_low: could not convert string to float: 'x'"),
+        (depthio.load_intrinsics, depthio.DepthFormatError, "fx=",
+         "intrinsics line 4: fx: could not convert string to float: ''"),
+        (scenegen.parse_scene_spec, ValueError, "box=1 2 3 4 x box",
+         "scene line 4: box: could not convert string to float: 'x'"),
+        (scenegen.parse_scene_spec, ValueError, "hole=1 2 3 y",
+         "scene line 4: hole: could not convert string to float: 'y'"),
+        (scenegen.parse_scene_spec, ValueError, "seed=2.5",
+         "scene line 4: seed: invalid literal for int() with base 10: '2.5'"),
+        (scenegen.parse_scene_spec, ValueError, "camera_height=",
+         "scene line 4: camera_height needs 1 value"),
+        (scenegen.parse_scene_spec, ValueError, "seed=",
+         "scene line 4: seed needs 1 value"),
+        (scenegen.parse_scene_spec, ValueError, "camera_height=1200 1300",
+         "scene line 4: camera_height needs 1 value"),
+        (scenegen.parse_scene_spec, ValueError, "hole=1 2 3",
+         "scene line 4: hole needs 4 fields"),
+    ], ids=["config_int", "config_float", "config_threshold", "intrinsics",
+            "box_field", "hole_field", "scene_int", "empty_scalar",
+            "empty_seed", "extra_value", "short_hole"])
+    def test_bad_value_names_line_and_key(self, parse, error, line, message):
+        head = "# header\n\n   # indented comment\n"
+        with pytest.raises(error) as exc:
+            parse(head + line + "\n")
+        assert str(exc.value) == message
+
 
 class TestRunPipeline:
     def test_geometry_only_single_footprint(self, box_scene):
@@ -590,6 +622,34 @@ class TestCli:
                                            "must be finite\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("camera_height=", "scene line 1: camera_height needs 1 value"),
+        ("camera_height=1200 1300", "scene line 1: camera_height needs 1 value"),
+    ], ids=["empty", "extra"])
+    def test_scenegen_scalar_takes_one_value(self, tmp_path, capsys, line,
+                                             message):
+        scene = tmp_path / "scene.txt"
+        scene.write_text(f"{line}\nfloor_extent=4000\n")
+        out = tmp_path / "depth.pgm"
+        rc = cli.main(["scenegen", "--scene", str(scene), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_run_bad_intrinsics_value_names_line(self, box_scene, tmp_path,
+                                                 capsys):
+        depth, _, _ = box_scene
+        intr = tmp_path / "bad_intr.txt"
+        intr.write_text("fx=\nfy=143.95\ncx=79.5\ncy=59.5\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"intrinsics.path={intr}\n")
+        rc = cli.main(["run", "--depth", str(depth), "--config", str(cfg),
+                       "--out", str(tmp_path / "g.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error in stage depthio: intrinsics line 1: fx: could not convert "
+            "string to float: ''\n")
+
     def test_train_deterministic_model_files(self, tmp_path):
         args = ["train", "--out", "", "--per-class", "8", "--test-per-class", "2",
                 "--epochs", "2", "--n-points", "64", "--seed", "11"]
@@ -660,6 +720,23 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == ("error: manifest line 4: expected "
                                            "<path> <fine_class>\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fine, message", [
+        ("lamp", "manifest line 2: unknown fine class 'lamp'"),
+        ("door", "manifest line 2: 'door' has no training class"),
+    ], ids=["unknown", "untrained"])
+    def test_train_manifest_class_names_line(self, tmp_path, capsys, fine,
+                                             message):
+        cloud = tmp_path / "cloud.xyz"
+        cloud.write_text("0 0 0\n1 1 1\n")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"{cloud} chair\n{cloud} {fine}\n")
+        out = tmp_path / "m.bin"
+        rc = cli.main(["train", "--manifest", str(manifest), "--out", str(out),
+                       "--epochs", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_train_manifest(self, tmp_path, capsys):

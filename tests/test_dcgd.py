@@ -40,8 +40,8 @@ def make_cut(cols_y, index=0, z=1000.0, width=None):
 class TestComputeDepthCuts:
     def test_default_band_yields_65_cuts(self, small_cam):
         frame = DepthFrame(np.zeros((SMALL_H, SMALL_W), dtype=np.uint16))
-        cuts = compute_depth_cuts(frame, backproject(frame, small_cam), 800,
-                                  4000, 50)
+        cuts = compute_depth_cuts(frame, backproject(frame, small_cam),
+                                  DcgdParams())
         # ceil((4000 - 800) / 50) = 64 intervals -> cuts i = 0..64
         assert len(cuts) == 65
         assert cuts[0].z == 800 and cuts[-1].z == 4000
@@ -53,15 +53,15 @@ class TestComputeDepthCuts:
         data = np.zeros((SMALL_H, SMALL_W), dtype=np.uint16)
         data[-1, 0] = 4000
         frame = DepthFrame(data)
-        cuts = compute_depth_cuts(frame, backproject(frame, small_cam), 800,
-                                  4000, dz)
+        cuts = compute_depth_cuts(frame, backproject(frame, small_cam),
+                                  DcgdParams(dz=dz))
         assert cuts[-2].z < 4000 <= cuts[-1].z
         assert sum(not c.is_empty for c in cuts) == 1
 
     def test_constant_depth_single_cut(self, small_cam):
         frame = DepthFrame(np.full((SMALL_H, SMALL_W), 1000, dtype=np.uint16))
-        cuts = compute_depth_cuts(frame, backproject(frame, small_cam), 800,
-                                  4000, 50)
+        cuts = compute_depth_cuts(frame, backproject(frame, small_cam),
+                                  DcgdParams())
         nonempty = [c.index for c in cuts if not c.is_empty]
         assert nonempty == [4]   # (1000 - 800) / 50 = 4
 
@@ -73,7 +73,8 @@ class TestComputeDepthCuts:
         data[0, 1] = 1000
         data[2, 1] = 1000
         frame = DepthFrame(data)
-        cuts = compute_depth_cuts(frame, backproject(frame, k), 800, 1200, 50)
+        cuts = compute_depth_cuts(frame, backproject(frame, k),
+                                  DcgdParams(zf=1200))
         cut = cuts[4]
         assert cut.rows[1] == 2
         assert cut.y[1] == pytest.approx(100.0)
@@ -83,8 +84,8 @@ class TestComputeDepthCuts:
         data[60, 0] = 824   # |824 - 800| <= 25 -> bin 0
         data[60, 1] = 826   # |826 - 850| <= 25 -> bin 1
         frame = DepthFrame(data)
-        cuts = compute_depth_cuts(frame, backproject(frame, small_cam), 800,
-                                  4000, 50)
+        cuts = compute_depth_cuts(frame, backproject(frame, small_cam),
+                                  DcgdParams())
         assert cuts[0].rows[0] >= 0 and cuts[0].rows[1] == -1
         assert cuts[1].rows[1] >= 0 and cuts[1].rows[0] == -1
 
@@ -181,12 +182,11 @@ class TestDetectGround:
         assert elevation == pytest.approx(-1200, abs=5)
 
     def test_bad_params(self):
-        with pytest.raises(ValueError):
-            DcgdParams(z0=4000, zf=800)
-        with pytest.raises(ValueError):
-            DcgdParams(z0=0)
-        with pytest.raises(ValueError):
-            DcgdParams(dz=-1)
+        # also the one check of compute_depth_cuts' band
+        for bad in ({"z0": 4000, "zf": 800}, {"z0": 0}, {"z0": -100},
+                    {"zf": np.inf}, {"dz": -1}, {"dz": np.nan}):
+            with pytest.raises(ValueError, match="must be"):
+                DcgdParams(**bad)
 
 
 #: depths for the table-versus-loop checks; 0 is an invalid pixel, and the
@@ -223,7 +223,7 @@ def tie_frames(draw):
 
 
 def assert_cuts_equal(frame, k, p):
-    got = compute_depth_cuts(frame, backproject(frame, k), p.z0, p.zf, p.dz)
+    got = compute_depth_cuts(frame, backproject(frame, k), p)
     want = loop_depth_cuts(frame, k, p.z0, p.zf, p.dz)
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -252,10 +252,11 @@ class TestEntryTableMatchesLoops:
         data = np.zeros((64, 2), dtype=np.uint16)
         data[1, 1], data[2, 1], data[5, 1] = 1200, 1220, 9000
         frame = DepthFrame(data)
-        cuts = compute_depth_cuts(frame, backproject(frame, k), 800, 4000, dz)
+        params = DcgdParams(dz=dz)
+        cuts = compute_depth_cuts(frame, backproject(frame, k), params)
         (cut,) = [c for c in cuts if not c.is_empty]
         assert cut.rows[1] == 1 and cut.y[1] == 61 * 1200 / 10.0
-        assert_cuts_equal(frame, k, DcgdParams(dz=dz))
+        assert_cuts_equal(frame, k, params)
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**16), n_boxes=st.integers(0, 3),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hapmap import scenegen
-from hapmap.depthio import Intrinsics
+from hapmap.depthio import Intrinsics, backproject
 from hapmap.scenegen import (BoxSpec, HoleSpec, SceneSpec, floor_depth_at,
                              parse_scene_spec, format_scene_spec,
                              render_depth, sample_box_cloud)
@@ -38,10 +38,14 @@ class TestRender:
         spec = SceneSpec(camera_height=1200, floor_extent=4200,
                          boxes=[BoxSpec(0, 2000, 500, 500, 450)])
         frame, truth = render(spec)
-        assert truth.object_masks[0].sum() > 0
-        assert truth.object_heights == [450]
+        on_box = truth.object_masks[0].ravel()[frame.pixels]
+        assert on_box.sum() > 0
+        # the camera looks down on the box top: its highest pixels lie at
+        # the box height above the floor, up to the integer-mm depth
+        top = backproject(frame, K)[on_box, 1].max()
+        assert top == pytest.approx(-1200 + 450, abs=2)
         np.testing.assert_allclose(
-            truth.object_footprints[0],
+            spec.boxes[0].footprint,
             [[-250, 1750], [250, 1750], [250, 2250], [-250, 2250]])
 
     def test_box_front_face_depth(self):
