@@ -133,10 +133,11 @@ def _entry_table(frame: DepthFrame, cloud: np.ndarray, params: DcgdParams):
     the elevation of each in-band point, in cloud order.
     """
     n = _last_cut(params.z0, params.zf, params.dz)
-    bins = _cut_index(cloud[:, 2], params.z0, params.dz)
-    in_band = (bins >= 0) & (bins <= n)
-    key = (bins.astype(np.int64) * frame.width
-           + frame.rows_columns[1])[in_band]
+    key = _cut_index(cloud[:, 2], params.z0, params.dz).astype(np.int64)
+    in_band = (key >= 0) & (key <= n)
+    key *= frame.width   # the cut index becomes the cell key in place
+    key += frame.rows_columns[1]
+    key = key[in_band]
     y = cloud[:, 1][in_band]   # column first: far faster than cloud[in_band, 1]
     entry = np.full((n + 1) * frame.width, np.inf)
     np.minimum.at(entry, key, y)
@@ -229,11 +230,12 @@ def detect_ground(frame: DepthFrame, cloud: np.ndarray,
     entry, key, in_band, y = _entry_table(frame, cloud, params)
     if not key.size:
         return on_ground
-    # Elevation prior: the ground is the lowest surface in view.
-    prior = float(np.percentile(y, 2.0))
-    concave = ~_claims(entry, params.baseline_tol, prior)
-    on_ground[in_band] = (concave.ravel()[key]
-                          & (y <= entry.ravel()[key] + params.include_tol))
+    near = y <= entry.ravel()[key] + params.include_tol
+    # Elevation prior: the ground is the lowest surface in view.  y is
+    # partitioned in place and freed before _claims sorts the table.
+    prior = float(np.percentile(y, 2.0, overwrite_input=True))
+    del y
+    on_ground[in_band] = ~_claims(entry, params.baseline_tol, prior).ravel()[key] & near
     return on_ground
 
 
@@ -245,4 +247,4 @@ def ground_elevation(cloud: np.ndarray, on_ground: np.ndarray) -> float:
     """
     if not on_ground.any():
         raise ValueError("empty ground mask")
-    return float(np.median(cloud[on_ground, 1]))
+    return float(np.median(cloud[:, 1][on_ground]))   # column first, as above

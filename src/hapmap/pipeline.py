@@ -117,7 +117,7 @@ def analyze_scene(config: PipelineConfig, frame: depthio.DepthFrame,
         ground_y = (dcgd.ground_elevation(cloud, on_ground)
                     if on_ground.any() else 0.0)
         occupied = in_band & ~on_ground
-        points = np.compress(occupied, cloud, axis=0)   # cloud[occupied], faster
+        points = cloud[occupied]   # np.compress would copy the whole cloud
         labels = seg.image_segments(band, cloud, occupied,
                                     config.segment_link_mm,
                                     config.segment_min_px)

@@ -63,7 +63,7 @@ def image_segments(frame: DepthFrame, cloud: np.ndarray, occupied: np.ndarray,
         raise ValueError("cloud and occupied flags need one row per valid pixel")
     rows = np.flatnonzero(occupied)
     pix = frame.pixels[rows]
-    z = cloud[rows, 2]
+    z = cloud[:, 2][rows]
     n = pix.size
     # a run starts where the right link from the entry before fails: the
     # pixel is not the next one, the depth steps, or an image row begins
