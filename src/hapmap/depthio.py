@@ -200,12 +200,15 @@ def mask_to_pgm(mask: np.ndarray) -> bytes:
     return header + (mask.astype(np.uint8) * 255).tobytes()
 
 
-def key_value_lines(text: str, what: str, error: type[Exception] = ValueError):
+def key_value_lines(text: str, what: str, error: type[Exception] = ValueError,
+                    repeatable: tuple[str, ...] = ()):
     """Yield (lineno, key, value) from flat `key=value` text, both stripped.
 
     '#' starts a comment and blank lines are skipped.  A line without '='
-    raises ``error("<what> line <n>: expected key=value")``.
+    raises ``error("<what> line <n>: expected key=value")``, and a second
+    line for a key not in ``repeatable`` raises an error naming both lines.
     """
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -213,14 +216,19 @@ def key_value_lines(text: str, what: str, error: type[Exception] = ValueError):
         if "=" not in line:
             raise error(f"{what} line {lineno}: expected key=value")
         key, _, value = line.partition("=")
-        yield lineno, key.strip(), value.strip()
+        key = key.strip()
+        if key in first_line and key not in repeatable:
+            raise error(f"{what} line {lineno}: {key} already set on line "
+                        f"{first_line[key]}")
+        first_line.setdefault(key, lineno)
+        yield lineno, key, value.strip()
 
 
-def parse_value(conv, text: str, where: str, error: type[Exception] = ValueError):
-    """conv(text); a ValueError it raises becomes ``error("<where>: ...")``,
+def parse_value(conv, value, where: str, error: type[Exception] = ValueError):
+    """conv(value); a ValueError it raises becomes ``error("<where>: ...")``,
     where names the line and key, as in "config line 3: seed"."""
     try:
-        return conv(text)
+        return conv(value)
     except ValueError as exc:
         raise error(f"{where}: {exc}") from None
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields as dataclass_fields
+from functools import partial
 
 import numpy as np
 
@@ -81,6 +82,35 @@ class HoleSpec:
         return _rectangle(self.center_x, self.center_z, self.width, self.depth)
 
 
+#: range test and error of each scalar field of SceneSpec
+_SCENE_RANGES = {
+    "camera_height": (lambda v: v > 0, "camera must sit above the floor"),
+    "floor_extent": (lambda v: v > 0, "scene needs a floor"),
+    "noise_sigma": (lambda v: v >= 0, "noise sigma must be non-negative"),
+    "seed": (lambda v: v >= 0, "seed must be non-negative"),
+}
+
+
+def _check_scene_scalar(name: str, value: float) -> None:
+    """ValueError unless value is finite and in range for SceneSpec.name."""
+    if not math.isfinite(value):
+        raise ValueError(f"SceneSpec.{name} must be finite")
+    in_range, message = _SCENE_RANGES[name]
+    if not in_range(value):
+        raise ValueError(message)
+
+
+def _on_floor(rect: BoxSpec | HoleSpec, floor_extent: float):
+    """rect itself; ValueError if the box or hole leaves the floor."""
+    if (abs(rect.center_x) + rect.width / 2 > floor_extent / 2
+            or rect.center_z - rect.depth / 2 < 0
+            or rect.center_z + rect.depth / 2 > floor_extent):
+        kind = "box" if isinstance(rect, BoxSpec) else "hole"
+        raise ValueError(f"{kind} at ({rect.center_x}, {rect.center_z}) "
+                         "lies outside the floor extent")
+    return rect
+
+
 @dataclass
 class SceneSpec:
     camera_height: float
@@ -91,21 +121,10 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.camera_height <= 0:
-            raise ValueError("camera must sit above the floor")
-        if self.floor_extent <= 0:
-            raise ValueError("scene needs a floor")
-        if self.noise_sigma < 0:
-            raise ValueError("noise sigma must be non-negative")
-        half = self.floor_extent / 2
-        for kind, rect in ([("box", b) for b in self.boxes]
-                           + [("hole", h) for h in self.holes]):
-            if (abs(rect.center_x) + rect.width / 2 > half
-                    or rect.center_z - rect.depth / 2 < 0
-                    or rect.center_z + rect.depth / 2 > self.floor_extent):
-                raise ValueError(f"{kind} at ({rect.center_x}, {rect.center_z}) "
-                                 "lies outside the floor extent")
+        for name in _SCENE_RANGES:
+            _check_scene_scalar(name, getattr(self, name))
+        for rect in self.boxes + self.holes:
+            _on_floor(rect, self.floor_extent)
 
 
 @dataclass
@@ -123,7 +142,10 @@ def render_depth(spec: SceneSpec, k: Intrinsics, width: int = 640,
     recorded when it falls in [1, 2^16) mm.  Gaussian noise of
     spec.noise_sigma is added to hit depths and clamped at 0; masks always
     come from the noiseless hit classification.  Floor pixels inside a hole
-    rectangle return 0.
+    rectangle return 0.  Each primitive is cast only where it can be seen:
+    the floor's depth is one t per row, a box is cast on the window of
+    columns and rows whose own slab interval meets its z slab (every ray
+    that hits the box passes both), a hole on the rows its floor depth spans.
     """
     if rng is None:
         rng = np.random.default_rng(spec.seed)
@@ -131,66 +153,61 @@ def render_depth(spec: SceneSpec, k: Intrinsics, width: int = 640,
         raise ValueError("principal point lies outside the image")
     cam_h = spec.camera_height
 
-    us = np.arange(width, dtype=np.float64)
-    vs = np.arange(height, dtype=np.float64)
-    dx = (us - k.cx) / k.fx                   # per column
-    dy = (k.cy - vs) / k.fy                   # per row, y up
-    dxg, dyg = np.meshgrid(dx, dy)            # (h, w); dz == 1 everywhere
+    dx = (np.arange(width, dtype=np.float64) - k.cx) / k.fx    # per column
+    dy = (k.cy - np.arange(height, dtype=np.float64)) / k.fy   # per row, y up
 
     # Ray p(t) = t * (dx, dy, 1): t is the z-depth of the point directly.
     best_t = np.full((height, width), np.inf)
     # hit ids: -1 none, 0 floor, 1 + i for box i
     hit_id = np.full((height, width), -1, dtype=np.int32)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_floor = np.where(dyg < 0, -cam_h / dyg, np.inf)
-    fx_hit = dxg * t_floor
-    half = spec.floor_extent / 2
-    floor_ok = (t_floor > 0) & (np.abs(fx_hit) <= half) & (t_floor <= spec.floor_extent)
-    t_floor = np.where(floor_ok, t_floor, np.inf)
-    better = t_floor < best_t
-    best_t = np.where(better, t_floor, best_t)
-    hit_id = np.where(better, 0, hit_id)
+    # x = dx * t only where t is finite: no 0 * inf at a whole-pixel cx
+    with np.errstate(divide="ignore"):
+        t_row = np.where(dy < 0, -cam_h / dy, np.inf)
+    rows = np.flatnonzero((t_row > 0) & (t_row <= spec.floor_extent))
+    t = t_row[rows, None]
+    on_floor = np.abs(dx * t) <= spec.floor_extent / 2
+    best_t[rows] = np.where(on_floor, t, np.inf)
+    hit_id[rows] = np.where(on_floor, 0, -1)
 
     for i, box in enumerate(spec.boxes):
-        lo = np.array([box.center_x - box.width / 2, -cam_h,
-                       box.center_z - box.depth / 2])
-        hi = np.array([box.center_x + box.width / 2, -cam_h + box.height,
-                       box.center_z + box.depth / 2])
-        tmin = np.zeros((height, width))
-        tmax = np.full((height, width), np.inf)
-        for axis, d in ((0, dxg), (1, dyg)):
+        # slab test (Kay & Kajiya, SIGGRAPH 1986): t intervals per column (x)
+        # and row (y), each cut to the z slab and t >= 0 (dz == 1)
+        lo = (box.center_x - box.width / 2, -cam_h,
+              max(0.0, box.center_z - box.depth / 2))
+        hi = (box.center_x + box.width / 2, -cam_h + box.height,
+              box.center_z + box.depth / 2)
+        near, far = [], []
+        for axis, d in ((0, dx), (1, dy)):
             with np.errstate(divide="ignore", invalid="ignore"):
                 t1 = lo[axis] / d
                 t2 = hi[axis] / d
-            near = np.minimum(t1, t2)
-            far = np.maximum(t1, t2)
             parallel = np.abs(d) < 1e-12
-            inside = (lo[axis] <= 0) & (0 <= hi[axis])
-            near = np.where(parallel, np.where(inside, 0.0, np.inf), near)
-            far = np.where(parallel, np.where(inside, np.inf, -np.inf), far)
-            tmin = np.maximum(tmin, near)
-            tmax = np.minimum(tmax, far)
-        # z slab: dz == 1, ray starts at z=0 in front of every box
-        tmin = np.maximum(tmin, lo[2])
-        tmax = np.minimum(tmax, hi[2])
-        t_box = np.where((tmax >= tmin) & (tmin > 0), tmin, np.inf)
-        better = t_box < best_t
-        best_t = np.where(better, t_box, best_t)
-        hit_id = np.where(better, i + 1, hit_id)
+            inside = lo[axis] <= 0 <= hi[axis]
+            near.append(np.maximum(np.where(parallel, 0.0 if inside else np.inf,
+                                            np.minimum(t1, t2)), lo[2]))
+            far.append(np.minimum(np.where(parallel, np.inf if inside else -np.inf,
+                                           np.maximum(t1, t2)), hi[2]))
+        cols, rows = (np.flatnonzero(n <= f) for n, f in zip(near, far))
+        if not (cols.size and rows.size):
+            continue
+        cols, rows = slice(cols[0], cols[-1] + 1), slice(rows[0], rows[-1] + 1)
+        tmin = np.maximum(near[0][cols], near[1][rows, None])
+        tmax = np.minimum(far[0][cols], far[1][rows, None])
+        window_t = best_t[rows, cols]
+        better = (tmax >= tmin) & (tmin > 0) & (tmin < window_t)
+        window_t[better] = tmin[better]
+        hit_id[rows, cols][better] = i + 1
 
     in_range = np.isfinite(best_t) & (best_t >= 1) & (best_t < 2**16)
     hit_id = np.where(in_range, hit_id, -1)
 
     # Holes knock out floor returns but do not reclassify them as objects.
     hole_mask = np.zeros((height, width), dtype=bool)
-    if spec.holes:
-        hx = dxg * best_t
-        hz = best_t
-        for hole in spec.holes:
-            inside = ((np.abs(hx - hole.center_x) <= hole.width / 2)
-                      & (np.abs(hz - hole.center_z) <= hole.depth / 2))
-            hole_mask |= (hit_id == 0) & inside
+    for hole in spec.holes:
+        rows = np.flatnonzero(np.abs(t_row - hole.center_z) <= hole.depth / 2)
+        inside = np.abs(dx * t_row[rows, None] - hole.center_x) <= hole.width / 2
+        hole_mask[rows] |= (hit_id[rows] == 0) & inside
 
     depth = np.where(hit_id >= 0, best_t, 0.0)
     if spec.noise_sigma > 0:
@@ -223,17 +240,29 @@ _SCENE_FIELDS = {"camera_height": 1, "floor_extent": 1, "noise_sigma": 1,
                  "seed": 1, "box": 6, "hole": 4}
 
 
+def _scene_value(key: str, fields: list[str]):
+    """The value of one scene line: a BoxSpec, a HoleSpec or a checked scalar."""
+    if key == "box":
+        return BoxSpec(*map(float, fields[:5]), fine_class=fields[5])
+    if key == "hole":
+        return HoleSpec(*map(float, fields))
+    value = (int if key == "seed" else float)(fields[0])
+    _check_scene_scalar(key, value)
+    return value
+
+
 def parse_scene_spec(text: str) -> SceneSpec:
     """Parse the flat scene file: key=value lines, repeated box=/hole= entries.
 
     box  = center_x center_z width depth height fine_class
     hole = center_x center_z width depth
-    Fields may be separated by spaces or commas; '#' starts a comment.
+    Fields may be separated by spaces or commas; '#' starts a comment.  An
+    invalid value names its line and key.
     """
-    kwargs: dict = {"camera_height": None}
-    boxes: list[BoxSpec] = []
-    holes: list[HoleSpec] = []
-    for lineno, key, val in key_value_lines(text, "scene"):
+    kwargs: dict = {}
+    rects: list[tuple[str, str, BoxSpec | HoleSpec]] = []
+    for lineno, key, val in key_value_lines(text, "scene",
+                                            repeatable=("box", "hole")):
         if key not in _SCENE_FIELDS:
             raise ValueError(f"scene line {lineno}: unknown key {key!r}")
         where = f"scene line {lineno}: {key}"
@@ -242,18 +271,20 @@ def parse_scene_spec(text: str) -> SceneSpec:
         if len(fields) != count:
             raise ValueError(f"{where} needs {count} "
                              + ("value" if count == 1 else "fields"))
-        if key == "box":
-            dims = [parse_value(float, f, where) for f in fields[:5]]
-            boxes.append(BoxSpec(*dims, fine_class=fields[5]))
-        elif key == "hole":
-            holes.append(HoleSpec(*(parse_value(float, f, where)
-                                    for f in fields)))
+        value = parse_value(partial(_scene_value, key), fields, where)
+        if key in ("box", "hole"):
+            rects.append((where, key, value))
         else:
-            conv = int if key == "seed" else float
-            kwargs[key] = parse_value(conv, fields[0], where)
-    if kwargs["camera_height"] is None:
+            kwargs[key] = value
+    if "camera_height" not in kwargs:
         raise ValueError("scene file must set camera_height")
-    return SceneSpec(boxes=boxes, holes=holes, **kwargs)
+    spec = SceneSpec(**kwargs)
+    # the floor check waits for floor_extent, which may come on a later line
+    on_floor = partial(_on_floor, floor_extent=spec.floor_extent)
+    for where, key, rect in rects:
+        (spec.boxes if key == "box" else spec.holes).append(
+            parse_value(on_floor, rect, where))
+    return spec
 
 
 def format_scene_spec(spec: SceneSpec) -> str:

@@ -11,10 +11,11 @@ from scipy.spatial import cKDTree
 from hapmap.classifier import _softmax64 as softmax64
 from hapmap.dcgd import (DcgdParams, DepthCut, SubCut, detect_ground,
                          ground_elevation)
-from hapmap.depthio import backproject
+from hapmap.depthio import DepthFrame, backproject
 from hapmap.geomfeat import (Footprint, classify_geometry, footprint,
                              polygon_area)
 from hapmap.labeling import ObjectDescriptor, label_level
+from hapmap.scenegen import GroundTruth
 from hapmap.segment import extract_segments, image_segments
 from hapmap.synthgrid import ASCII_INACTIVE, INACTIVE
 
@@ -268,6 +269,79 @@ def dense_loss_and_grads(model, x, y):
 
     acc = float((probs.argmax(axis=1) == y).mean())
     return loss, point_grads + head_grads, acc
+
+
+def full_frame_render_depth(spec, k, width=640, height=480, rng=None):
+    """``scenegen.render_depth`` with every primitive ray-cast over the whole
+    frame: the floor over a per-pixel meshgrid, each box by the Kay-Kajiya
+    slab test on all pixels, each hole by back-projecting every pixel.
+
+    Same per-pixel arithmetic, so the frames and masks must be equal byte
+    for byte.  A whole-pixel principal point gives 0 * inf on the sky rows
+    of its column, which errstate silences.
+    """
+    if rng is None:
+        rng = np.random.default_rng(spec.seed)
+    cam_h = spec.camera_height
+    dx = (np.arange(width, dtype=np.float64) - k.cx) / k.fx
+    dy = (k.cy - np.arange(height, dtype=np.float64)) / k.fy
+    dxg, dyg = np.meshgrid(dx, dy)
+    best_t = np.full((height, width), np.inf)
+    hit_id = np.full((height, width), -1, dtype=np.int32)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_floor = np.where(dyg < 0, -cam_h / dyg, np.inf)
+        fx_hit = dxg * t_floor
+    floor_ok = ((t_floor > 0) & (np.abs(fx_hit) <= spec.floor_extent / 2)
+                & (t_floor <= spec.floor_extent))
+    t_floor = np.where(floor_ok, t_floor, np.inf)
+    better = t_floor < best_t
+    best_t = np.where(better, t_floor, best_t)
+    hit_id = np.where(better, 0, hit_id)
+    for i, box in enumerate(spec.boxes):
+        lo = np.array([box.center_x - box.width / 2, -cam_h,
+                       box.center_z - box.depth / 2])
+        hi = np.array([box.center_x + box.width / 2, -cam_h + box.height,
+                       box.center_z + box.depth / 2])
+        tmin = np.zeros((height, width))
+        tmax = np.full((height, width), np.inf)
+        for axis, d in ((0, dxg), (1, dyg)):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t1 = lo[axis] / d
+                t2 = hi[axis] / d
+            near = np.minimum(t1, t2)
+            far = np.maximum(t1, t2)
+            parallel = np.abs(d) < 1e-12
+            inside = (lo[axis] <= 0) & (0 <= hi[axis])
+            near = np.where(parallel, np.where(inside, 0.0, np.inf), near)
+            far = np.where(parallel, np.where(inside, np.inf, -np.inf), far)
+            tmin = np.maximum(tmin, near)
+            tmax = np.minimum(tmax, far)
+        tmin = np.maximum(tmin, lo[2])
+        tmax = np.minimum(tmax, hi[2])
+        t_box = np.where((tmax >= tmin) & (tmin > 0), tmin, np.inf)
+        better = t_box < best_t
+        best_t = np.where(better, t_box, best_t)
+        hit_id = np.where(better, i + 1, hit_id)
+    in_range = np.isfinite(best_t) & (best_t >= 1) & (best_t < 2**16)
+    hit_id = np.where(in_range, hit_id, -1)
+    hole_mask = np.zeros((height, width), dtype=bool)
+    if spec.holes:
+        with np.errstate(invalid="ignore"):
+            hx = dxg * best_t
+        for hole in spec.holes:
+            inside = ((np.abs(hx - hole.center_x) <= hole.width / 2)
+                      & (np.abs(best_t - hole.center_z) <= hole.depth / 2))
+            hole_mask |= (hit_id == 0) & inside
+    depth = np.where(hit_id >= 0, best_t, 0.0)
+    if spec.noise_sigma > 0:
+        noise = rng.normal(0.0, spec.noise_sigma, size=depth.shape)
+        depth = np.where(hit_id >= 0, np.maximum(depth + noise, 0.0), 0.0)
+    depth = np.where(hole_mask, 0.0, depth)
+    raw = np.clip(np.rint(depth), 0, 65535).astype(np.uint16)
+    truth = GroundTruth(
+        ground_mask=(hit_id == 0) & ~hole_mask,
+        object_masks=[hit_id == i + 1 for i in range(len(spec.boxes))])
+    return DepthFrame(raw), truth
 
 
 def pinhole_frame(frame, k):

@@ -152,9 +152,31 @@ class TestConfig:
          "scene line 4: camera_height needs 1 value"),
         (scenegen.parse_scene_spec, ValueError, "hole=1 2 3",
          "scene line 4: hole needs 4 fields"),
+        (scenegen.parse_scene_spec, ValueError, "box=0 2000 -5 500 450 box",
+         "scene line 4: box: box dimensions must be positive"),
+        (scenegen.parse_scene_spec, ValueError, "camera_height=nan",
+         "scene line 4: camera_height: SceneSpec.camera_height must be finite"),
+        (scenegen.parse_scene_spec, ValueError, "camera_height=0",
+         "scene line 4: camera_height: camera must sit above the floor"),
+        (scenegen.parse_scene_spec, ValueError, "seed=-1",
+         "scene line 4: seed: seed must be non-negative"),
+        # the floor check waits for floor_extent on a later line
+        (scenegen.parse_scene_spec, ValueError,
+         "camera_height=1200\nhole=0 3000 400 400\nfloor_extent=2000",
+         "scene line 5: hole: hole at (0.0, 3000.0) lies outside the floor "
+         "extent"),
+        (parse_config, ValueError, "seed=1\nseed=2",
+         "config line 5: seed already set on line 4"),
+        (depthio.load_intrinsics, depthio.DepthFormatError, "fx=1\nfx=2",
+         "intrinsics line 5: fx already set on line 4"),
+        (scenegen.parse_scene_spec, ValueError,
+         "camera_height=1200\ncamera_height=900",
+         "scene line 5: camera_height already set on line 4"),
     ], ids=["config_int", "config_float", "config_threshold", "intrinsics",
             "box_field", "hole_field", "scene_int", "empty_scalar",
-            "empty_seed", "extra_value", "short_hole"])
+            "empty_seed", "extra_value", "short_hole", "box_range",
+            "scalar_not_finite", "scalar_range", "seed_range", "hole_off_floor",
+            "config_repeat", "intrinsics_repeat", "scene_repeat"])
     def test_bad_value_names_line_and_key(self, parse, error, line, message):
         head = "# header\n\n   # indented comment\n"
         with pytest.raises(error) as exc:
@@ -618,8 +640,9 @@ class TestCli:
         out = tmp_path / "depth.pgm"
         rc = cli.main(["scenegen", "--scene", str(scene), "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err == ("error: SceneSpec.camera_height "
-                                           "must be finite\n")
+        assert capsys.readouterr().err == ("error: scene line 1: camera_height: "
+                                           "SceneSpec.camera_height must be "
+                                           "finite\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from hapmap import scenegen
-from hapmap.depthio import Intrinsics, backproject
+from hapmap.depthio import DEFAULT_INTRINSICS, Intrinsics, backproject
 from hapmap.scenegen import (BoxSpec, HoleSpec, SceneSpec, floor_depth_at,
                              parse_scene_spec, format_scene_spec,
                              render_depth, sample_box_cloud)
+from oracles import full_frame_render_depth
 
 K = Intrinsics(fx=143.95, fy=143.95, cx=79.5, cy=59.5)
 W, H = 160, 120
@@ -110,6 +111,111 @@ class TestRender:
                           holes=[HoleSpec(*hole)])
 
 
+def random_scene(rng):
+    """Floor of 3-8 m with up to 8 boxes and 2 holes anywhere on it: some
+    touch z = 0, some are taller than the camera, many leave the image."""
+    extent = float(rng.uniform(3000, 8000))
+    cam_h = float(rng.uniform(300, 2000))
+
+    def rect():
+        w, d = rng.uniform(50, 1500, 2)
+        cz = d / 2 if rng.random() < 0.2 else rng.uniform(d / 2, extent - d / 2)
+        cx = rng.uniform(-(extent - w) / 2, (extent - w) / 2)
+        return float(cx), float(cz), float(w), float(d)
+
+    boxes = [BoxSpec(*rect(), float(rng.uniform(20, 2.5 * cam_h)))
+             for _ in range(rng.integers(0, 9))]
+    holes = [HoleSpec(*rect()) for _ in range(rng.integers(0, 3))]
+    return SceneSpec(camera_height=cam_h, floor_extent=extent,
+                     noise_sigma=float(rng.choice([0.0, 10.0])), boxes=boxes,
+                     holes=holes, seed=int(rng.integers(100)))
+
+
+#: (intrinsics, width, height): the default camera, the 160x120 one with the
+#: same field of view, and a small one whose principal point is a whole pixel
+CAMERAS = [(DEFAULT_INTRINSICS, 640, 480), (K, W, H),
+           (Intrinsics(fx=57.0, fy=57.0, cx=32.0, cy=24.0), 64, 48)]
+
+#: scenes for the windowed caster, each with the case it covers
+WINDOW_CASES = {
+    "near_face_at_z0": SceneSpec(camera_height=1200, floor_extent=4000,
+                                 boxes=[BoxSpec(-300, 250, 400, 500, 1500)]),
+    "cut_by_each_border": SceneSpec(
+        camera_height=1200, floor_extent=6000, noise_sigma=10, boxes=[
+            BoxSpec(-1300, 2000, 600, 500, 400),       # left
+            BoxSpec(1300, 2500, 600, 500, 400),        # right
+            BoxSpec(0, 3000, 800, 400, 2600),          # top, above the camera
+            BoxSpec(500, 1700, 400, 400, 1000)]),      # bottom
+    "hole_behind_box": SceneSpec(
+        camera_height=1200, floor_extent=5000,
+        boxes=[BoxSpec(100, 2400, 500, 400, 600)],
+        holes=[HoleSpec(0, 3100, 1200, 700)]),
+    "floor_ends_in_view": SceneSpec(
+        camera_height=1200, floor_extent=3000, noise_sigma=10,
+        boxes=[BoxSpec(0, 2750, 600, 500, 500)],
+        holes=[HoleSpec(-500, 2850, 600, 300)]),
+}
+
+
+class TestWindowedCaster:
+    """render_depth against the whole-frame caster, byte for byte.
+
+    A box is ray-cast only in the window spanned by the columns whose x
+    slab interval meets its z slab (and t > 0) and the rows whose y slab
+    interval does.  A ray that hits the box has its entry t at most its
+    exit t on all three slabs together, so it passes both 1-D tests, which
+    take the same floats as the per-pixel test: the window holds every
+    pixel the box can win with no pad for rounding, even for a near face at
+    z = 0, which no projection of the corners could bound.  A hole is
+    tested on the rows whose floor depth lies within its z range, and a
+    floor pixel's depth is its row's floor depth.
+    """
+
+    @staticmethod
+    def assert_same_render(spec, k, width, height):
+        frame, truth = render_depth(spec, k, width, height)
+        want, want_truth = full_frame_render_depth(spec, k, width, height)
+        assert frame.data.tobytes() == want.data.tobytes()
+        assert truth.ground_mask.tobytes() == want_truth.ground_mask.tobytes()
+        assert len(truth.object_masks) == len(spec.boxes)
+        for got, ref in zip(truth.object_masks, want_truth.object_masks):
+            assert got.tobytes() == ref.tobytes()
+        return truth
+
+    @pytest.mark.parametrize("camera", CAMERAS, ids=["640x480", "160x120",
+                                                     "64x48_whole_pixel"])
+    @pytest.mark.parametrize("case", WINDOW_CASES)
+    def test_cases(self, case, camera):
+        truth = self.assert_same_render(WINDOW_CASES[case], *camera)
+        if camera[1] == 640:      # each box in view is hit somewhere
+            assert all(m.any() for m in truth.object_masks)
+
+    def test_random_scenes(self):
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            spec = random_scene(rng)
+            for camera in CAMERAS[1:]:
+                self.assert_same_render(spec, *camera)
+
+    def test_whole_pixel_principal_point(self):
+        # the centre column's rays have dx == 0: on sky rows a hole test on
+        # x = dx * t met 0 * inf there (a RuntimeWarning fails the suite)
+        k = Intrinsics(fx=525.0, fy=525.0, cx=320.0, cy=240.0)
+        spec = SceneSpec(camera_height=1200, floor_extent=5000,
+                         boxes=[BoxSpec(600, 2500, 400, 400, 500)],
+                         holes=[HoleSpec(0, 3000, 800, 500)])
+        frame, _ = render_depth(spec, k, 640, 480)
+        base, _ = render_depth(SceneSpec(camera_height=1200, floor_extent=5000,
+                                         boxes=spec.boxes), k, 640, 480)
+        column = frame.data[:, 320]
+        assert (column[:241] == 0).all()           # horizon row and above
+        knocked = np.flatnonzero((base.data[:, 320] > 0) & (column == 0))
+        assert knocked.size > 0
+        assert all(abs(floor_depth_at(v, k, 1200) - 3000) <= 250
+                   for v in knocked)
+        self.assert_same_render(spec, k, 640, 480)
+
+
 #: one value per key of a valid scene file
 SCENE_LINES = {"camera_height": "1200", "floor_extent": "4000",
                "noise_sigma": "5", "box": "0 2000 300 400 500 box",
@@ -144,6 +250,13 @@ class TestSceneSpecFile:
         with pytest.raises(ValueError, match="unknown key"):
             parse_scene_spec("camera_height=1200\nwall=3\n")
 
+    def test_box_and_hole_lines_repeat(self):
+        spec = parse_scene_spec("camera_height=1200\nbox=0 2000 300 300 400 box"
+                                "\nhole=0 1500 200 200\nbox=0 3000 300 300 "
+                                "400 chair\nhole=500 1500 200 200\n")
+        assert [b.fine_class for b in spec.boxes] == ["box", "chair"]
+        assert [h.center_x for h in spec.holes] == [0, 500]
+
     def test_valid_scene_lines(self):
         text = "".join(f"{k}={v}\n" for k, v in SCENE_LINES.items())
         spec = parse_scene_spec(text)
@@ -158,7 +271,9 @@ class TestSceneSpecFile:
         tokens[pos] = bad
         lines[key] = " ".join(tokens)
         text = "".join(f"{k}={v}\n" for k, v in lines.items())
-        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        lineno = list(lines).index(key) + 1
+        with pytest.raises(ValueError, match=f"^scene line {lineno}: {key}: "
+                           f"{name} must be finite$"):
             parse_scene_spec(text)
 
 
