@@ -7,7 +7,10 @@ head.  Everything runs on plain numpy; gradients are hand-derived and
 verified against central finite differences by ``grad_check``.  The
 max-pool passes gradient only to its critical points, the first point
 attaining each feature's maximum, so the point-layer backward runs on
-those rows alone.
+those rows alone.  The last point layer adds its bias and applies its
+relu after the pool, on the pooled values only, which gives the same bits
+as before it; for the backward it is pooled feature-major, so the argmax
+runs along contiguous memory.
 
 Also houses the class table (each fine object class with its training
 class and its tactile labeling class), input canonicalization and
@@ -249,10 +252,23 @@ def init_model(classes, n_points: int = 256,
 def _forward_batch(model: PointSetModel, x: np.ndarray, want_cache: bool):
     """Logits for x of shape (B, n, 3); optionally the backprop cache.
 
-    The cache holds every point-layer activation (``acts[0]`` is the
-    input, ``acts[i + 1]`` the output of point layer i), the per-sample
-    argmax of the pooled features and the head-layer inputs.  Without
-    the cache no argmax is taken.
+    The last point layer's bias and relu follow its max-pool, so they touch
+    only the (B, C) pooled values: rounding is monotone, so
+    ``max_p fl(z_p + b) == fl(max_p z_p + b)``, and relu commutes with max,
+    so the pooled features keep the bits of bias, relu, then pool.  Without
+    the cache the pool is a max over the points of the row-major (B, n, C)
+    map, an elementwise max of contiguous rows.  With it the last layer
+    runs feature-major as one gemm, ``wl.T @ h.T`` viewed as (C, B, n), so
+    the argmax reads each feature's points contiguously (over the strided
+    point axis numpy first copies the map into that layout).
+
+    The cache holds the input of every point layer (``acts[i]`` is the
+    input of point layer i, ``acts[0]`` the points; the last layer's
+    output is not kept), the (B, C) argmax of the pooled features and the
+    head-layer inputs (``head_inputs[0]`` is the pooled vector).  The
+    argmax is the first point attaining each maximum of ``fl(z + b)``, or
+    point 0 where that maximum is at most 0, the first of a relu'd column
+    of zeros.
     """
     bsz, npts, dim = x.shape
     w0 = model.point_layers[0][0]
@@ -261,17 +277,24 @@ def _forward_batch(model: PointSetModel, x: np.ndarray, want_cache: bool):
                          f"model expects {w0.shape[0]}")
     h = x.reshape(bsz * npts, dim).astype(w0.dtype)
     acts = [h]
-    for w, b in model.point_layers:
+    *inner, (wl, bl) = model.point_layers
+    for w, b in inner:
         h = h @ w
         h += b
         np.maximum(h, 0, out=h)
         acts.append(h)
-    feat = h.reshape(bsz, npts, -1)
     if want_cache:
-        argmax = feat.argmax(axis=1)
-        pooled = np.take_along_axis(feat, argmax[:, None, :], axis=1)[:, 0]
+        feat = (wl.T @ h.T).reshape(-1, bsz, npts)   # (C, B, n)
+        feat += bl[:, None, None]
+        argmax = feat.argmax(axis=2)
+        pooled = np.take_along_axis(feat, argmax[:, :, None], axis=2)[:, :, 0]
+        argmax[pooled <= 0] = 0
+        argmax = argmax.T
+        pooled = np.ascontiguousarray(pooled.T)
     else:
-        pooled = feat.max(axis=1)
+        pooled = (h @ wl).reshape(bsz, npts, -1).max(axis=1)
+        pooled += bl
+    np.maximum(pooled, 0, out=pooled)
 
     head_inputs = []
     h = pooled
@@ -312,7 +335,9 @@ def loss_and_grads(model: PointSetModel, x: np.ndarray, y: np.ndarray):
     point gets zero gradient in every point layer, so the point-layer
     backward runs only on these critical rows, the distinct argmax rows of
     the batch: at default widths on synthetic box clouds about 83 of 256
-    points per cloud.
+    points per cloud.  At a critical row the last point layer's output is
+    the pooled value, so its relu mask is ``pooled > 0``, applied to the
+    (B, C) pooled gradient before the scatter.
     """
     logits, cache = _forward_batch(model, x, want_cache=True)
     bsz, npts = cache["shape"]
@@ -325,14 +350,15 @@ def loss_and_grads(model: PointSetModel, x: np.ndarray, y: np.ndarray):
     dlogits[np.arange(bsz), y] -= 1.0
     dlogits /= bsz
 
+    # every head input is a relu output; the pooled vector's mask is the
+    # last point layer's relu mask at the critical points
     head_grads = []
     d = dlogits
     for i in range(len(model.head_layers) - 1, -1, -1):
         inp = cache["head_inputs"][i]
         head_grads = [inp.T @ d, d.sum(axis=0)] + head_grads
         d = d @ model.head_layers[i][0].T
-        if i > 0:
-            d = d * (inp > 0)
+        d = d * (inp > 0)
 
     # rows of the critical points: the first point attaining each pooled
     # maximum, the only one the max-pool sends gradient to
@@ -345,10 +371,10 @@ def loss_and_grads(model: PointSetModel, x: np.ndarray, y: np.ndarray):
     acts = cache["acts"]
     point_grads = []
     for i in range(len(model.point_layers) - 1, -1, -1):
-        d *= acts[i + 1][rows] > 0   # relu mask
         point_grads = [acts[i][rows].T @ d, d.sum(axis=0)] + point_grads
         if i > 0:
             d = d @ model.point_layers[i][0].T
+            d *= acts[i][rows] > 0   # relu mask of point layer i - 1
 
     acc = float((probs.argmax(axis=1) == y).mean())
     return loss, point_grads + head_grads, acc
@@ -462,6 +488,27 @@ def evaluate(model: PointSetModel, x: np.ndarray, y: np.ndarray,
     return float(np.sum(losses) / len(x)), correct / len(x)
 
 
+def _class_indices(labels, n_clouds: int, n_classes: int,
+                   name: str) -> np.ndarray:
+    """One whole class index in [0, n_classes) per cloud, as int64; any
+    other label raises TrainingError naming the set and its first bad
+    index."""
+    values = np.asarray(labels)
+    if values.ndim != 1 or values.size != n_clouds:
+        raise TrainingError(f"{name} set has {n_clouds} clouds but "
+                            f"{values.size} labels")
+    if values.size and values.dtype.kind not in "biuf":
+        raise TrainingError(f"{name} labels must be class indices, "
+                            f"got {values.dtype} values")
+    with np.errstate(invalid="ignore"):   # nan and inf cast to garbage
+        y = values.astype(np.int64)
+    bad = np.flatnonzero((y != values) | (y < 0) | (y >= n_classes))
+    if bad.size:
+        raise TrainingError(f"{name} label {bad[0]} is {values[bad[0]]}, "
+                            f"not a class index in 0..{n_classes - 1}")
+    return y
+
+
 def train(train_clouds, train_labels, test_clouds, test_labels, classes,
           config: TrainConfig = TrainConfig()):
     """Momentum SGD on mean cross-entropy; deterministic for a given seed.
@@ -472,11 +519,12 @@ def train(train_clouds, train_labels, test_clouds, test_labels, classes,
     test loss/accuracy.
     """
     classes = tuple(classes)
-    y_train = np.asarray(train_labels, dtype=np.int64)
-    y_test = np.asarray(test_labels, dtype=np.int64)
-    counts = np.bincount(y_train, minlength=len(classes))
     if len(classes) < 2:
         raise TrainingError("need at least 2 classes")
+    y_train = _class_indices(train_labels, len(train_clouds), len(classes),
+                             "train")
+    y_test = _class_indices(test_labels, len(test_clouds), len(classes), "test")
+    counts = np.bincount(y_train, minlength=len(classes))
     if np.any(counts == 0):
         empty = [classes[i] for i in np.flatnonzero(counts == 0)]
         raise TrainingError(f"classes without training samples: {empty}")

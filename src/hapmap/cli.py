@@ -134,7 +134,12 @@ def _cmd_train(args) -> int:
                                  "<path> <fine_class>") from None
             group = depthio.parse_value(clf.merge_labels, fine,
                                         f"manifest line {lineno}")
-            clouds.append(_load_cloud(path, max(args.n_points, 1024), rng))
+            try:
+                clouds.append(_load_cloud(path, max(args.n_points, 1024), rng))
+            except (OSError, ValueError) as exc:
+                reason = getattr(exc, "strerror", None) or exc
+                raise ValueError(f"manifest line {lineno}: {path}: "
+                                 f"{reason}") from None
             labels.append(classes.index(group))
         labels = np.array(labels)
         perm = rng.permutation(len(clouds))

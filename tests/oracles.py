@@ -271,6 +271,103 @@ def dense_loss_and_grads(model, x, y):
     return loss, point_grads + head_grads, acc
 
 
+def row_major_forward_batch(model, x, want_cache):
+    """The row-major ``classifier._forward_batch``: every point layer adds
+    its bias and applies its relu over all B * n rows, then the pool takes
+    the argmax over the strided point axis.  Logits for x of shape
+    (B, n, 3); optionally the backprop cache.
+
+    The cache holds every point-layer activation (``acts[0]`` is the
+    input, ``acts[i + 1]`` the output of point layer i), the per-sample
+    argmax of the pooled features and the head-layer inputs.  Without
+    the cache no argmax is taken.
+    """
+    bsz, npts, dim = x.shape
+    w0 = model.point_layers[0][0]
+    if dim != w0.shape[0]:
+        raise ValueError(f"width mismatch: points have {dim} coordinates, "
+                         f"model expects {w0.shape[0]}")
+    h = x.reshape(bsz * npts, dim).astype(w0.dtype)
+    acts = [h]
+    for w, b in model.point_layers:
+        h = h @ w
+        h += b
+        np.maximum(h, 0, out=h)
+        acts.append(h)
+    feat = h.reshape(bsz, npts, -1)
+    if want_cache:
+        argmax = feat.argmax(axis=1)
+        pooled = np.take_along_axis(feat, argmax[:, None, :], axis=1)[:, 0]
+    else:
+        pooled = feat.max(axis=1)
+
+    head_inputs = []
+    h = pooled
+    for i, (w, b) in enumerate(model.head_layers):
+        head_inputs.append(h)
+        h = h @ w + b
+        if i < len(model.head_layers) - 1:
+            h = np.maximum(h, 0.0)
+    logits = h
+    if not want_cache:
+        return logits, None
+    return logits, {"acts": acts, "argmax": argmax,
+                    "head_inputs": head_inputs, "shape": (bsz, npts)}
+
+
+def row_major_loss_and_grads(model, x, y):
+    """``classifier.loss_and_grads`` on ``row_major_forward_batch``'s cache,
+    the relu mask of every point layer read at the critical rows.  Mean
+    cross-entropy over the batch, the gradient of every parameter
+    in ``model.parameters()`` order, and the batch accuracy.
+
+    Max-pool routes each pooled feature's gradient to the first point that
+    attains the maximum, which matches the forward tie-break.  Every other
+    point gets zero gradient in every point layer, so the point-layer
+    backward runs only on these critical rows, the distinct argmax rows of
+    the batch: at default widths on synthetic box clouds about 83 of 256
+    points per cloud.
+    """
+    logits, cache = row_major_forward_batch(model, x, want_cache=True)
+    bsz, npts = cache["shape"]
+    probs = softmax64(logits)
+    logp = np.log(probs[np.arange(bsz), y])
+    loss = float(-logp.mean())
+    dtype = model.point_layers[0][0].dtype
+
+    dlogits = probs.astype(dtype)
+    dlogits[np.arange(bsz), y] -= 1.0
+    dlogits /= bsz
+
+    head_grads = []
+    d = dlogits
+    for i in range(len(model.head_layers) - 1, -1, -1):
+        inp = cache["head_inputs"][i]
+        head_grads = [inp.T @ d, d.sum(axis=0)] + head_grads
+        d = d @ model.head_layers[i][0].T
+        if i > 0:
+            d = d * (inp > 0)
+
+    # rows of the critical points: the first point attaining each pooled
+    # maximum, the only one the max-pool sends gradient to
+    rows, slot = np.unique(cache["argmax"] + npts * np.arange(bsz)[:, None],
+                           return_inverse=True)
+    dpooled = d
+    d = np.zeros((rows.size, dpooled.shape[1]), dtype=dtype)
+    d[slot.reshape(dpooled.shape), np.arange(dpooled.shape[1])] = dpooled
+
+    acts = cache["acts"]
+    point_grads = []
+    for i in range(len(model.point_layers) - 1, -1, -1):
+        d *= acts[i + 1][rows] > 0   # relu mask
+        point_grads = [acts[i][rows].T @ d, d.sum(axis=0)] + point_grads
+        if i > 0:
+            d = d @ model.point_layers[i][0].T
+
+    acc = float((probs.argmax(axis=1) == y).mean())
+    return loss, point_grads + head_grads, acc
+
+
 def full_frame_render_depth(spec, k, width=640, height=480, rng=None):
     """``scenegen.render_depth`` with every primitive ray-cast over the whole
     frame: the floor over a per-pixel meshgrid, each box by the Kay-Kajiya

@@ -1,6 +1,7 @@
 """Point-set classifier: taxonomy, canonicalization, OFF sampling, the
-network itself, training, the finite-difference gradient oracle and the
-dense-backward oracle for the critical-row backward."""
+network itself, training, the finite-difference gradient oracle, the
+dense-backward oracle for the critical-row backward and the row-major
+oracle for the feature-major pool."""
 
 import struct
 from dataclasses import replace
@@ -19,7 +20,8 @@ from hapmap.classifier import (MeshFormatError, TrainConfig, TrainingError,
 
 from hapmap.labeling import REQUIRED_TAGS, builtin_sheet
 
-from oracles import dense_forward_batch, dense_loss_and_grads
+from oracles import (dense_forward_batch, dense_loss_and_grads,
+                     row_major_forward_batch, row_major_loss_and_grads)
 
 CUBE_OFF = b"""OFF
 8 6 12
@@ -407,6 +409,69 @@ class TestCriticalRowBackward:
                 assert got.tobytes() == want.tobytes()
 
 
+#: what a failure of the byte-equality tests below means
+GEMM_NOTE = ("the feature-major gemm wl.T @ h.T rounds differently from the "
+             "row-major h @ wl on this BLAS")
+
+
+class TestFeatureMajorPool:
+    """_forward_batch and loss_and_grads against the row-major oracle in
+    tests/oracles.py, byte for byte: the pool reads the last point layer
+    as (C, B, n) and applies its bias and relu after the max."""
+
+    def test_transposed_gemm_equals_row_major(self):
+        rng = np.random.default_rng(20)
+        for dtype in (np.float32, np.float64):
+            h = np.maximum(rng.normal(size=(16 * 256, 128)), 0).astype(dtype)
+            w = rng.normal(size=(128, 256)).astype(dtype)
+            assert (w.T @ h.T).T.tobytes() == (h @ w).tobytes(), GEMM_NOTE
+
+    def test_train_equals_row_major(self, monkeypatch):
+        from hapmap.scenegen import build_synthetic_dataset
+        classes = clf.TRAINING_COARSE_CLASSES
+        rng = np.random.default_rng(21)
+        data = (*build_synthetic_dataset(classes, clf.TRAINING_MEMBERS, 4, rng),
+                *build_synthetic_dataset(classes, clf.TRAINING_MEMBERS, 2, rng))
+        config = TrainConfig(epochs=2, seed=3)
+        model, history = train(*data, classes, config)
+        monkeypatch.setattr(clf, "_forward_batch", row_major_forward_batch)
+        monkeypatch.setattr(clf, "loss_and_grads", row_major_loss_and_grads)
+        want_model, want_history = train(*data, classes, config)
+        assert save_model(model) == save_model(want_model), GEMM_NOTE
+        assert history == want_history
+
+    @pytest.mark.parametrize("seed", [16, 17, 18])
+    def test_lattice_ties_byte_equal(self, seed):
+        model = lattice_model(seed)
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-2, 3, size=(6, 24, 3)).astype(np.float64)
+        y = np.arange(6) % 3
+        loss, grads, acc = loss_and_grads(model, x, y)
+        want_loss, want, want_acc = row_major_loss_and_grads(model, x, y)
+        assert (loss, acc) == (want_loss, want_acc)
+        for got, ref in zip(grads, want, strict=True):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda: lattice_model(19),
+        lambda: init_model(clf.TRAINING_COARSE_CLASSES,
+                           rng=np.random.default_rng(19))])
+    def test_cache_argmax_equals_dense(self, make):
+        model = make()
+        model.point_layers[-1][1][1] = -1e3   # pooled feature 1 is dead
+        rng = np.random.default_rng(19)
+        n = model.n_points
+        x = np.round(rng.normal(size=(5, n, 3)) * 2).astype(
+            model.point_layers[0][0].dtype)
+        got = clf._forward_batch(model, x, want_cache=True)[1]
+        want = dense_forward_batch(model, x, want_cache=True)[1]
+        assert np.array_equal(got["argmax"], want["argmax"])
+        assert not got["argmax"][:, 1].any()   # ties of zeros: point 0
+        assert not got["head_inputs"][0][:, 1].any()
+        for a, b in zip(got["head_inputs"], want["head_inputs"], strict=True):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestTrain:
     def test_toy_separable(self):
         rng = np.random.default_rng(0)
@@ -451,6 +516,27 @@ class TestTrain:
         clouds = [np.random.default_rng(i).normal(size=(8, 3)) for i in range(4)]
         with pytest.raises(TrainingError, match="empty test set"):
             train(clouds, [0, 1, 0, 1], [], [], ("a", "b"),
+                  TrainConfig(epochs=1, n_points=8))
+
+    @pytest.mark.parametrize("train_labels, test_labels, message", [
+        ([0, 1, 0, 1], [0, -1], "test label 1 is -1, not a class index in 0..1"),
+        ([0, 0.5, 1, 1], [0, 1], "train label 1 is 0.5, not a class index"),
+        ([0, 1, 7, 1], [0, 1], "train label 2 is 7, not a class index in 0..1"),
+        ([0, 1, 1], [0, 1], "train set has 4 clouds but 3 labels"),
+        ([0, 1, 0, 1], [0, 1, 1], "test set has 2 clouds but 3 labels"),
+        ([0, 1, 0, float("nan")], [0, 1], "train label 3 is nan"),
+        (["a", "b", "a", "b"], [0, 1], "train labels must be class indices"),
+    ])
+    def test_bad_labels_rejected_before_any_work(self, monkeypatch,
+                                                 train_labels, test_labels,
+                                                 message):
+        def no_work(*args):
+            raise AssertionError("clouds were canonicalized")
+
+        monkeypatch.setattr(clf, "_canonicalize", no_work)
+        clouds = [np.random.default_rng(i).normal(size=(8, 3)) for i in range(4)]
+        with pytest.raises(TrainingError, match=message):
+            train(clouds, train_labels, clouds[:2], test_labels, ("a", "b"),
                   TrainConfig(epochs=1, n_points=8))
 
     def test_empty_class_rejected(self):

@@ -728,8 +728,23 @@ class TestCli:
         rc = cli.main(["train", "--manifest", str(manifest), "--out", str(out),
                        "--epochs", "1"])
         assert rc == 1
-        assert capsys.readouterr().err == ("error: cloud line 3: coordinates "
-                                           "must be finite\n")
+        assert capsys.readouterr().err == (
+            f"error: manifest line 1: {tmp_path / 'chair.xyz'}: cloud line 3: "
+            "coordinates must be finite\n")
+        assert not out.exists()
+
+    def test_train_manifest_names_missing_cloud(self, tmp_path, capsys):
+        cloud = tmp_path / "chair.xyz"
+        cloud.write_text("0 0 0\n1 1 1\n")
+        missing = tmp_path / "table.xyz"
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"{cloud} chair\n# tables\n{missing} table\n")
+        out = tmp_path / "m.bin"
+        rc = cli.main(["train", "--manifest", str(manifest), "--out", str(out),
+                       "--epochs", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: manifest line 3: {missing}: No such file or directory\n")
         assert not out.exists()
 
     def test_train_manifest_line_without_class(self, tmp_path, capsys):
