@@ -20,9 +20,11 @@ augmentation, OFF mesh surface sampling, and the flat binary model format.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .depthio import content_lines
 
 # ---------------------------------------------------------------------------
 # Taxonomy
@@ -116,13 +118,6 @@ class MeshFormatError(ValueError):
     """Malformed OFF mesh."""
 
 
-def _off_tokens(text: str) -> list[str]:
-    tokens = []
-    for line in text.splitlines():
-        tokens.extend(line.split("#", 1)[0].split())
-    return tokens
-
-
 def sample_mesh_off(off_bytes: bytes, n_points: int,
                     rng: np.random.Generator) -> np.ndarray:
     """Surface-sample an ASCII OFF mesh into an (n_points, 3) cloud.
@@ -135,10 +130,10 @@ def sample_mesh_off(off_bytes: bytes, n_points: int,
         text = off_bytes.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MeshFormatError("OFF file is not valid text") from exc
-    stripped = text.lstrip()
-    if not stripped.startswith("OFF"):
+    body = "\n".join(line for _, line in content_lines(text))
+    if not body.startswith("OFF"):
         raise MeshFormatError("missing OFF header")
-    tokens = _off_tokens(stripped[3:])
+    tokens = body[3:].split()
     pos = 0
 
     def take(count):
@@ -176,10 +171,13 @@ def sample_mesh_off(off_bytes: bytes, n_points: int,
     a = verts[tri[:, 0]]
     b = verts[tri[:, 1]]
     c = verts[tri[:, 2]]
-    areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-    total = areas.sum()
+    with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+        areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+        total = areas.sum()
     if total <= 0:
         raise MeshFormatError("mesh has zero total surface area")
+    if not total < np.inf:
+        raise MeshFormatError("mesh surface area overflows")
     picks = rng.choice(len(tri), size=n_points, p=areas / total)
     r1 = rng.random(n_points)
     r2 = rng.random(n_points)
@@ -208,7 +206,6 @@ class PointSetModel:
     n_points: int
     point_layers: list[tuple[np.ndarray, np.ndarray]]
     head_layers: list[tuple[np.ndarray, np.ndarray]]
-    meta: dict = field(default_factory=dict)
 
     def parameters(self) -> list[np.ndarray]:
         return [a for layer in self.point_layers + self.head_layers
@@ -219,8 +216,7 @@ class PointSetModel:
             return [(w.astype(dtype), b.astype(dtype)) for w, b in layers]
         return PointSetModel(classes=self.classes, n_points=self.n_points,
                              point_layers=cast(self.point_layers),
-                             head_layers=cast(self.head_layers),
-                             meta=dict(self.meta))
+                             head_layers=cast(self.head_layers))
 
 
 def init_model(classes, n_points: int = 256,
@@ -566,7 +562,6 @@ def train(train_clouds, train_labels, test_clouds, test_labels, classes,
             "train_acc": epoch_correct / len(x_train),
             "test_loss": test_loss, "test_acc": test_acc,
         })
-    model.meta = {"seed": config.seed, "epochs": config.epochs}
     return model, history
 
 

@@ -32,21 +32,24 @@ def _load_config(args) -> PipelineConfig:
     return cfg
 
 
+def _parse_cloud(text: str) -> np.ndarray:
+    """(n, 3) points of `x y z` text lines; columns past the third are ignored."""
+    rows = []
+    for lineno, line in depthio.content_lines(text):
+        try:
+            x, y, z = map(float, line.split()[:3])
+        except ValueError:
+            raise ValueError(f"cloud line {lineno}: expected x y z") from None
+        if not np.isfinite((x, y, z)).all():
+            raise ValueError(f"cloud line {lineno}: coordinates must be finite")
+        rows.append((x, y, z))
+    return np.array(rows, dtype=np.float64)
+
+
 def _load_cloud(path: str, n_points: int, rng) -> np.ndarray:
     if path.endswith(".off"):
         return clf.sample_mesh_off(Path(path).read_bytes(), n_points, rng)
-    rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if line:
-            try:
-                x, y, z = map(float, line.split()[:3])
-            except ValueError:
-                raise ValueError(f"cloud line {lineno}: expected x y z") from None
-            if not np.isfinite((x, y, z)).all():
-                raise ValueError(f"cloud line {lineno}: coordinates must be finite")
-            rows.append((x, y, z))
-    return np.array(rows, dtype=np.float64)
+    return _parse_cloud(Path(path).read_text())
 
 
 def _cmd_run(args) -> int:
@@ -122,11 +125,7 @@ def _cmd_train(args) -> int:
     classes = clf.TRAINING_COARSE_CLASSES
     if args.manifest:
         clouds, labels = [], []
-        manifest = Path(args.manifest).read_text().splitlines()
-        for lineno, line in enumerate(manifest, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in depthio.content_lines(Path(args.manifest).read_text()):
             try:
                 path, fine = line.rsplit(maxsplit=1)
             except ValueError:

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -120,30 +121,12 @@ class DepthFrame:
 # File formats
 # ---------------------------------------------------------------------------
 
-def _parse_pgm_header(blob: bytes):
-    """Return (width, height, maxval, payload_offset) for a P5 header."""
-    pos = 2  # past "P5"
-    fields = []
-    while len(fields) < 3:
-        if pos >= len(blob):
-            raise DepthFormatError("malformed PGM header")
-        c = blob[pos:pos + 1]
-        if c.isspace():
-            pos += 1
-        elif c == b"#":
-            while pos < len(blob) and blob[pos:pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c.isdigit():
-            start = pos
-            while pos < len(blob) and blob[pos:pos + 1].isdigit():
-                pos += 1
-            fields.append(int(blob[start:pos]))
-        else:
-            raise DepthFormatError("malformed PGM header")
-    if pos >= len(blob) or not blob[pos:pos + 1].isspace():
-        raise DepthFormatError("malformed PGM header")
-    pos += 1  # exactly one whitespace byte before the payload
-    return fields[0], fields[1], fields[2], pos
+#: a P5 header: three decimal fields, each after whitespace or comments
+#: ('#' up to a line break) and at least one of them between fields, then
+#: exactly one whitespace byte before the payload
+_SEPARATOR = rb"(?:\s|#[^\r\n]*(?=[\r\n]))"
+_PGM_HEADER = re.compile(rb"P5%s*(\d+)%s+(\d+)%s+(\d+)\s"
+                         % (_SEPARATOR, _SEPARATOR, _SEPARATOR))
 
 
 def load_depth_pgm(blob: bytes) -> DepthFrame:
@@ -159,33 +142,42 @@ def load_depth_pgm(blob: bytes) -> DepthFrame:
         width, height = struct.unpack_from("<II", blob, 4)
         if width == 0 or height == 0:
             raise DepthFormatError("flat depth header has zero width or height")
-        expected = 12 + 2 * width * height
-        if len(blob) < expected:
-            raise DepthFormatError("truncated flat depth payload")
-        data = np.frombuffer(blob, dtype="<u2", count=width * height, offset=12)
-        return DepthFrame(data.reshape(height, width).astype(np.uint16))
-    if blob[:2] == b"P5":
-        width, height, maxval, offset = _parse_pgm_header(blob)
+        kind, dtype, offset = "flat depth", np.dtype("<u2"), 12
+    elif blob[:2] == b"P5":
+        header = _PGM_HEADER.match(blob)
+        if header is None:
+            raise DepthFormatError("malformed PGM header")
+        try:
+            width, height, maxval = map(int, header.groups())
+        except ValueError:   # a field longer than int()'s digit limit
+            raise DepthFormatError("malformed PGM header") from None
         if maxval > 65535:
             raise DepthFormatError("PGM maxval exceeds 65535")
         if maxval <= 0 or width <= 0 or height <= 0:
             raise DepthFormatError("malformed PGM header")
-        n = width * height
-        if maxval < 256:
-            if len(blob) < offset + n:
-                raise DepthFormatError("truncated PGM payload")
-            data = np.frombuffer(blob, dtype=np.uint8, count=n, offset=offset)
-        else:
-            if len(blob) < offset + 2 * n:
-                raise DepthFormatError("truncated PGM payload")
-            data = np.frombuffer(blob, dtype=">u2", count=n, offset=offset)
-        return DepthFrame(data.reshape(height, width).astype(np.uint16))
-    raise DepthFormatError("unrecognized depth format (want P5 or flat binary)")
+        kind, offset = "PGM", header.end()
+        dtype = np.dtype("u1" if maxval < 256 else ">u2")
+    else:
+        raise DepthFormatError("unrecognized depth format (want P5 or flat binary)")
+    if len(blob) < offset + dtype.itemsize * width * height:
+        raise DepthFormatError(f"truncated {kind} payload")
+    data = np.frombuffer(blob, dtype=dtype, count=width * height, offset=offset)
+    return DepthFrame(data.reshape(height, width).astype(np.uint16))
+
+
+def pgm_bytes(raster: np.ndarray) -> bytes:
+    """Binary PGM (P5) of a 2-D uint8 or uint16 raster: maxval 255, or
+    65535 with big-endian samples."""
+    raster = np.asarray(raster)
+    if raster.dtype not in (np.uint8, np.uint16):
+        raise ValueError("a PGM raster must be uint8 or uint16")
+    height, width = raster.shape
+    header = f"P5\n{width} {height}\n{np.iinfo(raster.dtype).max}\n".encode("ascii")
+    return header + raster.astype(raster.dtype.newbyteorder(">")).tobytes()
 
 
 def depth_to_pgm(frame: DepthFrame) -> bytes:
-    header = f"P5\n{frame.width} {frame.height}\n65535\n".encode("ascii")
-    return header + frame.data.astype(">u2").tobytes()
+    return pgm_bytes(frame.data)
 
 
 def depth_to_flat(frame: DepthFrame) -> bytes:
@@ -195,24 +187,32 @@ def depth_to_flat(frame: DepthFrame) -> bytes:
 
 def mask_to_pgm(mask: np.ndarray) -> bytes:
     """8-bit PGM with 255 where the mask is set, 0 elsewhere."""
-    mask = np.asarray(mask, dtype=bool)
-    header = f"P5\n{mask.shape[1]} {mask.shape[0]}\n255\n".encode("ascii")
-    return header + (mask.astype(np.uint8) * 255).tobytes()
+    return pgm_bytes(np.asarray(mask, dtype=bool).astype(np.uint8) * 255)
+
+
+def content_lines(text: str):
+    """Yield (lineno, line) for each line of text that holds content.
+
+    The one comment rule of every line-oriented input: '#' starts a
+    comment, each line is stripped of surrounding blanks, and lines left
+    empty are skipped.  lineno counts every line from 1.
+    """
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def key_value_lines(text: str, what: str, error: type[Exception] = ValueError,
                     repeatable: tuple[str, ...] = ()):
     """Yield (lineno, key, value) from flat `key=value` text, both stripped.
 
-    '#' starts a comment and blank lines are skipped.  A line without '='
+    Lines are read through ``content_lines``.  A line without '='
     raises ``error("<what> line <n>: expected key=value")``, and a second
     line for a key not in ``repeatable`` raises an error naming both lines.
     """
     first_line: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if "=" not in line:
             raise error(f"{what} line {lineno}: expected key=value")
         key, _, value = line.partition("=")
@@ -244,7 +244,8 @@ def load_intrinsics(text: str) -> Intrinsics:
     missing = {"fx", "fy", "cx", "cy"} - values.keys()
     if missing:
         raise DepthFormatError(f"intrinsics file missing keys: {sorted(missing)}")
-    return Intrinsics(**values)
+    return parse_value(lambda kw: Intrinsics(**kw), values, "intrinsics file",
+                       DepthFormatError)
 
 
 def format_intrinsics(k: Intrinsics) -> str:

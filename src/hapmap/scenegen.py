@@ -134,21 +134,19 @@ class GroundTruth:
 
 
 def render_depth(spec: SceneSpec, k: Intrinsics, width: int = 640,
-                 height: int = 480,
-                 rng: np.random.Generator | None = None) -> tuple[DepthFrame, GroundTruth]:
+                 height: int = 480) -> tuple[DepthFrame, GroundTruth]:
     """Ray-cast the scene into a depth frame plus ground-truth masks.
 
     Depth is the z coordinate of the nearest hit (z-depth, not ray length),
     recorded when it falls in [1, 2^16) mm.  Gaussian noise of
-    spec.noise_sigma is added to hit depths and clamped at 0; masks always
-    come from the noiseless hit classification.  Floor pixels inside a hole
-    rectangle return 0.  Each primitive is cast only where it can be seen:
-    the floor's depth is one t per row, a box is cast on the window of
-    columns and rows whose own slab interval meets its z slab (every ray
-    that hits the box passes both), a hole on the rows its floor depth spans.
+    spec.noise_sigma, drawn from spec.seed, is added to hit depths and
+    clamped at 0; masks always come from the noiseless hit classification.
+    Floor pixels inside a hole rectangle return 0.  Each primitive is cast
+    only where it can be seen: the floor's depth is one t per row, a box is
+    cast on the window of columns and rows whose own slab interval meets
+    its z slab (every ray that hits the box passes both), a hole on the
+    rows its floor depth spans.
     """
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
     if not (0 <= k.cx < width and 0 <= k.cy < height):
         raise ValueError("principal point lies outside the image")
     cam_h = spec.camera_height
@@ -211,7 +209,8 @@ def render_depth(spec: SceneSpec, k: Intrinsics, width: int = 640,
 
     depth = np.where(hit_id >= 0, best_t, 0.0)
     if spec.noise_sigma > 0:
-        noise = rng.normal(0.0, spec.noise_sigma, size=depth.shape)
+        noise = np.random.default_rng(spec.seed).normal(
+            0.0, spec.noise_sigma, size=depth.shape)
         depth = np.where(hit_id >= 0, np.maximum(depth + noise, 0.0), 0.0)
     depth = np.where(hole_mask, 0.0, depth)
     raw = np.clip(np.rint(depth), 0, 65535).astype(np.uint16)
@@ -348,7 +347,7 @@ def _sample_panels(panels, n, rng):
     return np.vstack(pts) if pts else np.zeros((0, 3))
 
 
-def _legs(rng, top_y, x_half, z_half, thickness=45.0):
+def _legs(top_y, x_half, z_half, thickness=45.0):
     panels = []
     for sx in (-1, 1):
         for sz in (-1, 1):
@@ -371,7 +370,7 @@ def _chair(rng):
     panels = _box_panels((0, seat_h, 0), (seat_w, 60, seat_d))
     panels += _box_panels((0, seat_h + back_h / 2, -seat_d / 2 + 25),
                           (seat_w, back_h, 50))
-    panels += _legs(rng, seat_h - 30, seat_w / 2, seat_d / 2)
+    panels += _legs(seat_h - 30, seat_w / 2, seat_d / 2)
     return panels
 
 
@@ -379,7 +378,7 @@ def _stool(rng):
     seat_h = _u(rng, 400, 470)
     seat_w = _u(rng, 330, 420)
     panels = _box_panels((0, seat_h, 0), (seat_w, 50, seat_w))
-    panels += _legs(rng, seat_h - 25, seat_w / 2, seat_w / 2, thickness=40)
+    panels += _legs(seat_h - 25, seat_w / 2, seat_w / 2, thickness=40)
     return panels
 
 
@@ -410,7 +409,7 @@ def _bench(rng):
     d = _u(rng, 320, 420)
     seat_h = _u(rng, 420, 480)
     panels = _box_panels((0, seat_h, 0), (w, 70, d))
-    panels += _legs(rng, seat_h - 35, w / 2, d / 2)
+    panels += _legs(seat_h - 35, w / 2, d / 2)
     return panels
 
 
@@ -419,7 +418,7 @@ def _table(rng):
     d = _u(rng, 700, 900)
     top_h = _u(rng, 720, 780)
     panels = _box_panels((0, top_h, 0), (w, 45, d))
-    panels += _legs(rng, top_h - 22, w / 2, d / 2, thickness=55)
+    panels += _legs(top_h - 22, w / 2, d / 2, thickness=55)
     return panels
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depthio import Intrinsics
+from .depthio import Intrinsics, pgm_bytes
 from .labeling import GlyphSheet, ObjectDescriptor, builtin_sheet, label_level
 
 INACTIVE = -1
@@ -141,12 +141,15 @@ class PinGrid:
     cells: np.ndarray   # (rows, cols) int8; -1 inactive, else level 0..4
 
     def __post_init__(self):
-        cells = np.asarray(self.cells, dtype=np.int8)
+        cells = np.asarray(self.cells)
         if cells.ndim != 2:
             raise ValueError("grid must be 2-D")
-        if cells.size and (cells.min() < INACTIVE or cells.max() > 4):
-            raise ValueError("pin levels must lie in -1..4")
-        self.cells = cells
+        # checked before the cast, which would wrap 257 to 1 and cut 1.7 to 1
+        if cells.dtype.kind not in "biuf" or cells.size and not (
+                INACTIVE <= cells.min() and cells.max() <= 4
+                and np.array_equal(cells, cells.astype(np.int8))):
+            raise ValueError("pin levels must be whole numbers in -1..4")
+        self.cells = cells.astype(np.int8, copy=False)
 
     @property
     def active(self) -> np.ndarray:
@@ -321,14 +324,11 @@ def emit(grid: PinGrid, format: str) -> bytes:
         # a grid without rows still ends in one newline
         return (text or "\n").encode("utf-8")
     if format == "pgm":
-        body = np.where(grid.cells == INACTIVE, 0,
-                        40 + 50 * grid.cells.astype(np.int16)).astype(np.uint8)
-        header = f"P5\n{cols} {rows}\n255\n".encode("ascii")
-        return header + body.tobytes()
+        body = np.where(grid.cells == INACTIVE, 0, 40 + 50 * grid.cells.astype(np.int16))
+        return pgm_bytes(body.astype(np.uint8))
     raise ValueError(f"unknown format {format!r}")
 
 
 def parse_grid_json(blob: bytes) -> PinGrid:
     doc = json.loads(blob.decode("utf-8"))
-    cells = np.array(doc["cells"], dtype=np.int8).reshape(doc["rows"], doc["cols"])
-    return PinGrid(cells)
+    return PinGrid(np.array(doc["cells"]).reshape(doc["rows"], doc["cols"]))

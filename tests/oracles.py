@@ -11,7 +11,7 @@ from scipy.spatial import cKDTree
 from hapmap.classifier import _softmax64 as softmax64
 from hapmap.dcgd import (DcgdParams, DepthCut, SubCut, detect_ground,
                          ground_elevation)
-from hapmap.depthio import DepthFrame, backproject
+from hapmap.depthio import DepthFormatError, DepthFrame, backproject
 from hapmap.geomfeat import (Footprint, classify_geometry, footprint,
                              polygon_area)
 from hapmap.labeling import ObjectDescriptor, label_level
@@ -368,7 +368,7 @@ def row_major_loss_and_grads(model, x, y):
     return loss, point_grads + head_grads, acc
 
 
-def full_frame_render_depth(spec, k, width=640, height=480, rng=None):
+def full_frame_render_depth(spec, k, width=640, height=480):
     """``scenegen.render_depth`` with every primitive ray-cast over the whole
     frame: the floor over a per-pixel meshgrid, each box by the Kay-Kajiya
     slab test on all pixels, each hole by back-projecting every pixel.
@@ -377,8 +377,7 @@ def full_frame_render_depth(spec, k, width=640, height=480, rng=None):
     for byte.  A whole-pixel principal point gives 0 * inf on the sky rows
     of its column, which errstate silences.
     """
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     cam_h = spec.camera_height
     dx = (np.arange(width, dtype=np.float64) - k.cx) / k.fx
     dy = (k.cy - np.arange(height, dtype=np.float64)) / k.fy
@@ -439,6 +438,33 @@ def full_frame_render_depth(spec, k, width=640, height=480, rng=None):
         ground_mask=(hit_id == 0) & ~hole_mask,
         object_masks=[hit_id == i + 1 for i in range(len(spec.boxes))])
     return DepthFrame(raw), truth
+
+
+def loop_pgm_header(blob):
+    """(width, height, maxval, payload_offset) of a P5 header, read one byte
+    at a time: whitespace and '#' comments (up to a line break) between
+    the fields, then exactly one whitespace byte before the payload."""
+    pos = 2  # past "P5"
+    fields = []
+    while len(fields) < 3:
+        if pos >= len(blob):
+            raise DepthFormatError("malformed PGM header")
+        c = blob[pos:pos + 1]
+        if c.isspace():
+            pos += 1
+        elif c == b"#":
+            while pos < len(blob) and blob[pos:pos + 1] not in (b"\n", b"\r"):
+                pos += 1
+        elif c.isdigit():
+            start = pos
+            while pos < len(blob) and blob[pos:pos + 1].isdigit():
+                pos += 1
+            fields.append(int(blob[start:pos]))
+        else:
+            raise DepthFormatError("malformed PGM header")
+    if pos >= len(blob) or not blob[pos:pos + 1].isspace():
+        raise DepthFormatError("malformed PGM header")
+    return fields[0], fields[1], fields[2], pos + 1
 
 
 def pinhole_frame(frame, k):

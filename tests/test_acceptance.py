@@ -70,7 +70,7 @@ def box_scene_files(tmp_path_factory, six_class_model):
     box = scenegen.BoxSpec(250, 1730, 600, 500, 600)
     spec = scenegen.SceneSpec(camera_height=CAM_HEIGHT, floor_extent=4000,
                               noise_sigma=10, seed=5, boxes=[box])
-    frame, truth = scenegen.render_depth(spec, K, rng=np.random.default_rng(5))
+    frame, truth = scenegen.render_depth(spec, K)
     depth = tmp / "depth.pgm"
     depth.write_bytes(depthio.depth_to_pgm(frame))
     model_path = tmp / "model.bin"
@@ -86,8 +86,8 @@ def test_criterion_1_geometry_fidelity():
     for i in range(20):
         box = _sample_visible_box(rng)
         spec = scenegen.SceneSpec(camera_height=CAM_HEIGHT, floor_extent=4000,
-                                  noise_sigma=10, boxes=[box])
-        frame, _ = scenegen.render_depth(spec, K, rng=np.random.default_rng(1000 + i))
+                                  noise_sigma=10, seed=1000 + i, boxes=[box])
+        frame, _ = scenegen.render_depth(spec, K)
         scene = analyze_scene(PipelineConfig(), frame, K)
         assert scene.segments, f"scene {i} produced no segment"
         biggest = max(scene.segments, key=lambda s: len(s.points))
@@ -295,9 +295,8 @@ def test_criterion_7_ground_detection():
             boxes[j] = scenegen.BoxSpec((j * 2 - 1) * abs(b.center_x) - j * 200,
                                         b.center_z, b.width, b.depth, b.height)
         spec = scenegen.SceneSpec(camera_height=CAM_HEIGHT, floor_extent=4000,
-                                  noise_sigma=10, boxes=boxes)
-        frame, truth = scenegen.render_depth(spec, K,
-                                             rng=np.random.default_rng(7000 + i))
+                                  noise_sigma=10, seed=7000 + i, boxes=boxes)
+        frame, truth = scenegen.render_depth(spec, K)
         mask = ground_mask(frame, K)
         gt = truth.ground_mask
         tp += (mask & gt).sum()

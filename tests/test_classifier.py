@@ -228,6 +228,17 @@ class TestOffSampling:
         off = b"OFF 3 1 0\n0 0 0\n2 0 0\n0 2 0\n3 0 1 2\n"
         assert sample_mesh_off(off, 64, np.random.default_rng(0)).shape == (64, 3)
 
+    def test_comments_before_and_after_the_header(self):
+        off = (b"# exported mesh\r\n\r\nOFF # counts next\r\n3 1 0\r\n"
+               b"0 0 0\r\n2 0 0 # v1\r\n0 2 0\r\n3 0 1 2\r\n")
+        assert sample_mesh_off(off, 64, np.random.default_rng(0)).shape == (64, 3)
+
+    def test_area_overflow(self):
+        # each edge is finite, but their cross product is not
+        off = b"OFF\n3 1 0\n0 0 0\n1e200 0 0\n0 1e200 0\n3 0 1 2\n"
+        with pytest.raises(MeshFormatError, match="area overflows"):
+            sample_mesh_off(off, 16, np.random.default_rng(0))
+
     def test_not_off(self):
         with pytest.raises(MeshFormatError):
             sample_mesh_off(b"PLY\n", 16, np.random.default_rng(0))

@@ -23,8 +23,7 @@ def box_scene(tmp_path):
     spec = scenegen.SceneSpec(camera_height=1200, floor_extent=4000,
                               noise_sigma=10, seed=3,
                               boxes=[scenegen.BoxSpec(0, 2400, 600, 500, 600)])
-    frame, truth = scenegen.render_depth(spec, K_SMALL, 160, 120,
-                                         rng=np.random.default_rng(3))
+    frame, truth = scenegen.render_depth(spec, K_SMALL, 160, 120)
     depth = tmp_path / "depth.pgm"
     depth.write_bytes(depthio.depth_to_pgm(frame))
     intr = tmp_path / "intr.txt"
@@ -345,9 +344,8 @@ def rendered_box_segment(rng, seed):
                            float(rng.uniform(400, 600)),
                            float(rng.uniform(450, 750)))
     spec = scenegen.SceneSpec(camera_height=1200, floor_extent=4000,
-                              noise_sigma=10, boxes=[box])
-    frame, _ = scenegen.render_depth(spec, K_SMALL, 160, 120,
-                                     rng=np.random.default_rng(seed))
+                              noise_sigma=10, seed=seed, boxes=[box])
+    frame, _ = scenegen.render_depth(spec, K_SMALL, 160, 120)
     return main_segment_of(frame)
 
 
@@ -361,9 +359,8 @@ def rendered_stair_frame(rng, seed, n_steps=3):
     boxes = [scenegen.BoxSpec(x, z0 + (i + 0.5) * run, width, run, (i + 1) * rise)
              for i in range(n_steps)]
     spec = scenegen.SceneSpec(camera_height=1200, floor_extent=4500,
-                              noise_sigma=10, boxes=boxes)
-    frame, _ = scenegen.render_depth(spec, K_SMALL, 160, 120,
-                                     rng=np.random.default_rng(seed))
+                              noise_sigma=10, seed=seed, boxes=boxes)
+    frame, _ = scenegen.render_depth(spec, K_SMALL, 160, 120)
     return frame
 
 

@@ -21,9 +21,8 @@ from oracles import (full_frame_analysis, loop_claims, loop_depth_cuts,
                      loop_detect_ground, loop_split_subcuts)
 
 
-def render(spec, cam, seed=0):
-    return scenegen.render_depth(spec, cam, SMALL_W, SMALL_H,
-                                 rng=np.random.default_rng(seed))
+def render(spec, cam):
+    return scenegen.render_depth(spec, cam, SMALL_W, SMALL_H)
 
 
 def make_cut(cols_y, index=0, z=1000.0, width=None):
@@ -158,8 +157,8 @@ class TestDetectGround:
 
     def test_mask_subset_of_band(self, small_cam):
         spec = SceneSpec(camera_height=1100, floor_extent=5000, noise_sigma=10,
-                         boxes=[BoxSpec(-300, 2600, 400, 400, 500)])
-        frame, _ = render(spec, small_cam, seed=5)
+                         seed=5, boxes=[BoxSpec(-300, 2600, 400, 400, 500)])
+        frame, _ = render(spec, small_cam)
         params = DcgdParams()
         mask = ground_mask(frame, small_cam, params)
         z = frame.data.astype(float)
@@ -279,8 +278,8 @@ class TestEntryTableMatchesLoops:
                  ] if hole else []
         spec = SceneSpec(camera_height=float(rng.uniform(900, 1500)),
                          floor_extent=float(rng.uniform(4000, 8000)),
-                         noise_sigma=10.0, boxes=boxes, holes=holes)
-        frame, _ = render(spec, small_cam, seed=seed)
+                         noise_sigma=10.0, seed=seed, boxes=boxes, holes=holes)
+        frame, _ = render(spec, small_cam)
         params = DcgdParams(dz=dz, baseline_tol=baseline_tol,
                             include_tol=include_tol)
         assert_cuts_equal(frame, small_cam, params)

@@ -429,3 +429,24 @@ class TestEmit:
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="unknown format"):
             emit(PinGrid.empty(G), "svg")
+
+
+class TestPinLevels:
+    """A level outside -1..4 or not whole is rejected before the int8
+    cast, which would wrap 257 to 1 and cut 1.7 to 1."""
+
+    @pytest.mark.parametrize("bad", [257, -129, 1.7, 5, -2, np.nan])
+    def test_rejected(self, bad):
+        with pytest.raises(ValueError, match="whole numbers in -1..4"):
+            PinGrid(np.array([[1, bad]]))
+
+    @pytest.mark.parametrize("bad", ["257", "-129", "1.7", "1e30", "null", '"1"'])
+    def test_json_cell_rejected(self, bad):
+        blob = b'{"rows":1,"cols":2,"cells":[1,%s]}' % bad.encode()
+        with pytest.raises(ValueError, match="whole numbers in -1..4"):
+            parse_grid_json(blob)
+
+    def test_whole_levels_of_any_type_accepted(self):
+        for cells in ([[-1.0, 4.0]], [[-1, 4]], [[False, True]]):
+            assert PinGrid(np.array(cells)).cells.dtype == np.int8
+        assert PinGrid(np.array([[-1.0, 4.0]])) == PinGrid(np.array([[-1, 4]], dtype=np.int8))
