@@ -6,6 +6,9 @@ pixels of similar depth are linked and the components taken, and
 segment.  ``voxel_downsample`` and ``dbscan`` are the earlier
 point-cloud front end; nothing in the package calls them, and they stay
 only because ``perfbench/tracer.py`` names them in ``TRACED``.
+``dbscan`` imports scipy's ``cKDTree`` when it runs, so importing this
+module (and so ``hapmap`` and ``hapmap.cli``) never loads
+``scipy.spatial``, about 30 MB of resident memory.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .depthio import DepthFrame
 
@@ -167,6 +169,8 @@ def dbscan(cloud: np.ndarray, eps: float = 80.0, min_pts: int = 10) -> Segmentat
     labels = np.full(n, -1, dtype=np.int64)
     if n == 0:
         return Segmentation(labels=labels, k=0)
+
+    from scipy.spatial import cKDTree   # kept off the package's import path
 
     pairs = cKDTree(cloud).query_pairs(eps, output_type="ndarray")
     i, j = pairs[:, 0], pairs[:, 1]

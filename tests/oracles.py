@@ -8,6 +8,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
+from hapmap.classifier import _forward_batch
 from hapmap.classifier import _softmax64 as softmax64
 from hapmap.dcgd import (DcgdParams, DepthCut, SubCut, detect_ground,
                          ground_elevation)
@@ -366,6 +367,22 @@ def row_major_loss_and_grads(model, x, y):
 
     acc = float((probs.argmax(axis=1) == y).mean())
     return loss, point_grads + head_grads, acc
+
+
+def block_evaluate(model, x, y, batch=128):
+    """``classifier.evaluate`` with one forward per block of up to 128
+    clouds, so a test set of at most 128 clouds runs as one batch:
+    (mean cross-entropy, accuracy) without augmentation."""
+    losses = []
+    correct = 0
+    for lo in range(0, len(x), batch):
+        xb = x[lo:lo + batch]
+        yb = y[lo:lo + batch]
+        logits, _ = _forward_batch(model, xb, want_cache=False)
+        probs = softmax64(logits)
+        losses.append(-np.log(probs[np.arange(len(yb)), yb]).sum())
+        correct += int((probs.argmax(axis=1) == yb).sum())
+    return float(np.sum(losses) / len(x)), correct / len(x)
 
 
 def full_frame_render_depth(spec, k, width=640, height=480):

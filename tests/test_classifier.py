@@ -20,7 +20,7 @@ from hapmap.classifier import (MeshFormatError, TrainConfig, TrainingError,
 
 from hapmap.labeling import REQUIRED_TAGS, builtin_sheet
 
-from oracles import (dense_forward_batch, dense_loss_and_grads,
+from oracles import (block_evaluate, dense_forward_batch, dense_loss_and_grads,
                      row_major_forward_batch, row_major_loss_and_grads)
 
 CUBE_OFF = b"""OFF
@@ -481,6 +481,64 @@ class TestFeatureMajorPool:
         assert not got["head_inputs"][0][:, 1].any()
         for a, b in zip(got["head_inputs"], want["head_inputs"], strict=True):
             assert a.tobytes() == b.tobytes()
+
+
+class TestChunkedEvaluate:
+    """evaluate runs its forward on 16-cloud chunks; block_evaluate in
+    tests/oracles.py is the one forward per 128-cloud block it replaced.
+    (test_loss, test_acc) must keep their bits."""
+
+    @staticmethod
+    def data(n, seed=23):
+        rng = np.random.default_rng(seed)
+        model = init_model(clf.TRAINING_COARSE_CLASSES, rng=rng)
+        x = rng.normal(size=(n, model.n_points, 3)).astype(np.float32)
+        y = rng.integers(0, len(model.classes), n)
+        return model, x, y
+
+    @pytest.mark.parametrize("n", [96, 48, 33, 150, 1])
+    def test_byte_equal(self, n):
+        model, x, y = self.data(n)
+        assert clf.evaluate(model, x, y) == block_evaluate(model, x, y)
+
+    def test_lone_cloud_after_a_full_block(self):
+        # block_evaluate runs cloud 128 alone, a one-row head product that
+        # numpy hands to gemv; evaluate runs it in a 17-cloud gemm, so only
+        # the last bits of the loss may move
+        model, x, y = self.data(129)
+        loss, acc = clf.evaluate(model, x, y)
+        want_loss, want_acc = block_evaluate(model, x, y)
+        assert acc == want_acc
+        assert loss == pytest.approx(want_loss, rel=1e-6)
+
+    @pytest.mark.parametrize("n, chunks", [(96, [16] * 6), (49, [16, 16, 17]),
+                                           (50, [16, 16, 16, 2]), (1, [1])])
+    def test_chunk_sizes(self, monkeypatch, n, chunks):
+        seen = []
+        real = clf._forward_batch
+
+        def spy(model, x, want_cache):
+            seen.append(len(x))
+            return real(model, x, want_cache)
+
+        monkeypatch.setattr(clf, "_forward_batch", spy)
+        model, x, y = self.data(n)
+        clf.evaluate(model, x, y)
+        assert seen == chunks
+
+    def test_train_equals_block_evaluate(self, monkeypatch):
+        from hapmap.scenegen import build_synthetic_dataset
+        classes = clf.TRAINING_COARSE_CLASSES
+        rng = np.random.default_rng(22)
+        data = (*build_synthetic_dataset(classes, clf.TRAINING_MEMBERS, 4, rng),
+                *build_synthetic_dataset(classes, clf.TRAINING_MEMBERS, 5, rng))
+        assert len(data[2]) == 30   # two chunks: 16 and 14 clouds
+        config = TrainConfig(epochs=2, seed=3)
+        model, history = train(*data, classes, config)
+        monkeypatch.setattr(clf, "evaluate", block_evaluate)
+        want_model, want_history = train(*data, classes, config)
+        assert save_model(model) == save_model(want_model)
+        assert history == want_history
 
 
 class TestTrain:

@@ -5,13 +5,17 @@ with an unbuffered add, a dense O(n^2) DBSCAN, and on scene-sized clouds
 a DBSCAN built on scipy's connected_components."""
 
 import functools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hapmap import depthio, pipeline, scenegen
+from hapmap import depthio, pipeline, scenegen, segment
 from hapmap.config import PipelineConfig
 from hapmap.segment import (Segmentation, _roots, dbscan, extract_segments,
                             image_segments, voxel_downsample)
@@ -485,6 +489,23 @@ class TestDbscanMatchesCsgraph:
         ref_labels, ref_k = csgraph_dbscan(cloud, eps, min_pts)
         assert got.k == ref_k
         assert got.labels.tobytes() == ref_labels.tobytes()
+
+
+class TestImportPath:
+    """dbscan imports scipy's cKDTree only when it runs, so importing the
+    package never loads scipy.spatial (about 30 MB of resident memory).
+    oracles.py imports scipy.spatial itself, so the check needs a fresh
+    interpreter."""
+
+    def test_package_and_cli_leave_scipy_spatial_out(self):
+        src = str(Path(segment.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, hapmap, hapmap.cli\n"
+                "loaded = sorted(m for m in sys.modules if m.startswith('scipy.spatial'))\n"
+                "assert not loaded, loaded\n")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path})
+        assert done.returncode == 0, done.stderr
 
 
 class TestRoots:
