@@ -245,7 +245,15 @@ def init_model(classes, n_points: int = 256,
                          head_layers=layers(head_widths))
 
 
-def _forward_batch(model: PointSetModel, x: np.ndarray, want_cache: bool):
+def _point_work(model: PointSetModel, rows: int) -> np.ndarray:
+    """A flat block that holds every point layer's output on `rows`
+    points, for ``_forward_batch``'s `work`."""
+    size = rows * sum(w.shape[1] for w, _ in model.point_layers)
+    return np.empty(size, dtype=model.point_layers[0][0].dtype)
+
+
+def _forward_batch(model: PointSetModel, x: np.ndarray, want_cache: bool,
+                   work: np.ndarray | None = None):
     """Logits for x of shape (B, n, 3); optionally the backprop cache.
 
     The last point layer's bias and relu follow its max-pool, so they touch
@@ -265,22 +273,35 @@ def _forward_batch(model: PointSetModel, x: np.ndarray, want_cache: bool):
     argmax is the first point attaining each maximum of ``fl(z + b)``, or
     point 0 where that maximum is at most 0, the first of a relu'd column
     of zeros.
+
+    The point layers write their outputs one after another into `work`
+    (a ``_point_work`` block of at least B * n rows; a new one if None),
+    and the cache's activations are views into it, valid until the block
+    is written again.
     """
     bsz, npts, dim = x.shape
+    rows = bsz * npts
     w0 = model.point_layers[0][0]
     if dim != w0.shape[0]:
         raise ValueError(f"width mismatch: points have {dim} coordinates, "
                          f"model expects {w0.shape[0]}")
-    h = x.reshape(bsz * npts, dim).astype(w0.dtype)
+    if work is None:
+        work = _point_work(model, rows)
+    outs, lo = [], 0
+    for w, _ in model.point_layers:
+        outs.append(work[lo:lo + rows * w.shape[1]])
+        lo += rows * w.shape[1]
+    h = x.reshape(rows, dim).astype(w0.dtype)
     acts = [h]
     *inner, (wl, bl) = model.point_layers
-    for w, b in inner:
-        h = h @ w
+    for (w, b), out in zip(inner, outs):
+        h = np.matmul(h, w, out=out.reshape(rows, -1))
         h += b
         np.maximum(h, 0, out=h)
         acts.append(h)
     if want_cache:
-        feat = (wl.T @ h.T).reshape(-1, bsz, npts)   # (C, B, n)
+        feat = np.matmul(wl.T, h.T, out=outs[-1].reshape(-1, rows))
+        feat = feat.reshape(-1, bsz, npts)   # (C, B, n)
         feat += bl[:, None, None]
         argmax = feat.argmax(axis=2)
         pooled = np.take_along_axis(feat, argmax[:, :, None], axis=2)[:, :, 0]
@@ -288,7 +309,8 @@ def _forward_batch(model: PointSetModel, x: np.ndarray, want_cache: bool):
         argmax = argmax.T
         pooled = np.ascontiguousarray(pooled.T)
     else:
-        pooled = (h @ wl).reshape(bsz, npts, -1).max(axis=1)
+        feat = np.matmul(h, wl, out=outs[-1].reshape(rows, -1))
+        pooled = feat.reshape(bsz, npts, -1).max(axis=1)
         pooled += bl
     np.maximum(pooled, 0, out=pooled)
 
@@ -322,9 +344,12 @@ def forward(model: PointSetModel, cloud: np.ndarray) -> np.ndarray:
     return _softmax64(logits)[0]
 
 
-def loss_and_grads(model: PointSetModel, x: np.ndarray, y: np.ndarray):
+def loss_and_grads(model: PointSetModel, x: np.ndarray, y: np.ndarray,
+                   work: np.ndarray | None = None):
     """Mean cross-entropy over the batch, the gradient of every parameter
-    in ``model.parameters()`` order, and the batch accuracy.
+    in ``model.parameters()`` order, and the batch accuracy.  `work` is
+    the forward's block for the point-layer outputs (see
+    ``_forward_batch``).
 
     Max-pool routes each pooled feature's gradient to the first point that
     attains the maximum, which matches the forward tie-break.  Every other
@@ -335,7 +360,7 @@ def loss_and_grads(model: PointSetModel, x: np.ndarray, y: np.ndarray):
     the pooled value, so its relu mask is ``pooled > 0``, applied to the
     (B, C) pooled gradient before the scatter.
     """
-    logits, cache = _forward_batch(model, x, want_cache=True)
+    logits, cache = _forward_batch(model, x, want_cache=True, work=work)
     bsz, npts = cache["shape"]
     probs = _softmax64(logits)
     logp = np.log(probs[np.arange(bsz), y])
@@ -471,44 +496,33 @@ def _augment_batch(x: np.ndarray, rng, sigma=AUGMENT_SIGMA,
 
 #: clouds per evaluation forward, the training batch size
 EVAL_CHUNK = 16
-#: clouds per partial sum of the evaluation loss
-EVAL_LOSS_BLOCK = 128
 
 
-def evaluate(model: PointSetModel, x: np.ndarray,
-             y: np.ndarray) -> tuple[float, float]:
+def evaluate(model: PointSetModel, x: np.ndarray, y: np.ndarray,
+             work: np.ndarray | None = None) -> tuple[float, float]:
     """(mean cross-entropy, accuracy) without augmentation.
 
     The forward runs on chunks of EVAL_CHUNK = 16 clouds, the training
     batch size, so its working set is one training batch's (about 7 MB
-    at default widths) and does not grow with the test set (about 45 MB
-    for 96 clouds in one forward).  The chunks keep the logits' bits
-    (measured with OpenBLAS 0.3.31 on sets of up to 300 clouds): the
-    point-layer gemms give a cloud the same bits in any batch, and the
-    head gemms do too when the chunk starts at a multiple of 4 clouds, as
-    every chunk does, and holds more than one cloud.  numpy hands a
-    one-row product to gemv, which rounds differently, so a lone last
-    cloud joins the chunk before it.  The per-cloud losses are summed in
-    blocks of EVAL_LOSS_BLOCK = 128 clouds, then the block sums are
-    added: the order of the earlier one-forward-per-128-clouds
-    evaluation, so training histories keep their bits.  Only a set of
-    128k + 1 clouds (k >= 1) differs in the last bits of its loss,
-    because that evaluation ran its last cloud alone.
+    at default widths, in `work` if given) and does not grow with the
+    test set (about 45 MB for 96 clouds in one forward).  Whether a
+    cloud's logits keep their bits in a smaller batch is up to the gemm
+    kernels: with OpenBLAS 0.3.31 (Haswell kernels) chunks that start at
+    a multiple of 4 clouds give the bits of one wide batch, except a lone
+    last cloud, whose one-row head products numpy hands to gemv; other
+    builds may round the last bits apart.  The loss is summed chunk by
+    chunk.
     """
-    starts = list(range(0, len(x), EVAL_CHUNK))
-    if len(starts) > 1 and len(x) - starts[-1] == 1:
-        starts.pop()   # a lone last cloud joins the chunk before it
-    losses = np.empty(len(x))
+    loss = 0.0
     correct = 0
-    for lo, hi in zip(starts, starts[1:] + [len(x)]):
-        yb = y[lo:hi]
-        logits, _ = _forward_batch(model, x[lo:hi], want_cache=False)
+    for lo in range(0, len(x), EVAL_CHUNK):
+        yb = y[lo:lo + EVAL_CHUNK]
+        logits, _ = _forward_batch(model, x[lo:lo + EVAL_CHUNK],
+                                   want_cache=False, work=work)
         probs = _softmax64(logits)
-        losses[lo:hi] = -np.log(probs[np.arange(len(yb)), yb])
+        loss += -np.log(probs[np.arange(len(yb)), yb]).sum()
         correct += int((probs.argmax(axis=1) == yb).sum())
-    blocks = [losses[lo:lo + EVAL_LOSS_BLOCK].sum()
-              for lo in range(0, len(x), EVAL_LOSS_BLOCK)]
-    return float(np.sum(blocks) / len(x)), correct / len(x)
+    return float(loss / len(x)), correct / len(x)
 
 
 def _class_indices(labels, n_clouds: int, n_classes: int,
@@ -561,6 +575,11 @@ def train(train_clouds, train_labels, test_clouds, test_labels, classes,
                        point_widths=config.point_widths,
                        head_hidden=config.head_hidden, rng=rng)
     velocity = [np.zeros_like(p) for p in model.parameters()]
+    # every training step and evaluation chunk writes its point-layer
+    # outputs (about 7 MB at default widths) into this one block, so no
+    # step allocates or frees an array that large, and glibc's heap does
+    # not trim and regrow between steps
+    work = _point_work(model, max(config.batch, EVAL_CHUNK) * config.n_points)
 
     history = []
     for epoch in range(config.epochs):
@@ -571,7 +590,7 @@ def train(train_clouds, train_labels, test_clouds, test_labels, classes,
         for lo in range(0, len(perm), config.batch):
             idx = perm[lo:lo + config.batch]
             xb = _augment_batch(x_train[idx], rng)
-            loss, grads, acc = loss_and_grads(model, xb, y_train[idx])
+            loss, grads, acc = loss_and_grads(model, xb, y_train[idx], work)
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {lo // config.batch} "
@@ -582,7 +601,7 @@ def train(train_clouds, train_labels, test_clouds, test_labels, classes,
                 param += vel
             epoch_loss += loss * len(idx)
             epoch_correct += acc * len(idx)
-        test_loss, test_acc = evaluate(model, x_test, y_test)
+        test_loss, test_acc = evaluate(model, x_test, y_test, work)
         history.append({
             "epoch": epoch, "lr": lr,
             "train_loss": epoch_loss / len(x_train),

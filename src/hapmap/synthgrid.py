@@ -327,37 +327,3 @@ def emit(grid: PinGrid, format: str) -> bytes:
         body = np.where(grid.cells == INACTIVE, 0, 40 + 50 * grid.cells.astype(np.int16))
         return pgm_bytes(body.astype(np.uint8))
     raise ValueError(f"unknown format {format!r}")
-
-
-class GridFormatError(ValueError):
-    """A grid JSON document that ``parse_grid_json`` cannot read; the
-    message names the key at fault."""
-
-
-def parse_grid_json(blob: bytes) -> PinGrid:
-    """The grid that ``emit(grid, "json")`` wrote: an object with whole
-    ``rows`` and ``cols`` and a flat list of rows * cols pin levels in
-    ``cells``.  Anything else raises GridFormatError."""
-    try:
-        doc = json.loads(blob.decode("utf-8"))
-    except ValueError as exc:   # UnicodeDecodeError, JSONDecodeError
-        raise GridFormatError(f"grid JSON does not decode: {exc}") from None
-    if not isinstance(doc, dict):
-        raise GridFormatError(
-            f"grid JSON must be an object, got {type(doc).__name__}")
-    for key in ("rows", "cols", "cells"):
-        if key not in doc:
-            raise GridFormatError(f"grid JSON has no {key!r}")
-    rows, cols, cells = doc["rows"], doc["cols"], doc["cells"]
-    for key, n in (("rows", rows), ("cols", cols)):
-        if type(n) is not int or n < 0:
-            raise GridFormatError(
-                f"grid JSON {key!r} must be a whole number >= 0, got {n!r}")
-    if (not isinstance(cells, list) or len(cells) != rows * cols
-            or any(isinstance(c, list) for c in cells)):
-        raise GridFormatError(f"grid JSON 'cells' must be a flat list of "
-                              f"rows * cols = {rows * cols} levels")
-    try:
-        return PinGrid(np.array(cells).reshape(rows, cols))
-    except ValueError as exc:   # a level that PinGrid rejects
-        raise GridFormatError(f"grid JSON 'cells': {exc}") from None

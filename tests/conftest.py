@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from hapmap import dcgd, depthio
+from hapmap.synthgrid import PinGrid
 
 
 @pytest.fixture
@@ -38,3 +41,9 @@ def ground_mask(frame, k, params=dcgd.DcgdParams()):
     mask[frame.pixels] = dcgd.detect_ground(
         frame, depthio.backproject(frame, k), params)
     return mask.reshape(frame.data.shape)
+
+
+def parse_grid_json(blob: bytes) -> PinGrid:
+    """The grid that ``synthgrid.emit(grid, "json")`` wrote."""
+    doc = json.loads(blob.decode("utf-8"))
+    return PinGrid(np.array(doc["cells"]).reshape(doc["rows"], doc["cols"]))

@@ -272,11 +272,12 @@ def dense_loss_and_grads(model, x, y):
     return loss, point_grads + head_grads, acc
 
 
-def row_major_forward_batch(model, x, want_cache):
+def row_major_forward_batch(model, x, want_cache, work=None):
     """The row-major ``classifier._forward_batch``: every point layer adds
     its bias and applies its relu over all B * n rows, then the pool takes
     the argmax over the strided point axis.  Logits for x of shape
-    (B, n, 3); optionally the backprop cache.
+    (B, n, 3); optionally the backprop cache.  `work` is ignored: every
+    layer output is a new array.
 
     The cache holds every point-layer activation (``acts[0]`` is the
     input, ``acts[i + 1]`` the output of point layer i), the per-sample
@@ -316,11 +317,12 @@ def row_major_forward_batch(model, x, want_cache):
                     "head_inputs": head_inputs, "shape": (bsz, npts)}
 
 
-def row_major_loss_and_grads(model, x, y):
+def row_major_loss_and_grads(model, x, y, work=None):
     """``classifier.loss_and_grads`` on ``row_major_forward_batch``'s cache,
     the relu mask of every point layer read at the critical rows.  Mean
     cross-entropy over the batch, the gradient of every parameter
-    in ``model.parameters()`` order, and the batch accuracy.
+    in ``model.parameters()`` order, and the batch accuracy.  `work` is
+    ignored.
 
     Max-pool routes each pooled feature's gradient to the first point that
     attains the maximum, which matches the forward tie-break.  Every other
@@ -369,15 +371,16 @@ def row_major_loss_and_grads(model, x, y):
     return loss, point_grads + head_grads, acc
 
 
-def block_evaluate(model, x, y, batch=128):
+def block_evaluate(model, x, y, work=None):
     """``classifier.evaluate`` with one forward per block of up to 128
     clouds, so a test set of at most 128 clouds runs as one batch:
-    (mean cross-entropy, accuracy) without augmentation."""
+    (mean cross-entropy, accuracy) without augmentation.  `work` is
+    ignored."""
     losses = []
     correct = 0
-    for lo in range(0, len(x), batch):
-        xb = x[lo:lo + batch]
-        yb = y[lo:lo + batch]
+    for lo in range(0, len(x), 128):
+        xb = x[lo:lo + 128]
+        yb = y[lo:lo + 128]
         logits, _ = _forward_batch(model, xb, want_cache=False)
         probs = softmax64(logits)
         losses.append(-np.log(probs[np.arange(len(yb)), yb]).sum())

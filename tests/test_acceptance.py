@@ -18,10 +18,10 @@ from hapmap.geomfeat import height_p90
 from hapmap.labeling import builtin_sheet
 from hapmap.pipeline import analyze_scene, run_pipeline
 from hapmap.segment import dbscan
-from hapmap.synthgrid import (AreaGeometry, emit, map_to_area, parse_grid_json,
-                              rasterize_scene, trapezoid_mask)
+from hapmap.synthgrid import (AreaGeometry, emit, map_to_area, rasterize_scene,
+                              trapezoid_mask)
 
-from conftest import ground_mask
+from conftest import ground_mask, parse_grid_json
 from oracles import as_partition, blob_cloud, brute_dbscan, rect_descriptor
 
 K = depthio.DEFAULT_INTRINSICS

@@ -12,7 +12,9 @@ from hapmap import cli, dcgd, depthio, pipeline, scenegen
 from hapmap.config import PipelineConfig, format_config, parse_config
 from hapmap.pipeline import (StageError, analyze_depth_file, analyze_scene,
                              run_pipeline)
-from hapmap.synthgrid import AreaGeometry, map_to_area, parse_grid_json
+from hapmap.synthgrid import AreaGeometry, map_to_area
+
+from conftest import parse_grid_json
 
 K_SMALL = depthio.Intrinsics(143.95, 143.95, 79.5, 59.5)
 

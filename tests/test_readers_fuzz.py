@@ -1,10 +1,8 @@
 """Hypothesis fuzzing of every reader of outside input: the depth decoder
 on arbitrary and mutated blobs, its header pattern against the byte loop
-it replaced, the text readers on arbitrary lines and the grid JSON
-reader on arbitrary documents.  Each reader either returns a value or
-raises its own error type."""
+it replaced, and the text readers on arbitrary lines.  Each reader either
+returns a value or raises its own error type."""
 
-import json
 import struct
 
 import numpy as np
@@ -18,7 +16,6 @@ from hapmap.depthio import (_PGM_HEADER, FLAT_MAGIC, DepthFormatError,
                             content_lines, depth_to_flat, depth_to_pgm,
                             load_depth_pgm, load_intrinsics, pgm_bytes)
 from hapmap.scenegen import parse_scene_spec
-from hapmap.synthgrid import GridFormatError, PinGrid, emit, parse_grid_json
 
 from conftest import frame_of, make_pgm
 from oracles import loop_pgm_header
@@ -253,46 +250,3 @@ class TestTextReaders:
                            "1 2", "1,2,3"])))
     def test_xyz_cloud(self, text):
         assert_returns_or_raises(_parse_cloud, ValueError, text)
-
-
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-300, 300) | st.floats()
-    | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=6)
-    | st.dictionaries(st.sampled_from(["rows", "cols", "cells", "x"]), inner,
-                      max_size=4),
-    max_leaves=12)
-
-
-@st.composite
-def grid_docs(draw):
-    """A grid document with at most one key missing or gone wrong."""
-    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    doc = {"rows": rows, "cols": cols,
-           "cells": draw(st.lists(st.integers(-2, 5), min_size=rows * cols,
-                                  max_size=rows * cols))}
-    key = draw(st.sampled_from([None, "rows", "cols", "cells"]))
-    if key is not None and draw(st.booleans()):
-        del doc[key]
-    elif key is not None:
-        doc[key] = draw(json_values)
-    return doc
-
-
-class TestGridJson:
-    @settings(max_examples=300)
-    @given(st.one_of(json_values, grid_docs()))
-    def test_returns_a_grid_or_raises_grid_format_error(self, doc):
-        try:
-            grid = parse_grid_json(json.dumps(doc).encode())
-        except GridFormatError:
-            return
-        assert grid.cells.shape == (doc["rows"], doc["cols"])
-        assert parse_grid_json(emit(grid, "json")) == grid
-
-    @given(st.binary(max_size=32))
-    def test_arbitrary_bytes(self, blob):
-        try:
-            assert isinstance(parse_grid_json(blob), PinGrid)
-        except GridFormatError:
-            pass

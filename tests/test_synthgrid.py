@@ -16,12 +16,12 @@ from hypothesis import example, given, settings, strategies as st
 from hapmap import synthgrid
 from hapmap.depthio import Intrinsics
 from hapmap.labeling import REQUIRED_TAGS, builtin_sheet
-from hapmap.synthgrid import (AreaGeometry, FrustumError, GridFormatError,
-                              PinGrid, _fill_polygon,
+from hapmap.synthgrid import (AreaGeometry, FrustumError, PinGrid, _fill_polygon,
                               clip_polygon_to_frustum, emit, map_continuous,
-                              map_to_area, map_to_pins, parse_grid_json,
-                              rasterize_raw, rasterize_scene, trapezoid_mask)
+                              map_to_area, map_to_pins, rasterize_raw,
+                              rasterize_scene, trapezoid_mask)
 
+from conftest import parse_grid_json
 from oracles import (loop_emit_ascii, loop_fill_polygon, loop_glyph_stamp,
                      loop_trapezoid_mask, rect_descriptor)
 
@@ -398,25 +398,6 @@ class TestEmit:
         obj = rect_descriptor(0, 2500, 600, 600, 750.0, label="put_on")
         grid = rasterize_scene([], [obj], G)
         assert parse_grid_json(emit(grid, "json")) == grid
-
-    @pytest.mark.parametrize("blob, message", [
-        (b"[]", "must be an object, got list"),
-        (b"{}", "no 'rows'"),
-        (b'{"rows":1,"cols":2}', "no 'cells'"),
-        (b'{"rows":"1","cols":2,"cells":[1,1]}', "'rows' must be a whole number"),
-        (b'{"rows":1,"cols":2.0,"cells":[1,1]}', "'cols' must be a whole number"),
-        (b'{"rows":-1,"cols":-2,"cells":[1,1]}', "'rows' must be a whole number"),
-        (b'{"rows":true,"cols":2,"cells":[1,1]}', "'rows' must be a whole number"),
-        (b'{"rows":2,"cols":2,"cells":[1,1,1]}', "'cells' must be a flat list of rows \\* cols = 4"),
-        (b'{"rows":1,"cols":2,"cells":"11"}', "'cells' must be a flat list"),
-        (b'{"rows":1,"cols":2,"cells":[[1],[1]]}', "'cells' must be a flat list"),
-        (b'{"rows":1,"cols":2,"cells":[1,5]}', "'cells': pin levels must be whole"),
-        (b'{"rows":1,', "does not decode"),
-        (b"\xff", "does not decode"),
-    ])
-    def test_json_wrong_shape_names_the_key(self, blob, message):
-        with pytest.raises(GridFormatError, match=message):
-            parse_grid_json(blob)
 
     def test_ascii_shape(self):
         blob = emit(PinGrid.empty(G), "ascii").decode("utf-8")
