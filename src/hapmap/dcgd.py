@@ -73,18 +73,6 @@ class DepthCut:
         return not np.any(self.rows >= 0)
 
 
-@dataclass(frozen=True)
-class SubCut:
-    start: int          # first column, inclusive
-    end: int            # last column, inclusive
-    kind: str           # "concave" | "convex"
-    y: np.ndarray       # entry elevations over the span's columns
-
-    def __post_init__(self):
-        if self.kind not in ("concave", "convex"):
-            raise ValueError("kind must be concave or convex")
-
-
 def _cut_index(z, z0: float, dz: float):
     """Nearest cut index of depth z, as a float: floor((z - z0) / dz + 0.5).
 
@@ -194,26 +182,11 @@ def _claims(entry: np.ndarray, baseline_tol: float,
     return entry > np.where(unclaimed > 0, top, -np.inf)[:, None]
 
 
-def split_subcuts(cut: DepthCut, baseline_tol: float = 50.0,
-                  ground_prior: float | None = None) -> list[SubCut]:
-    """Split a cut into maximal concave/convex column runs.
-
-    Entries are claimed as convex by ``_claims`` on a one-row table.  Runs
-    break at unoccupied columns and at kind changes.
-    """
-    cols = cut.columns
-    if cols.size == 0:
-        raise ValueError("cut has no entries")
-    yv = cut.y[cols]
-    claimed = _claims(yv[None, :], baseline_tol, ground_prior)[0]
-    breaks = np.flatnonzero((np.diff(cols) != 1)
-                            | (claimed[1:] != claimed[:-1])) + 1
-    starts = np.concatenate(([0], breaks))
-    ends = np.concatenate((breaks, [cols.size]))
-    return [SubCut(start=int(cols[a]), end=int(cols[b - 1]),
-                   kind="convex" if claimed[a] else "concave",
-                   y=yv[a:b].copy())
-            for a, b in zip(starts, ends)]
+# The benchmark's tracer (perfbench/tracer.py) still names this function
+# in TRACED; it is kept only for that table and goes away with the
+# benchmark change that drops it.  Nothing calls it.
+def split_subcuts(*args, **kwargs):
+    raise NotImplementedError("split_subcuts was removed; see detect_ground")
 
 
 def detect_ground(frame: DepthFrame, cloud: np.ndarray,

@@ -249,6 +249,8 @@ def load_intrinsics(text: str) -> Intrinsics:
 
 
 def format_intrinsics(k: Intrinsics) -> str:
+    """The intrinsics file text of k, one ``key=value`` line per field, as
+    ``load_intrinsics`` reads it back."""
     return (
         f"fx={k.fx}\nfy={k.fy}\ncx={k.cx}\ncy={k.cy}\n"
         f"depth_scale={k.depth_scale}\n"

@@ -226,14 +226,6 @@ def render_depth(spec: SceneSpec, k: Intrinsics, width: int = 640,
     return DepthFrame(raw), truth
 
 
-def floor_depth_at(v: int, k: Intrinsics, camera_height: float) -> float:
-    """Analytic z-depth of the floor ray through image row v (inf above horizon)."""
-    dy = (k.cy - v) / k.fy
-    if dy >= 0:
-        return math.inf
-    return -camera_height / dy
-
-
 # ---------------------------------------------------------------------------
 # Scene spec text format
 # ---------------------------------------------------------------------------

@@ -3,12 +3,7 @@
 ``image_segments`` is the pipeline's segmentation: neighbouring occupied
 pixels of similar depth are linked and the components taken, and
 ``extract_segments`` splits the points and their pixel indices by
-segment.  ``voxel_downsample`` and ``dbscan`` are the earlier
-point-cloud front end; nothing in the package calls them, and they stay
-only because ``perfbench/tracer.py`` names them in ``TRACED``.
-``dbscan`` imports scipy's ``cKDTree`` when it runs, so importing this
-module (and so ``hapmap`` and ``hapmap.cli``) never loads
-``scipy.spatial``, about 30 MB of resident memory.
+segment.  The module, like the whole package, needs numpy only.
 """
 
 from __future__ import annotations
@@ -93,34 +88,6 @@ def image_segments(frame: DepthFrame, cloud: np.ndarray, occupied: np.ndarray,
     return Segmentation(labels=run_label[run], k=int(first.sum()))
 
 
-def voxel_downsample(cloud: np.ndarray, leaf: float = 20.0) -> np.ndarray:
-    """One centroid per occupied voxel; the grid is anchored at the origin.
-
-    Output voxels are ordered by their grid key, so the result does not
-    depend on the input point order.  The keys are whole numbers kept as
-    floats and grouped by a lexsort over their three columns, so no
-    integer cast or combined key can overflow.
-    """
-    if not leaf > 0:
-        raise ValueError("leaf size must be positive")
-    cloud = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
-    if not np.isfinite(cloud).all():
-        raise ValueError("cloud must be finite, found nan or inf")
-    if cloud.shape[0] == 0:
-        return cloud
-    keys = np.floor(cloud / leaf)
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    starts = np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)]
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(starts) - 1
-    # bincount sums each voxel's points in input order.
-    sums = np.column_stack([np.bincount(inverse, weights=cloud[:, j])
-                            for j in range(3)])
-    counts = np.bincount(inverse).astype(np.float64)
-    return sums / counts[:, None]
-
-
 def _roots(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Each node's root: the lowest index in its component of edges (i, j).
 
@@ -144,53 +111,15 @@ def _roots(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return parent
 
 
-def dbscan(cloud: np.ndarray, eps: float = 80.0, min_pts: int = 10) -> Segmentation:
-    """Classic density clustering with Euclidean metric.
+# The benchmark's tracer (perfbench/tracer.py) still names these two
+# functions in TRACED; they are kept only for that table and go away with
+# the benchmark change that drops them.  Nothing calls them.
+def voxel_downsample(*args, **kwargs):
+    raise NotImplementedError("voxel_downsample was removed; see image_segments")
 
-    A core point has at least min_pts neighbors within eps (inclusive,
-    counting itself).  Clusters are the connected components of core
-    points plus their border points; everything else is noise (-1).
-    Cluster ids follow first-core-point scan order; a border point seen by
-    several clusters goes to the lowest cluster id.
 
-    All neighbor pairs come from one ``cKDTree.query_pairs`` call
-    (inclusive at eps).  Degrees are counted from the pairs, and the
-    core-core pairs are joined by ``_roots``, which roots each component
-    at its lowest core index, so ranking the roots numbers the clusters
-    in scan order.  Each border point then takes the minimum id over its
-    core neighbors.
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if min_pts < 1:
-        raise ValueError("min_pts must be at least 1")
-    cloud = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
-    n = cloud.shape[0]
-    labels = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return Segmentation(labels=labels, k=0)
-
-    from scipy.spatial import cKDTree   # kept off the package's import path
-
-    pairs = cKDTree(cloud).query_pairs(eps, output_type="ndarray")
-    i, j = pairs[:, 0], pairs[:, 1]
-    core = np.bincount(pairs.ravel(), minlength=n) + 1 >= min_pts
-
-    both = core[i] & core[j]
-    root = _roots(n, i[both], j[both])
-    firsts, labels[core] = np.unique(root[core], return_inverse=True)
-    k = firsts.size
-
-    # Border points: non-core with a core neighbor; ties to the lowest id.
-    i_owns = core[i] & ~core[j]
-    j_owns = core[j] & ~core[i]
-    border = np.concatenate([j[i_owns], i[j_owns]])
-    owner = labels[np.concatenate([i[i_owns], j[j_owns]])]
-    claim = np.full(n, k, dtype=np.int64)
-    np.minimum.at(claim, border, owner)
-    claimed = claim < k
-    labels[claimed] = claim[claimed]
-    return Segmentation(labels=labels, k=int(k))
+def dbscan(*args, **kwargs):
+    raise NotImplementedError("dbscan was removed; see image_segments")
 
 
 def extract_segments(cloud: np.ndarray, pixels: np.ndarray,

@@ -6,12 +6,10 @@ from collections import deque
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from hapmap.classifier import _forward_batch
 from hapmap.classifier import _softmax64 as softmax64
-from hapmap.dcgd import (DcgdParams, DepthCut, SubCut, detect_ground,
-                         ground_elevation)
+from hapmap.dcgd import DcgdParams, DepthCut, detect_ground, ground_elevation
 from hapmap.depthio import DepthFormatError, DepthFrame, backproject
 from hapmap.geomfeat import (Footprint, classify_geometry, footprint,
                              polygon_area)
@@ -19,72 +17,6 @@ from hapmap.labeling import ObjectDescriptor, label_level
 from hapmap.scenegen import GroundTruth
 from hapmap.segment import extract_segments, image_segments
 from hapmap.synthgrid import ASCII_INACTIVE, INACTIVE
-
-
-def brute_dbscan(cloud, eps, min_pts):
-    """Dense-matrix O(n^2) DBSCAN: same contract, independent mechanics."""
-    n = len(cloud)
-    labels = np.full(n, -1, dtype=int)
-    if n == 0:
-        return labels, 0
-    d = np.linalg.norm(cloud[:, None, :] - cloud[None, :, :], axis=2)
-    adj = d <= eps
-    core = adj.sum(axis=1) >= min_pts
-    k = 0
-    for s in range(n):
-        if not core[s] or labels[s] != -1:
-            continue
-        stack = [s]
-        labels[s] = k
-        while stack:
-            i = stack.pop()
-            for j in np.flatnonzero(adj[i] & core):
-                if labels[j] == -1:
-                    labels[j] = k
-                    stack.append(j)
-        k += 1
-    for i in range(n):
-        if core[i]:
-            continue
-        owners = labels[adj[i] & core]
-        owners = owners[owners >= 0]
-        if owners.size:
-            labels[i] = owners.min()
-    return labels, k
-
-
-def csgraph_dbscan(cloud, eps, min_pts):
-    """Pair-list DBSCAN whose core components come from scipy's
-    ``connected_components``, renumbered by first core point: same
-    contract, reaches clouds far past brute_dbscan's size."""
-    cloud = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
-    n = cloud.shape[0]
-    labels = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return labels, 0
-    pairs = cKDTree(cloud).query_pairs(eps, output_type="ndarray")
-    i, j = pairs[:, 0], pairs[:, 1]
-    core = np.bincount(pairs.ravel(), minlength=n) + 1 >= min_pts
-    core_idx = np.flatnonzero(core)
-    both = core[i] & core[j]
-    slot = np.cumsum(core) - 1
-    graph = coo_matrix((np.ones(int(both.sum()), dtype=np.int8),
-                        (slot[i[both]], slot[j[both]])),
-                       shape=(core_idx.size, core_idx.size))
-    k, comp = connected_components(graph, directed=False)
-    _, first = np.unique(comp, return_index=True)
-    rank = np.empty(k, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(k)
-    labels[core_idx] = rank[comp]
-    i_owns = core[i] & ~core[j]
-    j_owns = core[j] & ~core[i]
-    border = np.concatenate([j[i_owns], i[j_owns]])
-    owner = labels[np.concatenate([i[i_owns], j[j_owns]])]
-    claim = np.full(n, k, dtype=np.int64)
-    np.minimum.at(claim, border, owner)
-    claimed = claim < k
-    labels[claimed] = claim[claimed]
-    return labels, int(k)
 
 
 def csgraph_roots(n, i, j):
@@ -95,19 +27,6 @@ def csgraph_roots(n, i, j):
     lowest = np.full(k, n, dtype=np.int64)
     np.minimum.at(lowest, comp, np.arange(n))
     return lowest[comp]
-
-
-def brute_voxel_downsample(cloud, leaf):
-    """Row-unique voxel keys with an unbuffered add: same contract."""
-    cloud = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
-    if cloud.shape[0] == 0:
-        return cloud
-    keys = np.floor(cloud / leaf).astype(np.int64)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    sums = np.zeros((uniq.shape[0], 3))
-    np.add.at(sums, inverse, cloud)
-    counts = np.bincount(inverse, minlength=uniq.shape[0]).astype(np.float64)
-    return sums / counts[:, None]
 
 
 def flood_fill_segments(frame, cloud, occupied, link_mm, min_px):
@@ -388,6 +307,15 @@ def block_evaluate(model, x, y, work=None):
     return float(np.sum(losses) / len(x)), correct / len(x)
 
 
+def floor_depth_at(v, k, camera_height):
+    """Analytic z-depth of the floor ray through image row v (inf above
+    the horizon)."""
+    dy = (k.cy - v) / k.fy
+    if dy >= 0:
+        return math.inf
+    return -camera_height / dy
+
+
 def full_frame_render_depth(spec, k, width=640, height=480):
     """``scenegen.render_depth`` with every primitive ray-cast over the whole
     frame: the floor over a per-pixel meshgrid, each box by the Kay-Kajiya
@@ -550,21 +478,19 @@ def loop_claims(yv, baseline_tol, ground_prior):
 
 
 def loop_split_subcuts(cut, baseline_tol=50.0, ground_prior=None):
-    """Iterative-median claims, then runs found column by column."""
+    """Iterative-median claims, then (start, end, kind) column runs found
+    column by column; ends are inclusive, kind is "concave" or "convex"."""
     cols = cut.columns
-    yv = cut.y[cols]
-    claimed = loop_claims(yv, baseline_tol, ground_prior)
-    subcuts = []
+    claimed = loop_claims(cut.y[cols], baseline_tol, ground_prior)
+    runs = []
     run_start = 0
     for idx in range(1, cols.size + 1):
         if (idx == cols.size or cols[idx] != cols[idx - 1] + 1
                 or claimed[idx] != claimed[idx - 1]):
             kind = "convex" if claimed[run_start] else "concave"
-            subcuts.append(SubCut(start=int(cols[run_start]),
-                                  end=int(cols[idx - 1]), kind=kind,
-                                  y=yv[run_start:idx].copy()))
+            runs.append((int(cols[run_start]), int(cols[idx - 1]), kind))
             run_start = idx
-    return subcuts
+    return runs
 
 
 def loop_detect_ground(frame, k, params=DcgdParams()):
@@ -578,10 +504,11 @@ def loop_detect_ground(frame, k, params=DcgdParams()):
     for cut in loop_depth_cuts(frame, k, params.z0, params.zf, params.dz):
         if cut.is_empty:
             continue
-        for sub in loop_split_subcuts(cut, params.baseline_tol, prior):
-            if sub.kind != "concave":
+        for start, end, kind in loop_split_subcuts(cut, params.baseline_tol,
+                                                   prior):
+            if kind != "concave":
                 continue
-            span = slice(sub.start, sub.end + 1)
+            span = slice(start, end + 1)
             cell = bins[:, span] == cut.index
             low = y[:, span] <= cut.y[span][None, :] + params.include_tol
             mask[:, span] |= cell & low
@@ -686,20 +613,12 @@ def loop_emit_ascii(cells):
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def blob_cloud(rng, n_blobs=3, per_blob=60, stray=10):
-    """Well-separated Gaussian blobs plus sprinkled isolated points."""
-    centers = rng.permutation(27)[:n_blobs]
-    centers = np.stack(np.unravel_index(centers, (3, 3, 3)), axis=1) * 900.0
-    parts = [rng.normal(c, 35.0, size=(per_blob, 3)) for c in centers]
-    parts.append(rng.uniform(-800, 3200, size=(stray, 3)))
-    return np.vstack(parts)
-
-
-def as_partition(cloud, labels):
-    """Partition as frozensets of point tuples, noise kept separate."""
+def as_partition(points, labels):
+    """Partition as frozensets of point tuples, noise kept separate; a
+    point may be a cloud row or a pixel's (row, column)."""
     clusters = {}
     noise = set()
-    for p, lab in zip(cloud, labels):
+    for p, lab in zip(points, labels):
         key = tuple(np.round(p, 9))
         if lab == -1:
             noise.add(key)

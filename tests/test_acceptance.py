@@ -17,12 +17,12 @@ from hapmap.config import PipelineConfig, parse_config
 from hapmap.geomfeat import height_p90
 from hapmap.labeling import builtin_sheet
 from hapmap.pipeline import analyze_scene, run_pipeline
-from hapmap.segment import dbscan
+from hapmap.segment import image_segments
 from hapmap.synthgrid import (AreaGeometry, emit, map_to_area, rasterize_scene,
                               trapezoid_mask)
 
 from conftest import ground_mask, parse_grid_json
-from oracles import as_partition, blob_cloud, brute_dbscan, rect_descriptor
+from oracles import as_partition, flood_fill_segments, rect_descriptor
 
 K = depthio.DEFAULT_INTRINSICS
 CAM_HEIGHT = 1200.0
@@ -262,25 +262,61 @@ def test_criterion_5d_synthetic_accuracy(six_class_model):
           f"{elapsed:.0f}s (< 300s); deterministic for a fixed seed")
 
 
+def _segment_raster(rng):
+    """(depth raster in mm, free pixels) for criterion 6: a floor whose
+    depth falls toward the image bottom, 1-5 rectangles of sloped depth,
+    5% isolated noise pixels at random depths, 5% zero returns, and 5% of
+    pixels left unoccupied (the role ground plays in the pipeline)."""
+    h, w = (int(n) for n in rng.integers(12, 41, size=2))
+    rows, cols = np.arange(h)[:, None], np.arange(w)[None, :]
+    depth = np.broadcast_to(4000.0 - 60.0 * rows, (h, w)).copy()
+    for _ in range(int(rng.integers(1, 6))):
+        r0, c0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+        r1 = r0 + int(rng.integers(2, h // 2 + 2))
+        c1 = c0 + int(rng.integers(2, w // 2 + 2))
+        slope_r, slope_c = rng.uniform(-30.0, 30.0, size=2)
+        patch = rng.uniform(800, 3500) + slope_r * (rows - r0) + slope_c * (cols - c0)
+        inside = (rows >= r0) & (rows < r1) & (cols >= c0) & (cols < c1)
+        depth = np.where(inside, patch, depth)
+    noise = rng.random((h, w)) < 0.05
+    depth[noise] = rng.uniform(500, 5000, size=int(noise.sum()))
+    depth[rng.random((h, w)) < 0.05] = 0
+    return np.rint(depth).astype(np.uint16), rng.random((h, w)) < 0.05
+
+
+def _raster_segments(raster, free, link_mm, min_px):
+    """image_segments and the flood fill on one raster, and the (row,
+    column) of each occupied pixel."""
+    frame = depthio.DepthFrame(raster)
+    cloud = depthio.backproject(frame, depthio.Intrinsics(1.0, 1.0, 0.0, 0.0))
+    occupied = ~free.ravel()[frame.pixels]
+    seg = image_segments(frame, cloud, occupied, link_mm, min_px)
+    ref = flood_fill_segments(frame, cloud, occupied, link_mm, min_px)
+    return seg, ref, np.column_stack(np.divmod(frame.pixels[occupied], frame.width))
+
+
 def test_criterion_6_segmentation_oracle():
-    """Partition identical to the O(n^2) reference on 50 clouds (n <= 500)
-    and invariant under input permutation."""
+    """Partition identical to the flood-fill reference on 50 seeded depth
+    rasters with noise pixels, over several link_mm/min_px pairs, and
+    unchanged under a left-right mirror of the raster."""
     rng = np.random.default_rng(66)
+    params = [(80.0, 5), (40.0, 1), (120.0, 12), (20.0, 3)]
+    segments = noise = 0
     for trial in range(50):
-        cloud = blob_cloud(rng, n_blobs=int(rng.integers(1, 5)),
-                           per_blob=int(rng.integers(15, 90)),
-                           stray=int(rng.integers(0, 25)))
-        assert len(cloud) <= 500
-        got = dbscan(cloud, eps=120.0, min_pts=5)
-        ref_labels, ref_k = brute_dbscan(cloud, 120.0, 5)
-        assert got.k == ref_k
-        assert as_partition(cloud, got.labels) == as_partition(cloud, ref_labels)
-        perm = rng.permutation(len(cloud))
-        shuffled = cloud[perm]
-        assert (as_partition(shuffled, dbscan(shuffled, 120.0, 5).labels)
-                == as_partition(cloud, got.labels))
-    print("\nCRITERION 6 PASS: 50/50 clouds match the O(n^2) reference, "
-          "permutation-stable")
+        raster, free = _segment_raster(rng)
+        link_mm, min_px = params[trial % len(params)]
+        seg, (ref_labels, ref_k), pix = _raster_segments(raster, free, link_mm, min_px)
+        assert seg.k == ref_k
+        assert seg.labels.tobytes() == ref_labels.tobytes()
+        mseg, _, mpix = _raster_segments(raster[:, ::-1], free[:, ::-1],
+                                         link_mm, min_px)
+        mpix[:, 1] = raster.shape[1] - 1 - mpix[:, 1]
+        assert as_partition(mpix, mseg.labels) == as_partition(pix, seg.labels)
+        segments += seg.k
+        noise += int((seg.labels == -1).sum())
+    assert segments >= 100 and noise >= 100
+    print(f"\nCRITERION 6 PASS: 50/50 depth rasters ({segments} segments, "
+          f"{noise} noise pixels) match the flood fill, mirror-stable")
 
 
 def test_criterion_7_ground_detection():

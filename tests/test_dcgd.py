@@ -9,31 +9,19 @@ from hypothesis.extra.numpy import arrays
 
 from hapmap import scenegen
 from hapmap.config import PipelineConfig
-from hapmap.dcgd import (DcgdParams, DepthCut, _claims, band_frame,
-                         compute_depth_cuts, detect_ground, ground_elevation,
-                         split_subcuts)
+from hapmap.dcgd import (DcgdParams, _claims, band_frame, compute_depth_cuts,
+                         detect_ground, ground_elevation)
 from hapmap.depthio import DepthFrame, Intrinsics, backproject
 from hapmap.pipeline import analyze_scene
 from hapmap.scenegen import BoxSpec, HoleSpec, SceneSpec
 
 from conftest import SMALL_H, SMALL_W, ground_mask
 from oracles import (full_frame_analysis, loop_claims, loop_depth_cuts,
-                     loop_detect_ground, loop_split_subcuts)
+                     loop_detect_ground)
 
 
 def render(spec, cam):
     return scenegen.render_depth(spec, cam, SMALL_W, SMALL_H)
-
-
-def make_cut(cols_y, index=0, z=1000.0, width=None):
-    """DepthCut from {column: y} pairs."""
-    width = width or (max(cols_y) + 1)
-    rows = np.full(width, -1, dtype=np.int32)
-    y = np.full(width, np.nan)
-    for c, yv in cols_y.items():
-        rows[c] = 0
-        y[c] = yv
-    return DepthCut(index=index, z=z, rows=rows, y=y)
 
 
 class TestComputeDepthCuts:
@@ -87,50 +75,6 @@ class TestComputeDepthCuts:
                                   DcgdParams())
         assert cuts[0].rows[0] >= 0 and cuts[0].rows[1] == -1
         assert cuts[1].rows[1] >= 0 and cuts[1].rows[0] == -1
-
-
-class TestSplitSubcuts:
-    def test_flat_floor_single_concave(self):
-        cut = make_cut({c: -1200.0 for c in range(40)})
-        subs = split_subcuts(cut, 50.0)
-        assert len(subs) == 1
-        assert subs[0].kind == "concave"
-        assert (subs[0].start, subs[0].end) == (0, 39)
-
-    def test_centered_bump_three_runs(self):
-        ys = {c: 0.0 for c in range(100)}
-        for c in range(40, 60):
-            ys[c] = 400.0
-        subs = split_subcuts(make_cut(ys), 50.0)
-        assert [s.kind for s in subs] == ["concave", "convex", "concave"]
-        assert (subs[1].start, subs[1].end) == (40, 59)
-
-    def test_single_column_concave(self):
-        subs = split_subcuts(make_cut({5: -900.0}, width=10), 50.0)
-        assert len(subs) == 1 and subs[0].kind == "concave"
-
-    def test_gap_breaks_runs(self):
-        subs = split_subcuts(make_cut({0: 0.0, 1: 0.0, 5: 0.0}, width=8), 50.0)
-        assert [(s.start, s.end) for s in subs] == [(0, 1), (5, 5)]
-
-    def test_partition_of_occupied_columns(self):
-        rng = np.random.default_rng(3)
-        ys = {int(c): float(rng.normal(0, 200)) for c in rng.choice(80, 50, replace=False)}
-        cut = make_cut(ys, width=80)
-        subs = split_subcuts(cut, 50.0)
-        covered = sorted(c for s in subs for c in range(s.start, s.end + 1))
-        assert covered == sorted(ys)
-        assert all(s.kind in ("concave", "convex") for s in subs)
-
-    def test_ground_prior_claims_high_cut(self):
-        # every entry is 450mm above the known ground: whole cut is object
-        cut = make_cut({c: -750.0 for c in range(30)})
-        subs = split_subcuts(cut, 50.0, ground_prior=-1200.0)
-        assert [s.kind for s in subs] == ["convex"]
-
-    def test_empty_cut_rejected(self):
-        with pytest.raises(ValueError):
-            split_subcuts(make_cut({}, width=4), 50.0)
 
 
 class TestDetectGround:
@@ -286,22 +230,6 @@ class TestEntryTableMatchesLoops:
         assert (ground_mask(frame, small_cam, params).tobytes()
                 == loop_detect_ground(frame, small_cam, params).tobytes())
 
-    @settings(max_examples=200, deadline=None)
-    @given(ys=st.lists(st.one_of(st.none(), st.sampled_from(
-               [-1200.0, -1190.0, -1100.0, -900.0, -300.0, 0.0])),
-               min_size=1, max_size=40),
-           tol=st.sampled_from([5.0, 50.0, 150.0]),
-           prior=st.sampled_from([None, -1250.0, -1200.0, -800.0]))
-    def test_split_subcuts_runs(self, ys, tol, prior):
-        cut = make_cut({c: v for c, v in enumerate(ys) if v is not None},
-                       width=len(ys))
-        if cut.is_empty:
-            return
-        got = split_subcuts(cut, tol, ground_prior=prior)
-        want = loop_split_subcuts(cut, tol, ground_prior=prior)
-        assert [(s.start, s.end, s.kind, s.y.tobytes()) for s in got] == \
-            [(s.start, s.end, s.kind, s.y.tobytes()) for s in want]
-
 
 #: entry elevations for the claim-rule tables: ties, and steps near the
 #: drawn tolerances; inf is an empty cell
@@ -336,6 +264,8 @@ class TestClaimsMatchLoop:
         ([0.0, 130.0, 40.0, 80.0, 0.0, 130.0], None,
          [False, True, False, True, False, True]),
         ([np.inf, np.inf], None, [True, True]),        # empty cut
+        # an empty column between entries: both sides share one median
+        ([-1200.0, np.inf, -1190.0, -900.0], None, [False, True, False, True]),
     ])
     def test_hand_rows(self, row, prior, want):
         assert _claims(np.array([row]), 50.0, prior)[0].tolist() == want

@@ -9,10 +9,9 @@ import pytest
 
 from hapmap import scenegen
 from hapmap.depthio import DEFAULT_INTRINSICS, Intrinsics, backproject
-from hapmap.scenegen import (BoxSpec, HoleSpec, SceneSpec, floor_depth_at,
-                             parse_scene_spec, format_scene_spec,
-                             render_depth, sample_box_cloud)
-from oracles import full_frame_render_depth
+from hapmap.scenegen import (BoxSpec, HoleSpec, SceneSpec, parse_scene_spec,
+                             format_scene_spec, render_depth, sample_box_cloud)
+from oracles import floor_depth_at, full_frame_render_depth
 
 K = Intrinsics(fx=143.95, fy=143.95, cx=79.5, cy=59.5)
 W, H = 160, 120
