@@ -5,7 +5,7 @@ representative object (a chair for sit_on, a table for put_on, and so
 on); stairs carry two glyphs so that climbing up and going down read
 differently under a finger.  Glyphs are static data with hard
 distinguishability rules: between 4 and 25 raised dots, and any two
-glyphs differ in at least 4 cells.
+glyphs differ in at least 4 cells.  ``synthgrid`` decides their pin level.
 """
 
 from __future__ import annotations
@@ -186,13 +186,6 @@ def builtin_sheet() -> GlyphSheet:
     if _builtin is None:
         _builtin = parse_glyph_sheet(BUILTIN_SHEET_TEXT)
     return _builtin
-
-
-def label_level(height_class: int) -> int:
-    """Pin level carrying the glyph: height class 1/2/3 to level 2/3/4."""
-    if height_class not in (1, 2, 3):
-        raise ValueError("height class must be 1, 2 or 3")
-    return 1 + height_class
 
 
 def stairs_direction(points: np.ndarray, ground_y: float) -> str:

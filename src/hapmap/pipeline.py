@@ -174,10 +174,13 @@ def run_pipeline(config: PipelineConfig, depth_path: str | Path) -> PipelineResu
 
     Without a model file the pipeline degrades to geometry-only output:
     every object keeps its footprint and geometric classes, no glyphs.
-    The model loads first, so a bad one fails before any frame work.
-    Given identical config and inputs the result is byte-stable.
+    The model and glyph sheet load first, so a bad one fails before any
+    frame work.  Given identical config and inputs the result is byte-stable.
     """
     model, labeling_class = load_classifier(config)
+    with _stage("synthgrid"):
+        sheet = (parse_glyph_sheet(Path(config.glyphs_path).read_text())
+                 if config.glyphs_path else builtin_sheet())
     scene, geometry = analyze_depth_file(config, depth_path)
 
     descriptors = []
@@ -197,9 +200,6 @@ def run_pipeline(config: PipelineConfig, depth_path: str | Path) -> PipelineResu
             descriptors.append(obj)
 
     with _stage("synthgrid"):
-        sheet = builtin_sheet()
-        if config.glyphs_path:
-            sheet = parse_glyph_sheet(Path(config.glyphs_path).read_text())
         grid = rasterize_scene([], descriptors, geometry, sheet)
         pins = [barycenter_pin(desc, geometry) for desc in descriptors]
         emitted = emit(grid, config.output_format)

@@ -3,8 +3,8 @@
 The synthesis area is a uniformly scaled top view of the camera's
 ground-plane view field: a trapezoid whose small basis (the near depth
 plane) spans ``small_basis`` pins, so world coordinates map through one
-scale factor.  Pins take five levels: 0 holes, 1 ground, 2 object
-footprints, and 2..4 for glyph dots driven by the object's height class.
+scale factor.  Every pin level is decided here: 0 holes, 1 ground, 2 object
+footprints, 2..4 glyph dots (``label_level``) and the raw height bands.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .depthio import Intrinsics, pgm_bytes
-from .labeling import GlyphSheet, ObjectDescriptor, builtin_sheet, label_level
+from .labeling import GlyphSheet, ObjectDescriptor, builtin_sheet
 
 INACTIVE = -1
 ASCII_INACTIVE = "·"   # middle dot
@@ -25,10 +25,6 @@ _ASCII_CHARS = str.maketrans(
     {0: ASCII_INACTIVE, **{level + 1: str(level) for level in range(5)}})
 #: height band of rasterize_raw, mm
 RAW_BAND_MM = 500.0
-
-
-class FrustumError(ValueError):
-    pass
 
 
 def _round_half_up(x):
@@ -91,7 +87,10 @@ class AreaGeometry:
 
 
 def map_continuous(x, z, g: AreaGeometry):
-    """Unrounded pin coordinates: u centered on the grid, v measured from near."""
+    """Unrounded pin coordinates: v from near, u from the grid's left edge
+    with x = 0 at u = cols / 2.  So with an even cols, x = 0 has cols/2 pins
+    to its left and cols/2 - 1 to its right, pin u mirrors to cols - u, and
+    pin 0 has no mirror partner."""
     return g.scale * x + g.cols / 2.0, g.scale * (z - g.near)
 
 
@@ -103,14 +102,7 @@ def map_to_pins(x, z, g: AreaGeometry):
 
 
 def map_to_area(x: float, z: float, g: AreaGeometry) -> tuple[int, int]:
-    """Map a ground-plane point (mm) to its pin, rounding half up.
-
-    Raises FrustumError for points outside the view field; results are
-    clamped into the grid so frustum-edge points land on boundary pins.
-    """
-    tol = 1e-9 * max(abs(x), abs(z), 1.0)
-    if not (g.near - tol <= z <= g.far + tol) or abs(x) > z * g.half_tan + tol:
-        raise FrustumError("outside view field")
+    """The pin of one ground-plane point (mm) as ints, by ``map_to_pins``."""
     u, v = map_to_pins(x, z, g)
     return int(u), int(v)
 
@@ -197,7 +189,7 @@ def clip_polygon_to_frustum(poly: np.ndarray, g: AreaGeometry) -> np.ndarray:
 
 
 def _fill_polygon(cells: np.ndarray, active: np.ndarray, poly_uv: np.ndarray,
-                  level: int, mode: str) -> None:
+                  level: int) -> None:
     """Scanline fill over pin centers; boundary pins included.
 
     Each pin row v in the polygon's extent intersects every edge at once
@@ -226,8 +218,15 @@ def _fill_polygon(cells: np.ndarray, active: np.ndarray, poly_uv: np.ndarray,
     col = np.arange(cells.shape[1])
     block = cells[v_lo:v_hi + 1]
     inside = (col >= lo) & (col <= hi) & active[v_lo:v_hi + 1]
-    fill = np.maximum(block, level) if mode == "max" else level
-    block[...] = np.where(inside, fill, block)
+    block[...] = np.where(inside, level, block)
+
+
+def _raise_pins(cells: np.ndarray, active: np.ndarray, v, u, level) -> None:
+    """Raise the active, in-grid pins (v, u) to at least level, a scalar
+    or one level per pin; a pin listed twice keeps the higher level."""
+    on = (v >= 0) & (v < cells.shape[0]) & (u >= 0) & (u < cells.shape[1])
+    on[on] = active[v[on], u[on]]
+    np.maximum.at(cells, (v[on], u[on]), np.broadcast_to(level, on.shape)[on])
 
 
 def clamp_into_frustum(x: float, z: float, g: AreaGeometry) -> tuple[float, float]:
@@ -240,45 +239,47 @@ def clamp_into_frustum(x: float, z: float, g: AreaGeometry) -> tuple[float, floa
 # Rasterization
 # ---------------------------------------------------------------------------
 
+def label_level(height_class: int) -> int:
+    """Pin level carrying the glyph: height class 1/2/3 to level 2/3/4."""
+    if height_class not in (1, 2, 3):
+        raise ValueError("height class must be 1, 2 or 3")
+    return 1 + height_class
+
+
 def rasterize_scene(ground_holes, objects: list[ObjectDescriptor],
                     g: AreaGeometry, sheet: GlyphSheet | None = None) -> PinGrid:
-    """Compose the tactile scene: ground 1, holes 0, footprints 2, glyphs 2..4.
+    """Compose the tactile scene in level order on ground 1: holes 0, then
+    non-degenerate footprints 2, then glyphs raised to their label_level.
 
     Hole footprints and object footprints are (x, z) polygons in mm;
-    objects outside the view field are clipped.  Overlaps take the maximum
-    level, so object order does not matter.  Objects with a gated-off
-    class get their footprint only; accepted classes also stamp their
-    glyph centered on the mapped barycenter, clipped at the trapezoid
-    border rather than shifted.
+    objects outside the view field are clipped.  Object order does not
+    matter.  Objects with a gated-off class get their footprint only;
+    accepted classes also stamp their glyph centered on the mapped
+    barycenter, clipped at the trapezoid border rather than shifted.
     """
     if sheet is None:
         sheet = builtin_sheet()
     grid = PinGrid.empty(g)
     cells, active = grid.cells, grid.active
 
-    def fill(poly, level, mode):
+    def fill(poly, level):
         x, z = clip_polygon_to_frustum(poly, g).T
         _fill_polygon(cells, active, np.column_stack(map_continuous(x, z, g)),
-                      level, mode)
+                      level)
 
     for hole in ground_holes:
-        fill(hole, 0, "set")
-
+        fill(hole, 0)
     for obj in objects:
         if not obj.footprint.degenerate:
-            fill(obj.footprint.hull, 2, "max")
+            fill(obj.footprint.hull, 2)
+    for obj in objects:
         if obj.label is None:
             continue
-        glyph = sheet[obj.label]
-        level = label_level(obj.geometry.height_class)
         u0, v0 = barycenter_pin(obj, g)
-        r, c = np.nonzero(glyph.as_array())
-        u = u0 + c - 2
-        v = v0 + 2 - r      # glyph top row points away from the user
-        on = (v >= 0) & (v < g.rows) & (u >= 0) & (u < g.cols)
-        u, v = u[on], v[on]
-        ok = active[v, u]
-        cells[v[ok], u[ok]] = np.maximum(cells[v[ok], u[ok]], level)
+        r, c = np.nonzero(sheet[obj.label].as_array())
+        # glyph top row points away from the user
+        _raise_pins(cells, active, v0 + 2 - r, u0 + c - 2,
+                    label_level(obj.geometry.height_class))
     return grid
 
 
@@ -298,8 +299,7 @@ def rasterize_raw(cloud: np.ndarray, g: AreaGeometry,
     u, v = map_to_pins(x[keep], z[keep], g)
     h = np.maximum(y[keep] - ground_y, 0.0)
     level = 1 + np.minimum(np.floor(h / RAW_BAND_MM), 3).astype(np.int8)
-    ok = grid.active[v, u]
-    np.maximum.at(grid.cells, (v[ok], u[ok]), level[ok])
+    _raise_pins(grid.cells, grid.active, v, u, level)
     return grid
 
 

@@ -13,10 +13,12 @@ from hapmap.dcgd import DcgdParams, DepthCut, detect_ground, ground_elevation
 from hapmap.depthio import DepthFormatError, DepthFrame, backproject
 from hapmap.geomfeat import (Footprint, classify_geometry, footprint,
                              polygon_area)
-from hapmap.labeling import ObjectDescriptor, label_level
+from hapmap.labeling import ObjectDescriptor, builtin_sheet
 from hapmap.scenegen import GroundTruth
 from hapmap.segment import extract_segments, image_segments
-from hapmap.synthgrid import ASCII_INACTIVE, INACTIVE
+from hapmap.synthgrid import (ASCII_INACTIVE, INACTIVE, PinGrid,
+                              barycenter_pin, clip_polygon_to_frustum,
+                              label_level, map_continuous)
 
 
 def csgraph_roots(n, i, j):
@@ -535,9 +537,9 @@ def full_frame_analysis(config, frame, k):
             [footprint(s.points, s.pixels % frame.width) for s in segments])
 
 
-def loop_fill_polygon(cells, active, poly_uv, level, mode):
+def loop_fill_polygon(cells, active, poly_uv, level):
     """Row by row, edge by edge: the crossings of each pin row collected in
-    a list, then the row filled between their extremes."""
+    a list, then the row's active pins between their extremes set to level."""
     if poly_uv.shape[0] < 3:
         return
     eps = 1e-9
@@ -561,13 +563,46 @@ def loop_fill_polygon(cells, active, poly_uv, level, mode):
         if lo > hi:
             continue
         span = slice(lo, hi + 1)
-        row_active = active[v, span]
-        if mode == "max":
-            cells[v, span] = np.where(row_active,
-                                      np.maximum(cells[v, span], level),
-                                      cells[v, span])
-        else:
-            cells[v, span] = np.where(row_active, level, cells[v, span])
+        cells[v, span] = np.where(active[v, span], level, cells[v, span])
+
+
+def loop_rasterize_scene(ground_holes, objects, g, sheet=None):
+    """The scene composed object by object: holes set to 0, then per
+    object its footprint raised to at least 2 and its glyph stamped, so
+    every level is a maximum over what came before.  The fill of one
+    polygon goes through ``loop_fill_polygon`` on a copy, and "max" keeps
+    the higher of the copy and the grid."""
+    if sheet is None:
+        sheet = builtin_sheet()
+    grid = PinGrid.empty(g)
+    cells, active = grid.cells, grid.active
+
+    def fill(poly, level, mode):
+        x, z = clip_polygon_to_frustum(poly, g).T
+        filled = cells.copy()
+        loop_fill_polygon(filled, active,
+                          np.column_stack(map_continuous(x, z, g)), level)
+        cells[...] = np.maximum(cells, filled) if mode == "max" else filled
+
+    for hole in ground_holes:
+        fill(hole, 0, "set")
+
+    for obj in objects:
+        if not obj.footprint.degenerate:
+            fill(obj.footprint.hull, 2, "max")
+        if obj.label is None:
+            continue
+        glyph = sheet[obj.label]
+        level = label_level(obj.geometry.height_class)
+        u0, v0 = barycenter_pin(obj, g)
+        r, c = np.nonzero(glyph.as_array())
+        u = u0 + c - 2
+        v = v0 + 2 - r      # glyph top row points away from the user
+        on = (v >= 0) & (v < g.rows) & (u >= 0) & (u < g.cols)
+        u, v = u[on], v[on]
+        ok = active[v, u]
+        cells[v[ok], u[ok]] = np.maximum(cells[v[ok], u[ok]], level)
+    return grid
 
 
 def loop_trapezoid_mask(g):

@@ -332,6 +332,18 @@ class TestRunPipeline:
         assert parse_glyph_sheet(swapped)["stairs_up"].bitmap == \
             builtin_sheet()["stairs_down"].bitmap
 
+    @pytest.mark.parametrize("text", [None, "sit_on\n#....\n"],
+                             ids=["missing", "bad"])
+    def test_bad_glyph_sheet_fails_before_frame_work(self, tmp_path, text):
+        # the depth file is missing too, so its error would hide the sheet's
+        sheet_path = tmp_path / "sheet.txt"
+        if text is not None:
+            sheet_path.write_text(text)
+        cfg = parse_config(f"glyphs.path={sheet_path}\n")
+        with pytest.raises(StageError) as err:
+            run_pipeline(cfg, tmp_path / "nope.pgm")
+        assert err.value.stage == "synthgrid"
+
 
 def main_segment_of(frame):
     segs = analyze_scene(PipelineConfig(), frame, K_SMALL).segments

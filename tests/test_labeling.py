@@ -1,12 +1,11 @@
-"""Glyph sheet integrity, level rule, and stairs direction."""
+"""Glyph sheet integrity, stairs direction and object descriptors."""
 
 import numpy as np
 import pytest
 
 from hapmap.geomfeat import classify_geometry, footprint
 from hapmap.labeling import (GlyphSheetError, ObjectDescriptor, REQUIRED_TAGS,
-                             builtin_sheet, label_level, parse_glyph_sheet,
-                             stairs_direction)
+                             builtin_sheet, parse_glyph_sheet, stairs_direction)
 from hapmap.scenegen import sample_box_cloud
 
 # frozen so accidental edits to the built-in sheet fail loudly
@@ -70,20 +69,6 @@ class TestGlyphFor:
     def test_unknown_class(self):
         with pytest.raises(ValueError, match="'spaceship'"):
             builtin_sheet()["spaceship"]
-
-
-class TestLabelLevel:
-    def test_mapping(self):
-        assert label_level(1) == 2
-        assert label_level(2) == 3
-        assert label_level(3) == 4
-
-    def test_monotone(self):
-        assert label_level(1) < label_level(2) < label_level(3)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            label_level(0)
 
 
 class TestStairsDirection:

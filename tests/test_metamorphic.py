@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hapmap import depthio, scenegen
 from hapmap.config import PipelineConfig
@@ -44,6 +45,18 @@ def mirror_scene(spec):
                    holes=[replace(h, center_x=-h.center_x) for h in spec.holes])
 
 
+def with_far_box(spec, rng, near_lo, near_hi):
+    """spec plus one box whose near face lies at near_lo-near_hi mm, in
+    the horizontal view field at that depth and on spec's floor."""
+    near = float(rng.uniform(near_lo, near_hi))
+    d = float(rng.uniform(100, min(700, spec.floor_extent - near)))
+    w = float(rng.uniform(200, 700))
+    half = min(near * HALF_TAN, spec.floor_extent / 2) - w / 2
+    cx = float(rng.uniform(-half, half))
+    box = scenegen.BoxSpec(cx, near + d / 2, w, d, float(rng.uniform(150, 1500)))
+    return replace(spec, boxes=[*spec.boxes, box])
+
+
 def grid_of(spec, path):
     """The geometry-only grid of spec's rendered frame, through a file."""
     frame, _ = scenegen.render_depth(spec, K)
@@ -60,9 +73,42 @@ class TestMirror:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_grid_mirrors(self, seed, tmp_path):
+        assert (self.assert_mirrors(seed, tmp_path) >= 2).any()
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=36913)
+    def test_grid_mirrors_any_seed(self, seed, tmp_path_factory):
+        # the relation alone: a scene may raise no pin, as seed 36913's one
+        # box does, which lies wholly below the lowest image row
+        self.assert_mirrors(seed, tmp_path_factory.mktemp("mirror"))
+
+    @staticmethod
+    def assert_mirrors(seed, tmp_path):
+        """Check the relation on random_scene(seed); return the grid."""
         spec = random_scene(np.random.default_rng([seed, 12]))
         cells = grid_of(spec, tmp_path / "scene.pgm")
         mirrored = grid_of(mirror_scene(spec), tmp_path / "mirrored.pgm")
         assert cells.shape[1] == 120
-        assert (cells >= 2).any()
         assert cells[:, 1:].tobytes() == mirrored[:, :0:-1].tobytes()
+        return cells
+
+
+class TestOutOfBand:
+    """A box wholly beyond the band's far end zf = 4000 mm leaves the grid
+    as it was: nothing outside the band leaks in.  The depth cuts reach
+    dz/2 = 25 mm past zf, so a near face at 4001-4025 mm is back-projected
+    and ground-detected, and one past 4025 mm is never back-projected."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @pytest.mark.parametrize("near_lo, near_hi", [(4001, 4025), (4026, 4400)],
+                             ids=["last_cut", "beyond_cuts"])
+    def test_far_box_keeps_grid(self, near_lo, near_hi, seed, tmp_path_factory):
+        rng = np.random.default_rng([seed, 13])
+        spec = random_scene(rng)
+        tmp_path = tmp_path_factory.mktemp("far_box")
+        cells = grid_of(spec, tmp_path / "scene.pgm")
+        with_box = grid_of(with_far_box(spec, rng, near_lo, near_hi),
+                           tmp_path / "with_box.pgm")
+        assert cells.tobytes() == with_box.tobytes()

@@ -16,14 +16,14 @@ from hypothesis import example, given, settings, strategies as st
 from hapmap import synthgrid
 from hapmap.depthio import Intrinsics
 from hapmap.labeling import REQUIRED_TAGS, builtin_sheet
-from hapmap.synthgrid import (AreaGeometry, FrustumError, PinGrid, _fill_polygon,
-                              clip_polygon_to_frustum, emit, map_continuous,
-                              map_to_area, map_to_pins, rasterize_raw,
-                              rasterize_scene, trapezoid_mask)
+from hapmap.synthgrid import (AreaGeometry, PinGrid, _fill_polygon,
+                              clip_polygon_to_frustum, emit, label_level,
+                              map_continuous, map_to_area, map_to_pins,
+                              rasterize_raw, rasterize_scene, trapezoid_mask)
 
 from conftest import parse_grid_json
 from oracles import (loop_emit_ascii, loop_fill_polygon, loop_glyph_stamp,
-                     loop_trapezoid_mask, rect_descriptor)
+                     loop_rasterize_scene, loop_trapezoid_mask, rect_descriptor)
 
 G = AreaGeometry()
 
@@ -62,13 +62,15 @@ class TestMapToArea:
             return right - left
         assert width(G.far) / width(G.near) == pytest.approx(5.0, abs=1e-9)
 
-    def test_outside_view_field(self):
-        with pytest.raises(FrustumError, match="outside view field"):
-            map_to_area(0.0, 500.0, G)
-        with pytest.raises(FrustumError):
-            map_to_area(0.0, 4500.0, G)
-        with pytest.raises(FrustumError):
-            map_to_area(-2000.0, 900.0, G)
+    def test_half_pin_offset(self):
+        # x = 0 lands on pin cols // 2 of an even cols, so pin u mirrors to
+        # cols - u; pin 0 has no partner, its mirror clamps into pin cols - 1
+        assert G.cols % 2 == 0
+        assert map_to_area(0.0, 2000.0, G)[0] == G.cols // 2
+        for u in range(G.cols):
+            x = (u - G.cols / 2.0) / G.scale
+            assert map_to_area(x, 4000.0, G)[0] == u
+            assert map_to_area(-x, 4000.0, G)[0] == min(G.cols - u, G.cols - 1)
 
     def test_result_inside_trapezoid(self):
         mask = trapezoid_mask(G)
@@ -202,6 +204,63 @@ class TestAreaMatchesLoops:
         assert rasterize_scene([], objs, g, sheet) == ref
 
 
+@st.composite
+def scene_objects(draw, g):
+    """A box of one of the three height classes, labelled or not, whose
+    hull may be cut to one or two vertices (degenerate).  Its barycenter
+    lies from a few pins outside the grid to the far corners, or on a
+    view-field edge, so its footprint crosses that edge."""
+    u, v = (draw(st.floats(-4.0, n + 4.0)) for n in (g.cols, g.rows))
+    x, z = (u - g.cols / 2.0) / g.scale, g.near + v / g.scale
+    if draw(st.booleans()):
+        x = draw(st.sampled_from([-1.0, 1.0])) * z * g.half_tan
+    w, d = (draw(st.floats(0.5, 12.0)) / g.scale for _ in range(2))
+    obj = rect_descriptor(x, z, w, d,
+                          draw(st.sampled_from([200.0, 700.0, 1500.0])),
+                          label=draw(st.none() | st.sampled_from(REQUIRED_TAGS)))
+    keep = draw(st.sampled_from([4, 4, 2, 1]))
+    return replace(obj, footprint=replace(obj.footprint,
+                                          hull=obj.footprint.hull[:keep]))
+
+
+@st.composite
+def hole_polygons(draw, g):
+    """An (x, z) polygon of 3-6 vertices, mm, anywhere from a few pins
+    outside the grid to the far corners."""
+    uv = np.array(draw(st.lists(
+        st.tuples(st.floats(-4.0, g.cols + 4.0), st.floats(-4.0, g.rows + 4.0)),
+        min_size=3, max_size=6)))
+    return np.column_stack([(uv[:, 0] - g.cols / 2.0) / g.scale,
+                            g.near + uv[:, 1] / g.scale])
+
+
+class TestComposeMatchesLoop:
+    """The level-order composition against the object-by-object loop it
+    replaced, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), g=area_geometries())
+    def test_random_scenes(self, data, g):
+        holes = data.draw(st.lists(hole_polygons(g), max_size=2))
+        objs = data.draw(st.lists(scene_objects(g), max_size=8))
+        got = rasterize_scene(holes, objs, g)
+        assert got.cells.tobytes() == loop_rasterize_scene(holes, objs, g).cells.tobytes()
+
+
+class TestLabelLevel:
+    def test_mapping(self):
+        assert label_level(1) == 2
+        assert label_level(2) == 3
+        assert label_level(3) == 4
+
+    def test_monotone(self):
+        assert label_level(1) < label_level(2) < label_level(3)
+
+    def test_invalid(self):
+        with pytest.raises(ValueError):
+            label_level(0)
+
+
 class TestRasterizeScene:
     def test_empty_scene_all_ground(self):
         grid = rasterize_scene([], [], G)
@@ -282,10 +341,10 @@ PIN_COORD = st.one_of(st.integers(-8, 20).map(float),
                       st.floats(-8.0, 20.0))
 
 
-def assert_fill_matches_loop(cells, active, poly, level, mode):
+def assert_fill_matches_loop(cells, active, poly, level):
     got, ref = cells.copy(), cells.copy()
-    _fill_polygon(got, active, poly, level, mode)
-    loop_fill_polygon(ref, active, poly, level, mode)
+    _fill_polygon(got, active, poly, level)
+    loop_fill_polygon(ref, active, poly, level)
     assert got.tobytes() == ref.tobytes()
 
 
@@ -295,16 +354,14 @@ class TestFillMatchesLoop:
     @settings(max_examples=400, deadline=None)
     @given(rows=st.integers(1, 12), cols=st.integers(1, 15),
            poly=st.lists(st.tuples(PIN_COORD, PIN_COORD), max_size=8),
-           level=st.integers(0, 4), mode=st.sampled_from(["max", "set"]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_random_polygons(self, rows, cols, poly, level, mode, seed):
+           level=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    def test_random_polygons(self, rows, cols, poly, level, seed):
         rng = np.random.default_rng(seed)
         cells = rng.integers(-1, 5, size=(rows, cols)).astype(np.int8)
         active = rng.random((rows, cols)) < 0.8
         poly_uv = np.array(poly, dtype=np.float64).reshape(-1, 2)
-        assert_fill_matches_loop(cells, active, poly_uv, level, mode)
+        assert_fill_matches_loop(cells, active, poly_uv, level)
 
-    @pytest.mark.parametrize("mode", ["max", "set"])
     @pytest.mark.parametrize("poly", [
         [[2, 3], [9, 3], [9, 7], [2, 7]],            # flat edges on pin rows
         [[5, 1], [9, 4], [5, 8], [1, 4]],            # vertices on pin rows
@@ -315,13 +372,13 @@ class TestFillMatchesLoop:
         [[2, -6], [9, -6], [5, -2]],                 # wholly above the first row
         [[3, 4], [7, 4], [11, 4]],                   # collinear, flat
     ])
-    def test_edge_cases(self, poly, mode):
+    def test_edge_cases(self, poly):
         rng = np.random.default_rng(3)
         cells = rng.integers(0, 5, size=(12, 15)).astype(np.int8)
         active = rng.random((12, 15)) < 0.9
         for level in (0, 2, 4):
             assert_fill_matches_loop(cells, active, np.array(poly, dtype=np.float64),
-                                     level, mode)
+                                     level)
 
     def test_scenes_match_loop(self, monkeypatch):
         rng = np.random.default_rng(9)
