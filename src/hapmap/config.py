@@ -7,7 +7,7 @@ Every tunable constant of the pipeline appears here with its default, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .dcgd import DcgdParams
 from .depthio import key_value_lines, parse_value
@@ -50,66 +50,48 @@ class PipelineConfig:
             raise ValueError("seed must be non-negative")
 
 
-#: config keys, each with the PipelineConfig field it sets and its type
-SCALAR_KEYS = {
-    "intrinsics.path": ("intrinsics_path", str),
-    "segment.link_mm": ("segment_link_mm", float),
-    "segment.min_px": ("segment_min_px", int),
-    "model.path": ("model_path", str),
-    "classifier.threshold": ("confidence_threshold", float),
-    "grid.small_basis": ("grid_small_basis", int),
-    "grid.rows": ("grid_rows", int),
-    "grid.cols": ("grid_cols", int),
-    "glyphs.path": ("glyphs_path", str),
-    "output.format": ("output_format", str),
-    "seed": ("seed", int),
+def _nested(prefix: str, group: str, params) -> dict:
+    """The float key prefix.<field> of each field of a nested parameter object."""
+    return {f"{prefix}.{f.name}": (group, f.name, float) for f in fields(params)}
+
+
+#: every config key in file order, as (group, field, type): the key sets
+#: PipelineConfig.<field>, or with a group the field of PipelineConfig.<group>
+KEYS = {
+    "intrinsics.path": (None, "intrinsics_path", str),
+    "segment.link_mm": (None, "segment_link_mm", float),
+    "segment.min_px": (None, "segment_min_px", int),
+    "model.path": (None, "model_path", str),
+    "classifier.threshold": (None, "confidence_threshold", float),
+    "grid.small_basis": (None, "grid_small_basis", int),
+    "grid.rows": (None, "grid_rows", int),
+    "grid.cols": (None, "grid_cols", int),
+    "glyphs.path": (None, "glyphs_path", str),
+    "output.format": (None, "output_format", str),
+    "seed": (None, "seed", int),
+    **_nested("dcgd", "dcgd", DcgdParams),
+    **_nested("geometry", "thresholds", GeometryThresholds),
 }
-#: float keys of the nested DcgdParams
-DCGD_KEYS = {"dcgd.z0": "z0", "dcgd.zf": "zf", "dcgd.dz": "dz",
-             "dcgd.baseline_tol": "baseline_tol",
-             "dcgd.include_tol": "include_tol"}
-#: float keys of the nested GeometryThresholds: (pair field, index)
-THRESHOLD_KEYS = {"geometry.height_low": ("height_mm", 0),
-                  "geometry.height_high": ("height_mm", 1),
-                  "geometry.area_low": ("area_m2", 0),
-                  "geometry.area_high": ("area_m2", 1)}
 
 
 def parse_config(text: str) -> PipelineConfig:
     """Parse `section.key=value` lines; '#' starts a comment; unknown keys fail."""
-    cfg = PipelineConfig()
-    dcgd_kw = {}
-    thr_kw: dict = {}
-    updates: dict = {}
+    values: dict = {group: {} for group, _, _ in KEYS.values()}
     for lineno, key, value in key_value_lines(text, "config"):
-        where = f"config line {lineno}: {key}"
-        if key in SCALAR_KEYS:
-            attr, conv = SCALAR_KEYS[key]
-            updates[attr] = parse_value(conv, value, where)
-        elif key in DCGD_KEYS:
-            dcgd_kw[DCGD_KEYS[key]] = parse_value(float, value, where)
-        elif key in THRESHOLD_KEYS:
-            field_name, idx = THRESHOLD_KEYS[key]
-            pair = list(thr_kw.get(field_name,
-                                   getattr(cfg.thresholds, field_name)))
-            pair[idx] = parse_value(float, value, where)
-            thr_kw[field_name] = tuple(pair)
-        else:
+        if key not in KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-
-    if dcgd_kw:
-        updates["dcgd"] = replace(cfg.dcgd, **dcgd_kw)
-    if thr_kw:
-        updates["thresholds"] = replace(cfg.thresholds, **thr_kw)
+        group, attr, conv = KEYS[key]
+        values[group][attr] = parse_value(conv, value,
+                                          f"config line {lineno}: {key}")
+    cfg = PipelineConfig()
+    updates = values.pop(None)
+    for group, kw in values.items():
+        updates[group] = replace(getattr(cfg, group), **kw)
     return replace(cfg, **updates)
 
 
 def format_config(cfg: PipelineConfig) -> str:
     """Every key with its value, one per line; parse_config reads it back."""
-    lines = [f"{key}={getattr(cfg, attr)}"
-             for key, (attr, _) in SCALAR_KEYS.items()]
-    lines += [f"{key}={getattr(cfg.dcgd, attr)}"
-              for key, attr in DCGD_KEYS.items()]
-    lines += [f"{key}={getattr(cfg.thresholds, name)[idx]}"
-              for key, (name, idx) in THRESHOLD_KEYS.items()]
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{key}={getattr(getattr(cfg, group) if group else cfg, attr)}\n"
+        for key, (group, attr, _) in KEYS.items())

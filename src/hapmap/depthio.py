@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -47,6 +47,8 @@ class Intrinsics:
             raise ValueError("focal lengths must be positive and finite")
         if not 0 < self.depth_scale < np.inf:
             raise ValueError("depth_scale must be positive and finite")
+        if not (np.isfinite(self.cx) and np.isfinite(self.cy)):
+            raise ValueError("principal point must be finite")
 
 
 #: Typical 640x480 structured-light sensor; used when no intrinsics file is given.
@@ -234,14 +236,18 @@ def parse_value(conv, value, where: str, error: type[Exception] = ValueError):
 
 
 def load_intrinsics(text: str) -> Intrinsics:
-    """Parse the flat key-value intrinsics file (fx=, fy=, cx=, cy=, depth_scale=)."""
+    """Parse the flat key-value intrinsics file: one ``name=value`` line per
+    Intrinsics field (fx, fy, cx, cy, depth_scale); the fields without a
+    default are required."""
     values = {}
+    keys = [f.name for f in fields(Intrinsics)]
     for lineno, key, val in key_value_lines(text, "intrinsics", DepthFormatError):
-        if key not in ("fx", "fy", "cx", "cy", "depth_scale"):
+        if key not in keys:
             raise DepthFormatError(f"intrinsics line {lineno}: unknown key {key!r}")
         values[key] = parse_value(float, val, f"intrinsics line {lineno}: {key}",
                                   DepthFormatError)
-    missing = {"fx", "fy", "cx", "cy"} - values.keys()
+    missing = {f.name for f in fields(Intrinsics)
+               if f.default is MISSING} - values.keys()
     if missing:
         raise DepthFormatError(f"intrinsics file missing keys: {sorted(missing)}")
     return parse_value(lambda kw: Intrinsics(**kw), values, "intrinsics file",
@@ -251,10 +257,7 @@ def load_intrinsics(text: str) -> Intrinsics:
 def format_intrinsics(k: Intrinsics) -> str:
     """The intrinsics file text of k, one ``key=value`` line per field, as
     ``load_intrinsics`` reads it back."""
-    return (
-        f"fx={k.fx}\nfy={k.fy}\ncx={k.cx}\ncy={k.cy}\n"
-        f"depth_scale={k.depth_scale}\n"
-    )
+    return "".join(f"{f.name}={getattr(k, f.name)}\n" for f in fields(k))
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,15 @@ MM2_PER_M2 = 1e6
 class GeometryThresholds:
     """Upper bounds of classes 1 and 2 (class 3 is open-ended)."""
 
-    height_mm: tuple[float, float] = (400.0, 1000.0)
-    area_m2: tuple[float, float] = (0.25, 1.0)
+    height_low: float = 400.0    # mm
+    height_high: float = 1000.0
+    area_low: float = 0.25       # m²
+    area_high: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.height_mm[0] < self.height_mm[1] < np.inf:
+        if not 0 < self.height_low < self.height_high < np.inf:
             raise ValueError("height thresholds must be finite and strictly increasing")
-        if not 0 < self.area_m2[0] < self.area_m2[1] < np.inf:
+        if not 0 < self.area_low < self.area_high < np.inf:
             raise ValueError("area thresholds must be finite and strictly increasing")
 
 
@@ -108,10 +110,10 @@ def height_p90(points: np.ndarray, ground_y: float) -> float:
 def classify_geometry(height_mm: float, area_m2: float,
                       thresholds: GeometryThresholds = DEFAULT_THRESHOLDS) -> GeometricClass:
     """Discrete height/area classes; lower bounds of classes 2 and 3 inclusive."""
-    h1, h2 = thresholds.height_mm
-    a1, a2 = thresholds.area_m2
-    height_class = 1 if height_mm < h1 else (2 if height_mm < h2 else 3)
-    area_class = 1 if area_m2 < a1 else (2 if area_m2 < a2 else 3)
+    height_class = (1 if height_mm < thresholds.height_low
+                    else 2 if height_mm < thresholds.height_high else 3)
+    area_class = (1 if area_m2 < thresholds.area_low
+                  else 2 if area_m2 < thresholds.area_high else 3)
     return GeometricClass(height_class=height_class, area_class=area_class,
                           height_mm=height_mm)
 

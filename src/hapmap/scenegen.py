@@ -230,17 +230,20 @@ def render_depth(spec: SceneSpec, k: Intrinsics, width: int = 640,
 # Scene spec text format
 # ---------------------------------------------------------------------------
 
+#: the repeatable scene keys: the SceneSpec list each fills and its type
+_RECTS = {"box": ("boxes", BoxSpec), "hole": ("holes", HoleSpec)}
 #: scene file keys and the number of fields each takes
-_SCENE_FIELDS = {"camera_height": 1, "floor_extent": 1, "noise_sigma": 1,
-                 "seed": 1, "box": 6, "hole": 4}
+_SCENE_FIELDS = {**dict.fromkeys(_SCENE_RANGES, 1),
+                 **{key: len(dataclass_fields(cls))
+                    for key, (_, cls) in _RECTS.items()}}
 
 
 def _scene_value(key: str, fields: list[str]):
     """The value of one scene line: a BoxSpec, a HoleSpec or a checked scalar."""
-    if key == "box":
-        return BoxSpec(*map(float, fields[:5]), fine_class=fields[5])
-    if key == "hole":
-        return HoleSpec(*map(float, fields))
+    if key in _RECTS:
+        cls = _RECTS[key][1]
+        return cls(*(float(v) if f.type == "float" else v
+                     for f, v in zip(dataclass_fields(cls), fields)))
     value = (int if key == "seed" else float)(fields[0])
     _check_scene_scalar(key, value)
     return value
@@ -257,7 +260,7 @@ def parse_scene_spec(text: str) -> SceneSpec:
     kwargs: dict = {}
     rects: list[tuple[str, str, BoxSpec | HoleSpec]] = []
     for lineno, key, val in key_value_lines(text, "scene",
-                                            repeatable=("box", "hole")):
+                                            repeatable=tuple(_RECTS)):
         if key not in _SCENE_FIELDS:
             raise ValueError(f"scene line {lineno}: unknown key {key!r}")
         where = f"scene line {lineno}: {key}"
@@ -267,7 +270,7 @@ def parse_scene_spec(text: str) -> SceneSpec:
             raise ValueError(f"{where} needs {count} "
                              + ("value" if count == 1 else "fields"))
         value = parse_value(partial(_scene_value, key), fields, where)
-        if key in ("box", "hole"):
+        if key in _RECTS:
             rects.append((where, key, value))
         else:
             kwargs[key] = value
@@ -277,23 +280,17 @@ def parse_scene_spec(text: str) -> SceneSpec:
     # the floor check waits for floor_extent, which may come on a later line
     on_floor = partial(_on_floor, floor_extent=spec.floor_extent)
     for where, key, rect in rects:
-        (spec.boxes if key == "box" else spec.holes).append(
-            parse_value(on_floor, rect, where))
+        getattr(spec, _RECTS[key][0]).append(parse_value(on_floor, rect, where))
     return spec
 
 
 def format_scene_spec(spec: SceneSpec) -> str:
-    lines = [
-        f"camera_height={spec.camera_height}",
-        f"floor_extent={spec.floor_extent}",
-        f"noise_sigma={spec.noise_sigma}",
-        f"seed={spec.seed}",
-    ]
-    for b in spec.boxes:
-        lines.append(f"box={b.center_x} {b.center_z} {b.width} {b.depth} "
-                     f"{b.height} {b.fine_class}")
-    for h in spec.holes:
-        lines.append(f"hole={h.center_x} {h.center_z} {h.width} {h.depth}")
+    """The scene file text of spec, as ``parse_scene_spec`` reads it back."""
+    lines = [f"{name}={getattr(spec, name)}" for name in _SCENE_RANGES]
+    lines += [f"{key}=" + " ".join(str(getattr(rect, f.name))
+                                   for f in dataclass_fields(rect))
+              for key, (attr, _) in _RECTS.items()
+              for rect in getattr(spec, attr)]
     return "\n".join(lines) + "\n"
 
 

@@ -1,7 +1,9 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from hapmap import dcgd, depthio
 from hapmap.synthgrid import PinGrid
@@ -20,6 +22,22 @@ def small_cam():
 
 
 SMALL_W, SMALL_H = 160, 120
+
+#: floats in (0, inf): every length, tolerance and focal length
+positive_floats = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+
+
+def pytest_sessionstart(session):
+    """Build Hypothesis' table of the utf-8 characters before any test.
+
+    Without a .hypothesis directory, the first draw of an unrestricted
+    st.text() builds that table, about 1.3 s on a 2-core host, and the
+    too_slow health check counts it against the test that draws first
+    (TestTextReaders::test_config).  Once built it is read from disk.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # example() is meant for the shell
+        st.text(min_size=1).example()
 
 
 def make_pgm(width, height, values, maxval=65535):

@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from hapmap import classifier as clf
 from hapmap import cli, dcgd, depthio, pipeline, scenegen
-from hapmap.config import PipelineConfig, format_config, parse_config
+from hapmap.config import (OUTPUT_FORMATS, PipelineConfig, format_config,
+                           parse_config)
+from hapmap.geomfeat import GeometryThresholds
 from hapmap.pipeline import (StageError, analyze_depth_file, analyze_scene,
                              run_pipeline)
 from hapmap.synthgrid import AreaGeometry, map_to_area
 
-from conftest import parse_grid_json
+from conftest import parse_grid_json, positive_floats
 
 K_SMALL = depthio.Intrinsics(143.95, 143.95, 79.5, 59.5)
 
@@ -35,9 +37,42 @@ def box_scene(tmp_path):
     return depth, cfg_file, truth
 
 
+def increasing_pair():
+    """Two distinct positive finite floats, the smaller first."""
+    return st.lists(positive_floats, min_size=2, max_size=2,
+                    unique=True).map(sorted)
+
+
+@st.composite
+def configs(draw):
+    """A valid PipelineConfig with every key drawn, nested groups included."""
+    path = st.text(" /._-=abz09", max_size=12).map(str.strip)
+    count = st.integers(1, 10**6)
+    z0, zf = draw(increasing_pair())
+    (h1, h2), (a1, a2) = draw(increasing_pair()), draw(increasing_pair())
+    return PipelineConfig(
+        intrinsics_path=draw(path),
+        dcgd=dcgd.DcgdParams(z0, zf, *(draw(positive_floats) for _ in range(3))),
+        segment_link_mm=draw(positive_floats),
+        segment_min_px=draw(count),
+        model_path=draw(path),
+        confidence_threshold=draw(st.floats(0, 1, exclude_min=True,
+                                            exclude_max=True)),
+        thresholds=GeometryThresholds(h1, h2, a1, a2),
+        grid_small_basis=draw(count), grid_rows=draw(count),
+        grid_cols=draw(count),
+        glyphs_path=draw(path),
+        output_format=draw(st.sampled_from(OUTPUT_FORMATS)),
+        seed=draw(st.integers(0, 2**64)))
+
+
 class TestConfig:
     def test_reference_roundtrip(self):
         cfg = PipelineConfig()
+        assert parse_config(format_config(cfg)) == cfg
+
+    @given(configs())
+    def test_every_key_roundtrips(self, cfg):
         assert parse_config(format_config(cfg)) == cfg
 
     def test_section_overrides(self):
@@ -46,7 +81,7 @@ class TestConfig:
         assert cfg.segment_link_mm == 120
         assert cfg.segment_min_px == 50
         assert cfg.dcgd.dz == 25
-        assert cfg.thresholds.area_m2 == (0.3, 1.0)
+        assert (cfg.thresholds.area_low, cfg.thresholds.area_high) == (0.3, 1.0)
         assert cfg.confidence_threshold == 0.7
         assert cfg.seed == 9
 
@@ -109,7 +144,10 @@ class TestConfig:
         (parse_config, "dcgd.z0=inf"),
         (parse_config, "geometry.height_high=inf"),
         (depthio.load_intrinsics, "fx=nan\nfy=575.8\ncx=319.5\ncy=239.5"),
-    ], ids=["link_mm", "link_mm_inf", "far", "dz", "near", "height_high", "fx"])
+        (depthio.load_intrinsics, "fx=1\nfy=1\ncx=nan\ncy=1"),
+        (depthio.load_intrinsics, "fx=1\nfy=1\ncx=1\ncy=inf"),
+    ], ids=["link_mm", "link_mm_inf", "far", "dz", "near", "height_high", "fx",
+            "cx", "cy"])
     def test_non_finite_values(self, parse, text):
         # NaN fails every comparison, so a `value <= 0` check lets it through
         with pytest.raises(ValueError, match="finite"):
@@ -555,6 +593,18 @@ class TestCli:
         assert capsys.readouterr().err == ("error in stage dcgd: principal "
                                            "point lies outside the image\n")
         assert not out.exists()
+
+    def test_run_non_finite_principal_point(self, box_scene, tmp_path, capsys):
+        # rejected when the file is read, not as a point outside the image
+        depth, cfg_file, _ = box_scene
+        intr = tmp_path / "nan.txt"
+        intr.write_text("fx=143.95\nfy=143.95\ncx=nan\ncy=59.5\n")
+        cfg_file.write_text(f"intrinsics.path={intr}\n")
+        rc = cli.main(["run", "--depth", str(depth), "--out",
+                       str(tmp_path / "grid.txt"), "--config", str(cfg_file)])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error in stage depthio: intrinsics "
+                                           "file: principal point must be finite\n")
 
     def test_segment_subcommand(self, box_scene, tmp_path):
         depth, cfg_file, _ = box_scene

@@ -13,7 +13,7 @@ from hapmap.depthio import (FLAT_MAGIC, DepthFormatError, DepthFrame,
                             depth_to_pgm, load_depth_pgm, load_intrinsics,
                             format_intrinsics, mask_to_pgm)
 
-from conftest import make_pgm, frame_of
+from conftest import make_pgm, frame_of, positive_floats
 from oracles import pinhole_frame
 
 
@@ -95,6 +95,13 @@ class TestIntrinsicsFile:
 
     def test_roundtrip(self):
         k = Intrinsics(575.8, 575.8, 319.5, 239.5)
+        assert load_intrinsics(format_intrinsics(k)) == k
+
+    @given(st.builds(Intrinsics, positive_floats, positive_floats,
+                     st.floats(allow_nan=False, allow_infinity=False),
+                     st.floats(allow_nan=False, allow_infinity=False),
+                     positive_floats))
+    def test_roundtrip_any_values(self, k):
         assert load_intrinsics(format_intrinsics(k)) == k
 
     def test_bad_values_rejected(self):

@@ -367,10 +367,11 @@ class TestClassifyGeometry:
         assert classes == sorted(classes)
 
     def test_custom_thresholds(self):
-        thr = GeometryThresholds(height_mm=(300, 800), area_m2=(0.1, 0.5))
+        thr = GeometryThresholds(height_low=300, height_high=800,
+                                 area_low=0.1, area_high=0.5)
         assert classify_geometry(350, 0.05, thr).height_class == 2
         with pytest.raises(ValueError):
-            GeometryThresholds(height_mm=(800, 300))
+            GeometryThresholds(height_low=800, height_high=300)
 
 
 class TestFootprint:

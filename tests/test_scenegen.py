@@ -6,11 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from hapmap import scenegen
 from hapmap.depthio import DEFAULT_INTRINSICS, Intrinsics, backproject
 from hapmap.scenegen import (BoxSpec, HoleSpec, SceneSpec, parse_scene_spec,
                              format_scene_spec, render_depth, sample_box_cloud)
+from conftest import positive_floats
 from oracles import floor_depth_at, full_frame_render_depth
 
 K = Intrinsics(fx=143.95, fy=143.95, cx=79.5, cy=59.5)
@@ -231,11 +233,39 @@ SCENE_NUMBERS = (
         ("center_x", "center_z", "width", "depth"))])
 
 
+@st.composite
+def scenes(draw):
+    """A valid SceneSpec with 0-4 boxes and 0-2 holes, each on the floor."""
+    extent = draw(st.floats(1, 1e6))
+
+    def on_floor():
+        """center_x, center_z, width, depth of a rectangle on the floor."""
+        w, d = (extent * draw(st.floats(0, 1, exclude_min=True))
+                for _ in range(2))
+        return ((extent - w) / 2 * draw(st.floats(-1, 1)),
+                d / 2 + (extent - d) * draw(st.floats(0, 1)), w, d)
+
+    fine_class = st.text("abxyz_09", min_size=1, max_size=8)
+    boxes = [BoxSpec(*on_floor(), draw(positive_floats), draw(fine_class))
+             for _ in range(draw(st.integers(0, 4)))]
+    holes = [HoleSpec(*on_floor()) for _ in range(draw(st.integers(0, 2)))]
+    try:
+        return SceneSpec(draw(positive_floats), extent,
+                         draw(st.floats(0, allow_infinity=False)), boxes,
+                         holes, draw(st.integers(0, 2**64)))
+    except ValueError:   # an edge rounded one ulp past the floor
+        assume(False)
+
+
 class TestSceneSpecFile:
     def test_roundtrip(self):
         spec = SceneSpec(camera_height=1150, floor_extent=4000, noise_sigma=5,
                          seed=9, boxes=[BoxSpec(10, 2000, 300, 400, 500, "chair")],
                          holes=[HoleSpec(0, 1500, 200, 200)])
+        assert parse_scene_spec(format_scene_spec(spec)) == spec
+
+    @given(scenes())
+    def test_roundtrip_any_scene(self, spec):
         assert parse_scene_spec(format_scene_spec(spec)) == spec
 
     def test_parse_commas_and_comments(self):
