@@ -84,7 +84,7 @@ def _cmd_segment(args) -> int:
     cfg = _load_config(args)
     scene, _ = analyze_depth_file(cfg, args.depth)
     lines = [f"{p[0]:.1f} {p[1]:.1f} {p[2]:.1f} {lab}"
-             for p, lab in zip(scene.points, scene.segmentation.labels)]
+             for p, lab in zip(scene.cloud[scene.occupied], scene.labels)]
     Path(args.out).write_text("\n".join(lines) + "\n")
     return 0
 

@@ -33,21 +33,18 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        positives = {
-            "segment.link_mm": self.segment_link_mm,
-            "segment.min_px": self.segment_min_px,
-            "grid.small_basis": self.grid_small_basis,
-            "grid.rows": self.grid_rows, "grid.cols": self.grid_cols,
-        }
-        for key, value in positives.items():
-            if not 0 < value < math.inf:
-                raise ValueError(f"{key} must be positive and finite")
+        for attr in ("segment_link_mm", "segment_min_px", "grid_small_basis",
+                     "grid_rows", "grid_cols"):
+            if not 0 < getattr(self, attr) < math.inf:
+                raise ValueError(f"{_KEY_OF[attr]} must be positive and finite")
         if not 0.0 < self.confidence_threshold < 1.0:
-            raise ValueError("classifier.threshold must lie in (0, 1)")
+            raise ValueError(f"{_KEY_OF['confidence_threshold']} must lie "
+                             "in (0, 1)")
         if self.output_format not in OUTPUT_FORMATS:
-            raise ValueError(f"output.format must be one of {OUTPUT_FORMATS}")
+            raise ValueError(f"{_KEY_OF['output_format']} must be one of "
+                             f"{OUTPUT_FORMATS}")
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ValueError(f"{_KEY_OF['seed']} must be non-negative")
 
 
 def _nested(prefix: str, group: str, params) -> dict:
@@ -72,6 +69,9 @@ KEYS = {
     **_nested("dcgd", "dcgd", DcgdParams),
     **_nested("geometry", "thresholds", GeometryThresholds),
 }
+
+#: the config key of each top-level PipelineConfig field that has one
+_KEY_OF = {attr: key for key, (group, attr, _) in KEYS.items() if group is None}
 
 
 def parse_config(text: str) -> PipelineConfig:

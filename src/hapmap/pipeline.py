@@ -73,18 +73,21 @@ def format_report(descriptors, pins) -> str:
 class SceneAnalysis:
     """One frame's front end, read by run_pipeline and the stage subcommands.
 
-    Each segment has one label-free object record, ``objects[i]`` for
-    ``segments[i]``: its footprint and geometric classes.
+    ``cloud`` row i is pixel ``frame.pixels[i]``, and every other array
+    indexes those rows: a segment is a set of them, so ``cloud[s.rows]``
+    are its points and ``frame.pixels[s.rows]`` its pixels.  Each segment
+    has one label-free object record, ``objects[i]`` for ``segments[i]``:
+    its footprint and geometric classes.
     """
 
     frame: depthio.DepthFrame                   # the band frame: the pixels
                                                 # some depth cut reaches
     on_ground: np.ndarray                       # ground flag per cloud row
     ground_y: float                             # ground elevation, mm
-    cloud: np.ndarray                           # the band frame's points:
-                                                # row i is pixel frame.pixels[i]
-    points: np.ndarray                          # occupied cloud rows
-    segmentation: seg.Segmentation              # one label per occupied row
+    cloud: np.ndarray                           # the band frame's points
+    occupied: np.ndarray                        # ascending occupied rows
+    labels: np.ndarray                          # segment id per occupied
+                                                # row, -1 for noise
     segments: list[seg.Segment]
     objects: list[ObjectDescriptor]             # one per segment, no label
 
@@ -103,8 +106,9 @@ def analyze_scene(config: PipelineConfig, frame: depthio.DepthFrame,
     The depth cuts cover the whole band, so an in-band point implies
     detected ground; ground_y is 0 only when the band is empty.  Every
     stage reads the band frame (``dcgd.band_frame``), and pixels outside
-    it are never back-projected: the cloud, the ground flags and the
-    segmentation are row-aligned with its pixel index.
+    it are never back-projected: the cloud and the ground flags are
+    row-aligned with its pixel index, and the segments are sets of those
+    rows.
     """
     with _stage("dcgd"):
         band = dcgd.band_frame(frame, k.depth_scale, config.dcgd)
@@ -116,25 +120,24 @@ def analyze_scene(config: PipelineConfig, frame: depthio.DepthFrame,
         in_band = (cloud[:, 2] >= near) & (cloud[:, 2] <= far)
         ground_y = (dcgd.ground_elevation(cloud, on_ground)
                     if on_ground.any() else 0.0)
-        occupied = in_band & ~on_ground
-        points = cloud[occupied]   # np.compress would copy the whole cloud
-        labels = seg.image_segments(band, cloud, occupied,
+        is_occupied = in_band & ~on_ground
+        labels = seg.image_segments(band, cloud, is_occupied,
                                     config.segment_link_mm,
                                     config.segment_min_px)
-        segments = seg.extract_segments(
-            points, np.compress(occupied, band.pixels), labels)
+        occupied = np.flatnonzero(is_occupied)
+        segments = seg.extract_segments(cloud, occupied, labels)
 
     with _stage("features"):
         objects = []
         for s in segments:
-            fp = geomfeat.footprint(s.points, s.pixels % frame.width)
+            fp = geomfeat.footprint(s.points, band.pixels[s.rows] % band.width)
             geom = geomfeat.classify_geometry(
                 geomfeat.height_p90(s.points, ground_y), fp.area_m2,
                 config.thresholds)
             objects.append(ObjectDescriptor(s.id, fp, geom))
 
     return SceneAnalysis(frame=band, on_ground=on_ground, ground_y=ground_y,
-                         cloud=cloud, points=points, segmentation=labels,
+                         cloud=cloud, occupied=occupied, labels=labels,
                          segments=segments, objects=objects)
 
 

@@ -430,24 +430,12 @@ def _desk(rng):
     return panels
 
 
-def _night_stand(rng):
-    w = _u(rng, 400, 500)
-    h = _u(rng, 550, 680)
-    d = _u(rng, 350, 450)
-    return _box_panels((0, h / 2, 0), (w, h, d))
-
-
-def _dresser(rng):
-    w = _u(rng, 900, 1150)
-    h = _u(rng, 1100, 1350)
-    d = _u(rng, 450, 550)
-    return _box_panels((0, h / 2, 0), (w, h, d))
-
-
-def _wardrobe(rng):
-    w = _u(rng, 900, 1200)
-    h = _u(rng, 1850, 2150)
-    d = _u(rng, 550, 650)
+def _cabinet(rng, width, height, depth):
+    """One closed box resting on y = 0; each size is drawn from its
+    (low, high) range, width first, then height, then depth."""
+    w = _u(rng, *width)
+    h = _u(rng, *height)
+    d = _u(rng, *depth)
     return _box_panels((0, h / 2, 0), (w, h, d))
 
 
@@ -525,9 +513,12 @@ _CLASS_RECIPES = {
     "bench": _bench,
     "table": _table,
     "desk": _desk,
-    "night_stand": _night_stand,
-    "dresser": _dresser,
-    "wardrobe": _wardrobe,
+    "night_stand": partial(_cabinet, width=(400, 500), height=(550, 680),
+                           depth=(350, 450)),
+    "dresser": partial(_cabinet, width=(900, 1150), height=(1100, 1350),
+                       depth=(450, 550)),
+    "wardrobe": partial(_cabinet, width=(900, 1200), height=(1850, 2150),
+                        depth=(550, 650)),
     "bookshelf": _bookshelf,
     "bathtub": _bathtub,
     "toilet": _toilet,

@@ -1,9 +1,11 @@
 """Occupied-space segmentation in the depth image.
 
 ``image_segments`` is the pipeline's segmentation: neighbouring occupied
-pixels of similar depth are linked and the components taken, and
-``extract_segments`` splits the points and their pixel indices by
-segment.  The module, like the whole package, needs numpy only.
+pixels of similar depth are linked and the components taken.  A segment
+is a set of cloud rows: ``extract_segments`` groups the occupied rows by
+label and gathers each segment's points once, straight from the cloud;
+cloud row i is pixel ``frame.pixels[i]``, so the rows also name the
+segment's pixels.  The module, like the whole package, needs numpy only.
 """
 
 from __future__ import annotations
@@ -16,20 +18,14 @@ from .depthio import DepthFrame
 
 
 @dataclass
-class Segmentation:
-    labels: np.ndarray   # one segment id per occupied cloud row, -1 for noise
-    k: int
-
-
-@dataclass
 class Segment:
     id: int
-    points: np.ndarray   # (m, 3) subset of the segmented cloud
-    pixels: np.ndarray   # (m,) flat pixel index of each point, in point order
+    rows: np.ndarray     # (m,) ascending cloud rows of the segment
+    points: np.ndarray   # (m, 3) the cloud's points at those rows
 
 
 def image_segments(frame: DepthFrame, cloud: np.ndarray, occupied: np.ndarray,
-                   link_mm: float, min_px: int) -> Segmentation:
+                   link_mm: float, min_px: int) -> np.ndarray:
     """Connected components of the occupied pixels in the depth image.
 
     Range-image segmentation (Bogoslavskyi & Stachniss, IROS 2016): two
@@ -38,7 +34,8 @@ def image_segments(frame: DepthFrame, cloud: np.ndarray, occupied: np.ndarray,
     Cloud row i is pixel ``frame.pixels[i]`` and ``occupied`` flags the
     rows to segment; the result has one label per occupied row, in row
     order.  Components of fewer than min_px pixels are noise (-1).  Ids
-    follow the scan order of each component's first pixel.
+    follow the scan order of each component's first pixel, so the kept
+    components take ids 0 to k-1.
 
     The components are joined on runs (He, Chao & Suzuki, "A Run-Based
     Two-Scan Labeling Algorithm", IEEE TIP 2008): a run is a maximal
@@ -85,7 +82,7 @@ def image_segments(frame: DepthFrame, cloud: np.ndarray, occupied: np.ndarray,
     # a kept component's id: how many kept roots scan before its own
     first = big & (root == np.arange(n_runs))
     run_label = np.where(big, np.cumsum(first)[root] - 1, -1)
-    return Segmentation(labels=run_label[run], k=int(first.sum()))
+    return run_label[run]
 
 
 def _roots(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -122,20 +119,23 @@ def dbscan(*args, **kwargs):
     raise NotImplementedError("dbscan was removed; see image_segments")
 
 
-def extract_segments(cloud: np.ndarray, pixels: np.ndarray,
-                     seg: Segmentation) -> list[Segment]:
-    """One Segment per cluster id, ordered by id; noise points are dropped.
+def extract_segments(cloud: np.ndarray, rows: np.ndarray,
+                     labels: np.ndarray) -> list[Segment]:
+    """One Segment per label id, ordered by id; noise rows (-1) are dropped.
 
-    pixels holds the flat pixel index of each cloud row; each segment
-    takes its points' indices in the same order as its points.
+    rows holds the ascending cloud rows that labels label, one label per
+    row; each segment keeps its rows in ascending order.
     """
-    cloud = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
-    if not seg.labels.shape[0] == cloud.shape[0] == len(pixels):
-        raise ValueError("labels and pixels do not align with the cloud")
-    # one stable sort groups each id's points and keeps them in cloud order;
-    # np.take gathers rows several times faster than cloud[rows]
-    order = np.argsort(seg.labels, kind="stable")
-    bounds = np.searchsorted(seg.labels[order], np.arange(seg.k + 1))
-    return [Segment(id=i, points=np.take(cloud, order[a:b], axis=0),
-                    pixels=np.take(pixels, order[a:b]))
-            for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
+    if len(rows) != len(labels):
+        raise ValueError("labels do not align with the rows")
+    # one stable sort groups each id's rows and keeps them ascending; on
+    # the coordinate-major cloud that backproject returns, cloud[rows]
+    # gathers several times faster than np.take(cloud, rows, axis=0)
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order],
+                             np.arange(np.max(labels, initial=-1) + 2))
+    segments = []
+    for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        seg_rows = np.take(rows, order[a:b])
+        segments.append(Segment(i, seg_rows, cloud[seg_rows]))
+    return segments

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from hapmap import dcgd, depthio
 from hapmap.synthgrid import PinGrid
@@ -22,6 +22,12 @@ def small_cam():
 
 
 SMALL_W, SMALL_H = 160, 120
+
+# Hypothesis' per-example deadline is a timing check, not a check of any
+# output: a test whose examples run long on a loaded host would fail with
+# right results.  The whole suite runs without it.
+settings.register_profile("hapmap", deadline=None)
+settings.load_profile("hapmap")
 
 #: floats in (0, inf): every length, tolerance and focal length
 positive_floats = st.floats(min_value=0, exclude_min=True, allow_infinity=False)

@@ -77,13 +77,13 @@ def flood_fill_segments(frame, cloud, occupied, link_mm, min_px):
     return labels, int(sum(kept))
 
 
-def mask_split_segments(cloud, pixels, seg):
-    """Each cluster id's (points, pixel indices) by one boolean mask over
-    the whole cloud, in cloud row order: the split ``extract_segments``
-    made before it sorted."""
-    cloud = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
-    return [(cloud[seg.labels == i], pixels[seg.labels == i])
-            for i in range(seg.k)]
+def mask_split_segments(cloud, rows, labels):
+    """Each label id's (rows, points): the rows by one boolean mask over
+    the labels, in row order, and the points by np.take from the cloud;
+    the split ``extract_segments`` made before it sorted."""
+    split = [rows[labels == i]
+             for i in range(int(np.max(labels, initial=-1)) + 1)]
+    return [(r, np.take(cloud, r, axis=0)) for r in split]
 
 
 def _cross(o, a, b):
@@ -521,7 +521,7 @@ def full_frame_analysis(config, frame, k):
     """The front end with the band test last: every valid pixel
     back-projected and ground-detected, then the [z0, zf] test picks the
     occupied points.  Returns (ground mask over the frame, ground_y,
-    occupied points, segmentation, footprints)."""
+    occupied points, their segment labels, footprints)."""
     cloud = backproject(frame, k)
     on_ground = detect_ground(frame, cloud, config.dcgd)
     z = cloud[:, 2]
@@ -529,12 +529,12 @@ def full_frame_analysis(config, frame, k):
     ground_y = ground_elevation(cloud, on_ground) if on_ground.any() else 0.0
     labels = image_segments(frame, cloud, occupied, config.segment_link_mm,
                             config.segment_min_px)
-    segments = extract_segments(cloud[occupied], frame.pixels[occupied],
-                                labels)
+    segments = extract_segments(cloud, np.flatnonzero(occupied), labels)
     mask = np.zeros(frame.data.size, dtype=bool)
     mask[frame.pixels] = on_ground
     return (mask.reshape(frame.data.shape), ground_y, cloud[occupied], labels,
-            [footprint(s.points, s.pixels % frame.width) for s in segments])
+            [footprint(s.points, frame.pixels[s.rows] % frame.width)
+             for s in segments])
 
 
 def loop_fill_polygon(cells, active, poly_uv, level):

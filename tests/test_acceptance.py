@@ -290,9 +290,10 @@ def _raster_segments(raster, free, link_mm, min_px):
     frame = depthio.DepthFrame(raster)
     cloud = depthio.backproject(frame, depthio.Intrinsics(1.0, 1.0, 0.0, 0.0))
     occupied = ~free.ravel()[frame.pixels]
-    seg = image_segments(frame, cloud, occupied, link_mm, min_px)
+    labels = image_segments(frame, cloud, occupied, link_mm, min_px)
     ref = flood_fill_segments(frame, cloud, occupied, link_mm, min_px)
-    return seg, ref, np.column_stack(np.divmod(frame.pixels[occupied], frame.width))
+    return labels, ref, np.column_stack(np.divmod(frame.pixels[occupied],
+                                                  frame.width))
 
 
 def test_criterion_6_segmentation_oracle():
@@ -305,15 +306,16 @@ def test_criterion_6_segmentation_oracle():
     for trial in range(50):
         raster, free = _segment_raster(rng)
         link_mm, min_px = params[trial % len(params)]
-        seg, (ref_labels, ref_k), pix = _raster_segments(raster, free, link_mm, min_px)
-        assert seg.k == ref_k
-        assert seg.labels.tobytes() == ref_labels.tobytes()
-        mseg, _, mpix = _raster_segments(raster[:, ::-1], free[:, ::-1],
-                                         link_mm, min_px)
+        labels, (ref_labels, ref_k), pix = _raster_segments(raster, free,
+                                                            link_mm, min_px)
+        assert np.max(labels, initial=-1) + 1 == ref_k
+        assert labels.tobytes() == ref_labels.tobytes()
+        mlabels, _, mpix = _raster_segments(raster[:, ::-1], free[:, ::-1],
+                                            link_mm, min_px)
         mpix[:, 1] = raster.shape[1] - 1 - mpix[:, 1]
-        assert as_partition(mpix, mseg.labels) == as_partition(pix, seg.labels)
-        segments += seg.k
-        noise += int((seg.labels == -1).sum())
+        assert as_partition(mpix, mlabels) == as_partition(pix, labels)
+        segments += ref_k
+        noise += int((labels == -1).sum())
     assert segments >= 100 and noise >= 100
     print(f"\nCRITERION 6 PASS: 50/50 depth rasters ({segments} segments, "
           f"{noise} noise pixels) match the flood fill, mirror-stable")

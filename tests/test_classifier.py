@@ -777,7 +777,7 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             load_model(save_model(model))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(data=st.data())
     def test_corrupt_bytes_fail_or_load_consistent(self, data):
         # any prefix fails; any single-byte change either fails with

@@ -129,6 +129,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config("output.format=bmp\n")
 
+    @pytest.mark.parametrize("key, value", [
+        ("segment.link_mm", "0"), ("segment.min_px", "-3"),
+        ("grid.small_basis", "0"), ("grid.rows", "0"), ("grid.cols", "-1"),
+        ("classifier.threshold", "1.5"), ("output.format", "bmp"),
+        ("seed", "-1")])
+    def test_out_of_range_message_names_the_key(self, key, value):
+        with pytest.raises(ValueError) as err:
+            parse_config(f"{key}={value}\n")
+        assert str(err.value).startswith(f"{key} must ")
+
     def test_negative_seed(self):
         # numpy's generators take only non-negative seeds; fail when read
         with pytest.raises(ValueError, match="seed must be non-negative"):
@@ -253,7 +263,7 @@ class TestRunPipeline:
         u, v = map(int, cells[6].split(","))
         assert result.pins[0] == (u, v)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(depths=st.lists(st.integers(0, 6000), min_size=12 * 16,
                            max_size=12 * 16),
            z0=st.integers(100, 3000), width=st.integers(50, 3000),

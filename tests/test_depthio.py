@@ -241,7 +241,7 @@ class TestBackproject:
         np.testing.assert_allclose(u_back, us, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(v_back, vs, rtol=1e-9, atol=1e-9)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(case=frames_and_cameras())
     def test_matches_full_frame_inverse(self, case):
         frame, k = case

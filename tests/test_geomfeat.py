@@ -57,7 +57,8 @@ def frame_segments(seed):
     k = depthio.DEFAULT_INTRINSICS
     frame, _ = scenegen.render_depth(spec, k, 640, 480)
     scene = pipeline.analyze_scene(PipelineConfig(), frame, k)
-    return [(s.points, s.pixels % frame.width) for s in scene.segments]
+    return [(s.points, scene.frame.pixels[s.rows] % frame.width)
+            for s in scene.segments]
 
 
 def brute_hull_vertices(pts):
@@ -197,13 +198,13 @@ class TestHullMatchesChain:
             assert points.shape[0] > 1000
             assert_same_as_chain(points[:, [0, 2]])
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
                     min_size=1, max_size=80))
     def test_small_integer_points(self, coords):
         assert_same_as_chain(np.array(coords, dtype=np.float64) * 10.0)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.lists(st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)),
                     min_size=1, max_size=120))
     @example([(0.0, 1.0), (-0.0, 1.0)])

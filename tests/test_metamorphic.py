@@ -75,7 +75,7 @@ class TestMirror:
     def test_grid_mirrors(self, seed, tmp_path):
         assert (self.assert_mirrors(seed, tmp_path) >= 2).any()
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(seed=st.integers(0, 2**32 - 1))
     @example(seed=36913)
     def test_grid_mirrors_any_seed(self, seed, tmp_path_factory):
@@ -100,7 +100,7 @@ class TestOutOfBand:
     dz/2 = 25 mm past zf, so a near face at 4001-4025 mm is back-projected
     and ground-detected, and one past 4025 mm is never back-projected."""
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(seed=st.integers(0, 2**32 - 1))
     @pytest.mark.parametrize("near_lo, near_hi", [(4001, 4025), (4026, 4400)],
                              ids=["last_cut", "beyond_cuts"])

@@ -18,8 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from hapmap import depthio, pipeline, scenegen, segment
 from hapmap.config import PipelineConfig
-from hapmap.segment import (Segmentation, _roots, extract_segments,
-                            image_segments)
+from hapmap.segment import _roots, extract_segments, image_segments
 
 from oracles import csgraph_roots, flood_fill_segments, mask_split_segments
 
@@ -90,12 +89,17 @@ def shuffled_edges(rng, i, j):
     return i[order], j[order]
 
 
+def segment_count(labels):
+    """k of labels that number the kept segments 0 to k-1."""
+    return int(np.max(labels, initial=-1)) + 1
+
+
 def assert_same_as_flood_fill(frame, cloud, occupied, link_mm, min_px):
     got = image_segments(frame, cloud, occupied, link_mm, min_px)
     ref_labels, ref_k = flood_fill_segments(frame, cloud, occupied, link_mm,
                                             min_px)
-    assert got.k == ref_k
-    assert got.labels.tobytes() == ref_labels.tobytes()
+    assert segment_count(got) == ref_k
+    assert got.tobytes() == ref_labels.tobytes()
     return got
 
 
@@ -105,7 +109,7 @@ def image_and_cloud(depths):
 
 
 class TestImageSegments:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(h=st.integers(1, 7), w=st.integers(1, 7),
            link_mm=st.sampled_from([0.0, 1.0, 2.0, 5.0]),
            min_px=st.integers(1, 6), data=st.data())
@@ -125,29 +129,28 @@ class TestImageSegments:
         # pixels 2 and 3 follow each other in the index but sit in
         # different rows, at opposite edges of the image
         frame, cloud = image_and_cloud([[0, 0, 500], [500, 0, 0]])
-        seg = image_segments(frame, cloud, np.ones(2, dtype=bool), 80.0, 1)
-        assert seg.k == 2 and seg.labels.tolist() == [0, 1]
+        labels = image_segments(frame, cloud, np.ones(2, dtype=bool), 80.0, 1)
+        assert labels.tolist() == [0, 1]
 
     def test_link_inclusive(self):
         frame, cloud = image_and_cloud([[1000], [1080], [1161]])
-        seg = image_segments(frame, cloud, np.ones(3, dtype=bool), 80.0, 1)
-        assert seg.labels.tolist() == [0, 0, 1]
+        labels = image_segments(frame, cloud, np.ones(3, dtype=bool), 80.0, 1)
+        assert labels.tolist() == [0, 0, 1]
 
     def test_small_components_are_noise_and_ids_follow_scan_order(self):
         frame, cloud = image_and_cloud([[900, 900, 0, 2000],
                                         [0, 0, 0, 2000],
                                         [3000, 3000, 3000, 0]])
-        seg = image_segments(frame, cloud, np.ones(7, dtype=bool), 80.0, 3)
-        assert seg.k == 1
-        assert seg.labels.tolist() == [-1, -1, -1, -1, 0, 0, 0]
-        seg = image_segments(frame, cloud, np.ones(7, dtype=bool), 80.0, 2)
-        assert seg.labels.tolist() == [0, 0, 1, 1, 2, 2, 2]
+        labels = image_segments(frame, cloud, np.ones(7, dtype=bool), 80.0, 3)
+        assert labels.tolist() == [-1, -1, -1, -1, 0, 0, 0]
+        labels = image_segments(frame, cloud, np.ones(7, dtype=bool), 80.0, 2)
+        assert labels.tolist() == [0, 0, 1, 1, 2, 2, 2]
 
     def test_unoccupied_rows_break_links(self):
         frame, cloud = image_and_cloud([[700, 700, 700, 700]])
         occupied = np.array([True, True, False, True])
-        seg = image_segments(frame, cloud, occupied, 80.0, 1)
-        assert seg.labels.tolist() == [0, 0, 1]
+        labels = image_segments(frame, cloud, occupied, 80.0, 1)
+        assert labels.tolist() == [0, 0, 1]
 
     def test_u_joined_only_through_its_bottom_row(self):
         # the right arm scans first, the left arm's runs join it only in
@@ -157,18 +160,17 @@ class TestImageSegments:
                                         [1000, 0, 0, 0, 1000],
                                         [1000, 1000, 1000, 1000, 1000]])
         occupied = np.ones(cloud.shape[0], dtype=bool)
-        seg = assert_same_as_flood_fill(frame, cloud, occupied, 80.0, 1)
-        assert seg.k == 2
-        assert seg.labels.tolist() == [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]
+        labels = assert_same_as_flood_fill(frame, cloud, occupied, 80.0, 1)
+        assert labels.tolist() == [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]
 
     @pytest.mark.parametrize("min_px, k", [(5, 1), (6, 0)])
     def test_size_sums_runs_shorter_than_min_px(self, min_px, k):
         # a one-pixel-wide column: five runs of one pixel each
         frame, cloud = image_and_cloud([[0, 900, 0]] * 5)
-        seg = assert_same_as_flood_fill(frame, cloud, np.ones(5, dtype=bool),
-                                        80.0, min_px)
-        assert seg.k == k
-        assert seg.labels.tolist() == [k - 1] * 5
+        labels = assert_same_as_flood_fill(frame, cloud, np.ones(5, dtype=bool),
+                                           80.0, min_px)
+        assert segment_count(labels) == k
+        assert labels.tolist() == [k - 1] * 5
 
     def test_depth_step_splits_a_run_and_a_lower_row_rejoins_it(self):
         # 1000 -> 1200 steps by more than link_mm inside the first row;
@@ -177,42 +179,42 @@ class TestImageSegments:
         frame, cloud = image_and_cloud([[1000, 1000, 1200, 1200],
                                         [1000, 1040, 1120, 1160]])
         first_row = np.array([True] * 4 + [False] * 4)
-        seg = assert_same_as_flood_fill(frame, cloud, first_row, 80.0, 1)
-        assert seg.labels.tolist() == [0, 0, 1, 1]
-        seg = assert_same_as_flood_fill(frame, cloud, np.ones(8, dtype=bool),
-                                        80.0, 1)
-        assert seg.k == 1 and seg.labels.tolist() == [0] * 8
+        labels = assert_same_as_flood_fill(frame, cloud, first_row, 80.0, 1)
+        assert labels.tolist() == [0, 0, 1, 1]
+        labels = assert_same_as_flood_fill(frame, cloud, np.ones(8, dtype=bool),
+                                           80.0, 1)
+        assert labels.tolist() == [0] * 8
         # the same with the step in the lower row: one upper run links
         # down to both halves
         frame, cloud = image_and_cloud([[1000, 1040, 1120, 1160],
                                         [1000, 1000, 1200, 1200]])
-        seg = assert_same_as_flood_fill(frame, cloud, ~first_row, 80.0, 1)
-        assert seg.labels.tolist() == [0, 0, 1, 1]
-        seg = assert_same_as_flood_fill(frame, cloud, np.ones(8, dtype=bool),
-                                        80.0, 1)
-        assert seg.k == 1 and seg.labels.tolist() == [0] * 8
+        labels = assert_same_as_flood_fill(frame, cloud, ~first_row, 80.0, 1)
+        assert labels.tolist() == [0, 0, 1, 1]
+        labels = assert_same_as_flood_fill(frame, cloud, np.ones(8, dtype=bool),
+                                           80.0, 1)
+        assert labels.tolist() == [0] * 8
 
     def test_every_pixel_its_own_run(self):
         # a checkerboard of occupied pixels has no links at all
         frame, cloud = image_and_cloud(np.full((6, 7), 1000))
         r, c = np.divmod(frame.pixels, frame.width)
         board = (r + c) % 2 == 0
-        seg = assert_same_as_flood_fill(frame, cloud, board, 80.0, 1)
-        assert seg.labels.tolist() == list(range(int(board.sum())))
-        seg = assert_same_as_flood_fill(frame, cloud, board, 80.0, 2)
-        assert seg.k == 0 and (seg.labels == -1).all()
+        labels = assert_same_as_flood_fill(frame, cloud, board, 80.0, 1)
+        assert labels.tolist() == list(range(int(board.sum())))
+        labels = assert_same_as_flood_fill(frame, cloud, board, 80.0, 2)
+        assert (labels == -1).all()
         # columns alternating in depth: one-pixel runs, joined down the
         # columns only, so each column is one segment
         depths = np.where(np.arange(7) % 2 == 0, 1000, 2000)
         frame, cloud = image_and_cloud(np.tile(depths, (6, 1)))
-        seg = assert_same_as_flood_fill(frame, cloud, np.ones(42, dtype=bool),
-                                        80.0, 6)
-        assert seg.labels.tolist() == list(range(7)) * 6
+        labels = assert_same_as_flood_fill(frame, cloud,
+                                           np.ones(42, dtype=bool), 80.0, 6)
+        assert labels.tolist() == list(range(7)) * 6
 
     def test_nothing_occupied(self):
         frame, cloud = image_and_cloud([[0, 800], [800, 800]])
-        seg = image_segments(frame, cloud, np.zeros(3, dtype=bool), 80.0, 1)
-        assert seg.k == 0 and seg.labels.size == 0
+        labels = image_segments(frame, cloud, np.zeros(3, dtype=bool), 80.0, 1)
+        assert labels.size == 0
 
     def test_bad_params(self):
         frame, cloud = image_and_cloud([[800]])
@@ -236,11 +238,11 @@ class TestImageSegments:
         occupied = np.ones(12, dtype=bool)
         tracemalloc.start()
         try:
-            seg = image_segments(frame, cloud, occupied, 80.0, 1)
+            labels = image_segments(frame, cloud, occupied, 80.0, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert seg.k == 1
+        assert labels.tolist() == [0] * 12
         assert peak < 100_000
 
 
@@ -253,8 +255,9 @@ class TestImageSegmentsMatchFloodFill:
     def test_clutter_frames(self, seed, link_mm, min_px):
         frame, cloud, occupied = clutter_occupied(seed)
         assert occupied.sum() > 40_000
-        seg = assert_same_as_flood_fill(frame, cloud, occupied, link_mm, min_px)
-        assert seg.k >= 5
+        labels = assert_same_as_flood_fill(frame, cloud, occupied, link_mm,
+                                           min_px)
+        assert segment_count(labels) >= 5
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pipeline_segments(self, seed):
@@ -264,9 +267,9 @@ class TestImageSegmentsMatchFloodFill:
         cfg = PipelineConfig()
         ref_labels, ref_k = flood_fill_segments(
             frame, cloud, occupied, cfg.segment_link_mm, cfg.segment_min_px)
-        assert scene.segmentation.k == ref_k == len(scene.segments)
-        assert scene.segmentation.labels.tobytes() == ref_labels.tobytes()
-        assert scene.points.tobytes() == cloud[occupied].tobytes()
+        assert len(scene.segments) == ref_k
+        assert scene.labels.tobytes() == ref_labels.tobytes()
+        assert scene.occupied.tobytes() == np.flatnonzero(occupied).tobytes()
 
 
 #: one frame through the whole pipeline in a fresh interpreter, then the
@@ -352,7 +355,7 @@ class TestRoots:
         i, j = shuffled_edges(rng, i, j)
         np.testing.assert_array_equal(_roots(n, i, j), csgraph_roots(n, i, j))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(n=st.integers(1, 30), data=st.data())
     def test_small_random_graphs(self, n, data):
         edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
@@ -368,45 +371,44 @@ class TestRoots:
 
 class TestExtractSegments:
     def test_counts_and_order(self):
-        cloud = np.arange(30, dtype=float).reshape(10, 3)
+        # ten labelled rows out of a 20-row cloud
+        cloud = np.arange(60, dtype=float).reshape(20, 3)
+        rows = np.arange(10) * 2 + 1
         labels = np.array([0, 0, 1, -1, 1, 1, 0, -1, 1, 0])
-        segs = extract_segments(cloud, np.arange(10),
-                                Segmentation(labels=labels, k=2))
+        segs = extract_segments(cloud, rows, labels)
         assert [s.id for s in segs] == [0, 1]
-        assert [len(s.points) for s in segs] == [4, 4]
-        assert [s.pixels.tolist() for s in segs] == [[0, 1, 6, 9], [2, 4, 5, 8]]
+        assert [s.rows.tolist() for s in segs] == [[1, 3, 13, 19],
+                                                   [5, 9, 11, 17]]
+        assert [s.points.tobytes() for s in segs] == [cloud[s.rows].tobytes()
+                                                      for s in segs]
 
     def test_all_noise(self):
         cloud = np.zeros((3, 3))
-        segs = extract_segments(cloud, np.arange(3),
-                                Segmentation(labels=np.full(3, -1), k=0))
-        assert segs == []
+        assert extract_segments(cloud, np.arange(3), np.full(3, -1)) == []
 
     def test_partition_sizes(self):
-        # every occupied point lands in one segment or in the noise
+        # every occupied row lands in one segment or in the noise
         frame, cloud, occupied = clutter_occupied(0)
-        seg = image_segments(frame, cloud, occupied, 20.0, 50)
-        segs = extract_segments(cloud[occupied], frame.pixels[occupied], seg)
-        noise = int((seg.labels == -1).sum())
-        assert seg.k >= 5 and noise > 0
-        assert sum(len(s.points) for s in segs) + noise == occupied.sum()
+        labels = image_segments(frame, cloud, occupied, 20.0, 50)
+        segs = extract_segments(cloud, np.flatnonzero(occupied), labels)
+        noise = int((labels == -1).sum())
+        assert len(segs) >= 5 and noise > 0
+        assert sum(len(s.rows) for s in segs) + noise == occupied.sum()
 
     def test_misaligned_labels(self):
         with pytest.raises(ValueError):
-            extract_segments(np.zeros((3, 3)), np.arange(3),
-                             Segmentation(labels=np.zeros(2), k=1))
+            extract_segments(np.zeros((3, 3)), np.arange(3), np.zeros(2))
         with pytest.raises(ValueError):
-            extract_segments(np.zeros((3, 3)), np.arange(2),
-                             Segmentation(labels=np.zeros(3), k=1))
+            extract_segments(np.zeros((3, 3)), np.arange(2), np.zeros(3))
 
 
-def assert_same_as_mask_split(cloud, pixels, seg):
-    segs = extract_segments(cloud, pixels, seg)
-    ref = mask_split_segments(cloud, pixels, seg)
-    assert [s.id for s in segs] == list(range(seg.k))
-    # bytes fix the point order inside each segment, too
-    assert [s.points.tobytes() for s in segs] == [p.tobytes() for p, _ in ref]
-    assert [s.pixels.tobytes() for s in segs] == [x.tobytes() for _, x in ref]
+def assert_same_as_mask_split(cloud, rows, labels):
+    segs = extract_segments(cloud, rows, labels)
+    ref = mask_split_segments(cloud, rows, labels)
+    assert [s.id for s in segs] == list(range(len(ref)))
+    # bytes fix the row order inside each segment, too
+    assert [s.rows.tobytes() for s in segs] == [r.tobytes() for r, _ in ref]
+    assert [s.points.tobytes() for s in segs] == [p.tobytes() for _, p in ref]
 
 
 class TestExtractMatchesMaskSplit:
@@ -414,42 +416,48 @@ class TestExtractMatchesMaskSplit:
 
     def test_interleaved_labels_with_noise(self):
         rng = np.random.default_rng(9)
-        cloud = rng.normal(0.0, 100.0, size=(500, 3))
+        cloud = rng.normal(0.0, 100.0, size=(2000, 3))
+        rows = np.sort(rng.choice(2000, size=500, replace=False))
         labels = rng.integers(-1, 7, size=500)
-        pixels = np.sort(rng.choice(640 * 480, size=500, replace=False))
-        assert_same_as_mask_split(cloud, pixels, Segmentation(labels=labels, k=7))
+        assert_same_as_mask_split(cloud, rows, labels)
 
     def test_all_noise(self):
-        # ids without a point still get an empty segment each
-        cloud = np.arange(12, dtype=float).reshape(4, 3)
-        assert_same_as_mask_split(cloud, np.arange(4),
-                                  Segmentation(labels=np.full(4, -1), k=3))
+        cloud = np.arange(15, dtype=float).reshape(5, 3)
+        assert_same_as_mask_split(cloud, np.arange(1, 5), np.full(4, -1))
+
+    def test_ids_without_rows(self):
+        # ids below the largest without a row still get an empty segment
+        cloud = np.arange(15, dtype=float).reshape(5, 3)
+        rows, labels = np.arange(1, 5), np.array([-1, 2, -1, 2])
+        assert_same_as_mask_split(cloud, rows, labels)
+        assert [s.rows.tolist() for s in extract_segments(cloud, rows, labels)
+                ] == [[], [], [2, 4]]
 
     def test_k_zero(self):
-        cloud = np.arange(12, dtype=float).reshape(4, 3)
-        assert_same_as_mask_split(cloud, np.arange(4),
-                                  Segmentation(labels=np.full(4, -1), k=0))
         empty = np.zeros(0, dtype=np.int64)
-        assert_same_as_mask_split(np.zeros((0, 3)), empty,
-                                  Segmentation(labels=empty, k=0))
+        assert_same_as_mask_split(np.zeros((0, 3)), empty, empty)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_clutter_frames(self, seed):
         frame, cloud, occupied = clutter_occupied(seed)
         cfg = PipelineConfig()
-        seg = image_segments(frame, cloud, occupied, cfg.segment_link_mm,
-                             cfg.segment_min_px)
-        assert seg.k >= 5
-        assert_same_as_mask_split(cloud[occupied], frame.pixels[occupied], seg)
+        labels = image_segments(frame, cloud, occupied, cfg.segment_link_mm,
+                                cfg.segment_min_px)
+        assert segment_count(labels) >= 5
+        assert_same_as_mask_split(cloud, np.flatnonzero(occupied), labels)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_pixels_back_project_to_the_points(self, seed):
-        # a segment's pixels, looked up in the frame's pixel index, are the
-        # cloud rows that back-project to its points
+        # a segment's points are the band cloud at its rows, and its
+        # pixels, looked up in the full frame's pixel index, are the rows
+        # of the full cloud that back-project to those points
         frame, scene = clutter_scene(seed)
         cloud = depthio.backproject(frame, depthio.DEFAULT_INTRINSICS)
         assert len(scene.segments) >= 5
         for s in scene.segments:
-            rows = np.searchsorted(frame.pixels, s.pixels)
-            assert (frame.pixels[rows] == s.pixels).all()
+            assert np.take(scene.cloud, s.rows, axis=0).tobytes() == \
+                s.points.tobytes()
+            pixels = scene.frame.pixels[s.rows]
+            rows = np.searchsorted(frame.pixels, pixels)
+            assert (frame.pixels[rows] == pixels).all()
             assert cloud[rows].tobytes() == s.points.tobytes()

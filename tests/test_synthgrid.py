@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hapmap import synthgrid
+from hapmap import depthio, pipeline, synthgrid
+from hapmap.config import PipelineConfig
 from hapmap.depthio import Intrinsics
 from hapmap.labeling import REQUIRED_TAGS, builtin_sheet
 from hapmap.synthgrid import (AreaGeometry, PinGrid, _fill_polygon,
@@ -37,6 +38,16 @@ class TestAreaGeometry:
     def test_from_intrinsics(self):
         g = AreaGeometry.from_intrinsics(Intrinsics(575.8, 575.8, 319.5, 239.5), 640)
         assert g.half_tan == pytest.approx(0.555748, abs=1e-6)
+
+    def test_defaults_are_the_default_configs_area(self, tmp_path):
+        # G's defaults copy the band, camera and grid defaults by hand; the
+        # tests that read G hold for the area the pipeline builds for a
+        # 640x480 frame under the default config
+        frame = depthio.DepthFrame(np.full((480, 640), 2000, dtype=np.uint16))
+        path = tmp_path / "depth.pgm"
+        path.write_bytes(depthio.depth_to_pgm(frame))
+        _, area = pipeline.analyze_depth_file(PipelineConfig(), path)
+        assert area == G
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -164,7 +175,7 @@ DROPPED_EDGE_AREA = AreaGeometry(near=100.0, far=300.0, half_tan=1.05,
 class TestMaskCoversMapping:
     """Every point in the view field maps to an active pin."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(g=area_geometries(), shares=st.lists(st.floats(0.0, 1.0), max_size=20))
     @example(g=TIE_AREA, shares=[])
     @example(g=DROPPED_EDGE_AREA, shares=[])
@@ -185,14 +196,14 @@ class TestMaskCoversMapping:
 class TestAreaMatchesLoops:
     """The array trapezoid and glyph stamp against the deleted loops."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(g=area_geometries())
     @example(g=TIE_AREA)
     @example(g=DROPPED_EDGE_AREA)
     def test_trapezoid_mask(self, g):
         assert trapezoid_mask(g).tobytes() == loop_trapezoid_mask(g).tobytes()
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(data=st.data(), g=area_geometries())
     def test_glyph_stamp(self, data, g):
         objs = data.draw(st.lists(labelled_objects(g), max_size=5))
@@ -238,7 +249,7 @@ class TestComposeMatchesLoop:
     """The level-order composition against the object-by-object loop it
     replaced, byte for byte."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(data=st.data(), g=area_geometries())
     def test_random_scenes(self, data, g):
         holes = data.draw(st.lists(hole_polygons(g), max_size=2))
@@ -351,7 +362,7 @@ def assert_fill_matches_loop(cells, active, poly, level):
 class TestFillMatchesLoop:
     """The (rows x edges) scanline fill against the row-by-row loop."""
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(rows=st.integers(1, 12), cols=st.integers(1, 15),
            poly=st.lists(st.tuples(PIN_COORD, PIN_COORD), max_size=8),
            level=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
@@ -462,7 +473,7 @@ class TestEmit:
         assert len(lines) == G.rows
         assert all(len(line) == G.cols for line in lines)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(rows=st.integers(0, 12), cols=st.integers(0, 15), data=st.data())
     def test_ascii_matches_cell_loop(self, rows, cols, data):
         levels = data.draw(st.lists(st.integers(-1, 4), min_size=rows * cols,
