@@ -120,17 +120,20 @@ def analyze_scene(config: PipelineConfig, frame: depthio.DepthFrame,
         in_band = (cloud[:, 2] >= near) & (cloud[:, 2] <= far)
         ground_y = (dcgd.ground_elevation(cloud, on_ground)
                     if on_ground.any() else 0.0)
-        is_occupied = in_band & ~on_ground
-        labels = seg.image_segments(band, cloud, is_occupied,
+        occupied = np.flatnonzero(in_band & ~on_ground)
+        labels = seg.image_segments(band, cloud, occupied,
                                     config.segment_link_mm,
                                     config.segment_min_px)
-        occupied = np.flatnonzero(is_occupied)
-        segments = seg.extract_segments(cloud, occupied, labels)
 
     with _stage("features"):
+        # footprint's frame-wide temporaries are freed before the
+        # segments' points are gathered, so they add nothing to the
+        # frame's peak memory
+        footprints = geomfeat.footprint(cloud, occupied, labels,
+                                        band.pixels[occupied] % band.width)
+        segments = seg.extract_segments(cloud, occupied, labels)
         objects = []
-        for s in segments:
-            fp = geomfeat.footprint(s.points, band.pixels[s.rows] % band.width)
+        for s, fp in zip(segments, footprints):
             geom = geomfeat.classify_geometry(
                 geomfeat.height_p90(s.points, ground_y), fp.area_m2,
                 config.thresholds)

@@ -1,11 +1,13 @@
 """Occupied-space segmentation in the depth image.
 
 ``image_segments`` is the pipeline's segmentation: neighbouring occupied
-pixels of similar depth are linked and the components taken.  A segment
-is a set of cloud rows: ``extract_segments`` groups the occupied rows by
-label and gathers each segment's points once, straight from the cloud;
-cloud row i is pixel ``frame.pixels[i]``, so the rows also name the
-segment's pixels.  The module, like the whole package, needs numpy only.
+pixels of similar depth are linked and the components taken.  It reads
+the ascending occupied rows that ``pipeline.analyze_scene`` finds once.
+A segment is a set of those cloud rows: ``extract_segments`` groups the
+rows by label and gathers each segment's points once, straight from the
+cloud; cloud row i is pixel ``frame.pixels[i]``, so the rows also name
+the segment's pixels.  The module, like the whole package, needs numpy
+only.
 """
 
 from __future__ import annotations
@@ -24,18 +26,18 @@ class Segment:
     points: np.ndarray   # (m, 3) the cloud's points at those rows
 
 
-def image_segments(frame: DepthFrame, cloud: np.ndarray, occupied: np.ndarray,
+def image_segments(frame: DepthFrame, cloud: np.ndarray, rows: np.ndarray,
                    link_mm: float, min_px: int) -> np.ndarray:
     """Connected components of the occupied pixels in the depth image.
 
     Range-image segmentation (Bogoslavskyi & Stachniss, IROS 2016): two
     occupied pixels that are 4-neighbours in the image are linked when
     their depths (``cloud[:, 2]``) differ by at most link_mm (inclusive).
-    Cloud row i is pixel ``frame.pixels[i]`` and ``occupied`` flags the
-    rows to segment; the result has one label per occupied row, in row
-    order.  Components of fewer than min_px pixels are noise (-1).  Ids
-    follow the scan order of each component's first pixel, so the kept
-    components take ids 0 to k-1.
+    Cloud row i is pixel ``frame.pixels[i]`` and ``rows`` holds the
+    ascending occupied rows to segment; the result has one label per
+    entry of rows.  Components of fewer than min_px pixels are noise
+    (-1).  Ids follow the scan order of each component's first pixel, so
+    the kept components take ids 0 to k-1.
 
     The components are joined on runs (He, Chao & Suzuki, "A Run-Based
     Two-Scan Labeling Algorithm", IEEE TIP 2008): a run is a maximal
@@ -44,21 +46,21 @@ def image_segments(frame: DepthFrame, cloud: np.ndarray, occupied: np.ndarray,
     run holds its first pixel; sizes sum the run lengths, and each pixel
     takes its run's label.  A down link joins two runs, and one that
     only repeats the link left of it is dropped, so there are about as
-    many edges as runs.  The work scales with the occupied pixels, not
-    the frame: their sorted pixel indices give the right neighbour as the
-    next entry and the lower neighbour by a binary search for
-    ``pixel + width``; no (height, width) array is made.
+    many edges as runs.  The occupied pixels' sorted indices give the
+    right neighbour as the next entry, and ``_below`` the lower one from
+    a bitmap of the occupied span (one byte per pixel of the span).
     """
     if not link_mm >= 0:
         raise ValueError("link_mm must be non-negative")
     if min_px < 1:
         raise ValueError("min_px must be at least 1")
-    if not len(occupied) == len(cloud) == frame.pixels.size:
-        raise ValueError("cloud and occupied flags need one row per valid pixel")
-    rows = np.flatnonzero(occupied)
+    if len(cloud) != frame.pixels.size:
+        raise ValueError("the cloud needs one row per valid pixel")
     pix = frame.pixels[rows]
-    z = cloud[:, 2][rows]
     n = pix.size
+    if n == 0:
+        return np.zeros(0, dtype=np.intp)
+    z = cloud[:, 2][rows]
     # a run starts where the right link from the entry before fails: the
     # pixel is not the next one, the depth steps, or an image row begins
     # (one binary search per image row, not a modulo per pixel)
@@ -66,15 +68,15 @@ def image_segments(frame: DepthFrame, cloud: np.ndarray, occupied: np.ndarray,
     starts[1:] = (pix[1:] != pix[:-1] + 1) | ~(np.abs(np.diff(z)) <= link_mm)
     row_first = np.searchsorted(pix, np.arange(1, frame.height) * frame.width)
     starts[row_first[row_first < n]] = True
-    run = np.cumsum(starts) - 1
-    run_start = np.flatnonzero(starts)
-    n_runs = run_start.size
     # down link: the occupied pixel one row down, if any, of similar depth
-    below = np.minimum(np.searchsorted(pix, pix + frame.width), n - 1)
-    down = (pix[below] == pix + frame.width) & (np.abs(z - z[below]) <= link_mm)
+    has_below, below = _below(pix, frame.width)
+    down = has_below & (np.abs(z - z[below]) <= link_mm)
     # a link repeats the one left of it when neither end starts a run
     down[1:] &= ~(down[:-1] & ~starts[1:] & ~starts[below[1:]])
     link = np.flatnonzero(down)
+    run = np.cumsum(starts) - 1
+    run_start = np.flatnonzero(starts)
+    n_runs = run_start.size
     root = _roots(n_runs, run[link], run[below[link]])
     size = np.bincount(root, weights=np.diff(run_start, append=n),
                        minlength=n_runs)
@@ -83,6 +85,28 @@ def image_segments(frame: DepthFrame, cloud: np.ndarray, occupied: np.ndarray,
     first = big & (root == np.arange(n_runs))
     run_label = np.where(big, np.cumsum(first)[root] - 1, -1)
     return run_label[run]
+
+
+def _below(pix: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(has_below, below) of the ascending occupied pixel indices pix:
+    whether pixel p + width is occupied, and its place in pix (0 where it
+    is not).
+
+    p -> p + width maps the pixels with a lower neighbour, in order, onto
+    the pixels with an upper one, so the k-th of the first has the k-th of
+    the second below it.  Both flags are read from a bitmap of the
+    occupied span, first pixel - width to last + width: one byte per
+    pixel of the span, never a (height, width) array.
+    """
+    at = pix - (pix[0] - width)        # each pixel's place in the bitmap
+    occupied = np.zeros(at[-1] + width + 1, dtype=bool)
+    occupied[at] = True
+    at += width
+    has_below = occupied[at]
+    at -= 2 * width
+    below = np.zeros(pix.size, dtype=np.intp)
+    below[has_below] = np.flatnonzero(occupied[at])
+    return has_below, below
 
 
 def _roots(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:

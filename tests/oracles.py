@@ -2,6 +2,7 @@
 
 import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -11,10 +12,9 @@ from hapmap.classifier import _forward_batch
 from hapmap.classifier import _softmax64 as softmax64
 from hapmap.dcgd import DcgdParams, DepthCut, detect_ground, ground_elevation
 from hapmap.depthio import DepthFormatError, DepthFrame, backproject
-from hapmap.geomfeat import (Footprint, classify_geometry, footprint,
-                             polygon_area)
+from hapmap.geomfeat import Footprint, classify_geometry, polygon_area
 from hapmap.labeling import ObjectDescriptor, builtin_sheet
-from hapmap.scenegen import GroundTruth
+from hapmap.scenegen import BoxSpec, GroundTruth, HoleSpec, SceneSpec
 from hapmap.segment import extract_segments, image_segments
 from hapmap.synthgrid import (ASCII_INACTIVE, INACTIVE, PinGrid,
                               barycenter_pin, clip_polygon_to_frustum,
@@ -86,12 +86,26 @@ def mask_split_segments(cloud, rows, labels):
     return [(r, np.take(cloud, r, axis=0)) for r in split]
 
 
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def exact_cross(o, a, b):
+    """The cross product (a - o) x (b - o), with its exact sign.
+
+    A float result far from the rounding error of its products (1e-12 of
+    their size, in the normal range) is returned as is; every other turn
+    is computed in rationals.
+    """
+    ax, az, bx, bz = a[0] - o[0], a[1] - o[1], b[0] - o[0], b[1] - o[1]
+    left, right = ax * bz, az * bx
+    size = abs(left) + abs(right)
+    if 1e-250 < size < 1e250 and abs(left - right) > 1e-12 * size:
+        return left - right
+    (ox, oz), (ax, az), (bx, bz) = ((Fraction(p[0]), Fraction(p[1]))
+                                    for p in (o, a, b))
+    return (ax - ox) * (bz - oz) - (az - oz) * (bx - ox)
 
 
 def monotone_chain_hull(points):
-    """Monotone chain over every distinct point, with no candidate pruning.
+    """Monotone chain over every distinct point, with no candidate pruning
+    and an exact orientation test.
 
     Of rows that are equal (-0.0 and 0.0 are one key) the first in input
     order is kept.
@@ -106,10 +120,26 @@ def monotone_chain_hull(points):
     lower, upper = [], []
     for chain, order in ((lower, pts), (upper, pts[::-1])):
         for p in order:
-            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+            while len(chain) >= 2 and exact_cross(chain[-2], chain[-1], p) <= 0:
                 chain.pop()
             chain.append(p)
     return np.array(lower[:-1] + upper[:-1])
+
+
+def loop_footprint(points, columns):
+    """One segment's footprint: each image column's nearest and farthest
+    point by np.minimum.at and np.maximum.at over the segment alone, the
+    exact monotone chain on those, and the centroid by mean(axis=0)."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    z = pts[:, 2]
+    near = np.full(columns.max() + 1, np.inf)
+    far = np.full(near.size, -np.inf)
+    np.minimum.at(near, columns, z)
+    np.maximum.at(far, columns, z)
+    ends = (z == near[columns]) | (z == far[columns])
+    hull = monotone_chain_hull(np.compress(ends, pts, axis=0)[:, [0, 2]])
+    return Footprint(hull=hull, area_m2=polygon_area(hull),
+                     barycenter=pts.mean(axis=0))
 
 
 def dense_forward_batch(model, x, want_cache):
@@ -527,13 +557,14 @@ def full_frame_analysis(config, frame, k):
     z = cloud[:, 2]
     occupied = (z >= config.dcgd.z0) & (z <= config.dcgd.zf) & ~on_ground
     ground_y = ground_elevation(cloud, on_ground) if on_ground.any() else 0.0
-    labels = image_segments(frame, cloud, occupied, config.segment_link_mm,
+    rows = np.flatnonzero(occupied)
+    labels = image_segments(frame, cloud, rows, config.segment_link_mm,
                             config.segment_min_px)
-    segments = extract_segments(cloud, np.flatnonzero(occupied), labels)
+    segments = extract_segments(cloud, rows, labels)
     mask = np.zeros(frame.data.size, dtype=bool)
     mask[frame.pixels] = on_ground
     return (mask.reshape(frame.data.shape), ground_y, cloud[occupied], labels,
-            [footprint(s.points, frame.pixels[s.rows] % frame.width)
+            [loop_footprint(s.points, frame.pixels[s.rows] % frame.width)
              for s in segments])
 
 
@@ -660,6 +691,22 @@ def as_partition(points, labels):
         else:
             clusters.setdefault(lab, set()).add(key)
     return frozenset(frozenset(c) for c in clusters.values()), frozenset(noise)
+
+
+def clutter_spec(seed, noise_sigma=10.0):
+    """A scene of 6-9 boxes on a 3 x 3 grid of slots and a hole, seen by a
+    camera 1200 mm up."""
+    rng = np.random.default_rng(seed)
+    slots = [(f * z, z) for z in (1500.0, 2300.0, 3100.0)
+             for f in (-0.33, 0.0, 0.33)]
+    chosen = rng.permutation(len(slots))[:int(rng.integers(6, 10))]
+    boxes = [BoxSpec(slots[s][0] + rng.uniform(-50, 50),
+                     slots[s][1] + rng.uniform(-50, 50),
+                     rng.uniform(250, 450), rng.uniform(250, 450),
+                     rng.uniform(300, 1100)) for s in chosen]
+    return SceneSpec(camera_height=1200, floor_extent=4500,
+                     noise_sigma=noise_sigma, boxes=boxes,
+                     holes=[HoleSpec(0, 1900, 300, 200)], seed=seed)
 
 
 def rect_descriptor(cx, cz, w, d, height_mm, label=None, confidence=None,

@@ -290,7 +290,8 @@ def _raster_segments(raster, free, link_mm, min_px):
     frame = depthio.DepthFrame(raster)
     cloud = depthio.backproject(frame, depthio.Intrinsics(1.0, 1.0, 0.0, 0.0))
     occupied = ~free.ravel()[frame.pixels]
-    labels = image_segments(frame, cloud, occupied, link_mm, min_px)
+    labels = image_segments(frame, cloud, np.flatnonzero(occupied), link_mm,
+                            min_px)
     ref = flood_fill_segments(frame, cloud, occupied, link_mm, min_px)
     return labels, ref, np.column_stack(np.divmod(frame.pixels[occupied],
                                                   frame.width))

@@ -1,9 +1,10 @@
-"""Hull, area, and percentile-height features.  The hull is checked
-against an all-pairs half-plane oracle and, vertex for vertex, against
-an independent monotone chain over every point.  The footprint hull,
-taken from each image column's nearest and farthest point, is checked
-against that chain as a polygon on the pixel segments of rendered
-frames."""
+"""Hull, area, and percentile-height features.  The batched hull is
+checked against an all-pairs half-plane oracle and, vertex for vertex and
+id by id, against an independent exact monotone chain over every point.
+The footprint hull, taken from each image column's nearest and farthest
+point, is checked against that chain as a polygon on the pixel segments
+of rendered frames, and the frame-wide footprint byte for byte against
+one segment at a time."""
 
 import functools
 
@@ -11,17 +12,31 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hapmap import depthio, pipeline, scenegen
+from hapmap import depthio, geomfeat, pipeline, scenegen
 from hapmap.config import PipelineConfig
 from hapmap.geomfeat import (GeometricClass, GeometryThresholds,
                              classify_geometry, convex_hull_2d, footprint,
                              height_p90, polygon_area)
+from hapmap.segment import image_segments
 
-from oracles import monotone_chain_hull
+from oracles import clutter_spec, loop_footprint, monotone_chain_hull
+
+
+def hull_of(pts):
+    """The batched hull of one point set."""
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
+    return convex_hull_2d(pts, np.zeros(len(pts), dtype=np.int64))[0]
+
+
+def one_footprint(points, columns):
+    """The frame-wide footprint of one segment that holds every row."""
+    n = len(points)
+    return footprint(points, np.arange(n), np.zeros(n, dtype=np.int64),
+                     np.asarray(columns))[0]
 
 
 def assert_same_as_chain(pts):
-    got = convex_hull_2d(pts)
+    got = hull_of(pts)
     ref = monotone_chain_hull(pts)
     assert got.shape == ref.shape
     assert got.tobytes() == ref.tobytes()
@@ -93,12 +108,12 @@ class TestConvexHull:
         rng = np.random.default_rng(0)
         corners = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
         pts = np.vstack([corners, rng.uniform(0.1, 0.9, size=(30, 2))])
-        hull = convex_hull_2d(pts)
+        hull = hull_of(pts)
         assert {tuple(p) for p in hull} == {tuple(c) for c in corners}
 
     def test_counter_clockwise_and_convex(self):
         rng = np.random.default_rng(1)
-        hull = convex_hull_2d(rng.normal(0, 100, size=(50, 2)))
+        hull = hull_of(rng.normal(0, 100, size=(50, 2)))
         n = len(hull)
         for i in range(n):
             a, b, c = hull[i], hull[(i + 1) % n], hull[(i + 2) % n]
@@ -109,15 +124,15 @@ class TestConvexHull:
         rng = np.random.default_rng(2)
         for _ in range(5):
             pts = rng.uniform(-500, 500, size=(100, 2))
-            hull = convex_hull_2d(pts)
+            hull = hull_of(pts)
             assert {tuple(p) for p in hull} == brute_hull_vertices(pts)
 
     def test_two_points_degenerate(self):
-        hull = convex_hull_2d(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        hull = hull_of(np.array([[0.0, 0.0], [1.0, 1.0]]))
         assert hull.shape[0] < 3
 
     def test_collinear_degenerate(self):
-        hull = convex_hull_2d(np.array([[0, 0], [1, 1], [2, 2], [3, 3]], dtype=float))
+        hull = hull_of(np.array([[0, 0], [1, 1], [2, 2], [3, 3]], dtype=float))
         assert hull.shape[0] < 3
 
     @settings(max_examples=40)
@@ -125,10 +140,10 @@ class TestConvexHull:
                     min_size=3, max_size=60))
     def test_idempotent_and_contains_all(self, coords):
         pts = np.array(coords)
-        hull = convex_hull_2d(pts)
+        hull = hull_of(pts)
         if hull.shape[0] < 3:
             return
-        np.testing.assert_allclose(convex_hull_2d(hull), hull)
+        np.testing.assert_allclose(hull_of(hull), hull)
         assert all(point_in_hull(hull, p, tol=1e-6) for p in pts)
 
 
@@ -220,7 +235,7 @@ class TestColumnFilter:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_pixel_segments_match_chain_as_polygons(self, seed):
         for points, columns in frame_segments(seed):
-            fp = footprint(points, columns)
+            fp = one_footprint(points, columns)
             ref = monotone_chain_hull(points[:, [0, 2]])
             assert fp.hull.shape[0] >= 4
             assert_same_polygon(fp.hull, ref)
@@ -231,7 +246,7 @@ class TestColumnFilter:
         lattice[(lattice == 0) & (rng.random(lattice.shape) < 0.5)] = -0.0
         for pts in (rng.normal((0, -600, 2500), 300, size=(500, 3)),
                     lattice, np.full((5, 3), 7.0), rng.normal(0, 1, (2, 3))):
-            hull = footprint(pts, np.arange(len(pts))).hull
+            hull = one_footprint(pts, np.arange(len(pts))).hull
             assert hull.tobytes() == monotone_chain_hull(pts[:, [0, 2]]).tobytes()
 
     def test_rays_keep_their_end_points(self):
@@ -249,7 +264,7 @@ class TestColumnFilter:
         rays = np.arange(40)
         ends = np.concatenate([pts.reshape(40, 50, 3)[rays, z.argmin(axis=1)],
                                pts.reshape(40, 50, 3)[rays, z.argmax(axis=1)]])
-        hull = footprint(pts, columns).hull
+        hull = one_footprint(pts, columns).hull
         assert hull.tobytes() == monotone_chain_hull(ends[:, [0, 2]]).tobytes()
         full = monotone_chain_hull(pts[:, [0, 2]])
         assert len(full) > len(hull)
@@ -258,7 +273,7 @@ class TestColumnFilter:
     def test_one_column_is_degenerate(self):
         rng = np.random.default_rng(17)
         pts = rng.normal((0, -600, 2500), 300, size=(100, 3))
-        fp = footprint(pts, np.zeros(100, dtype=np.int64))
+        fp = one_footprint(pts, np.zeros(100, dtype=np.int64))
         near, far = pts[pts[:, 2].argmin()], pts[pts[:, 2].argmax()]
         assert {tuple(p) for p in fp.hull} == {(near[0], near[2]), (far[0], far[2])}
         assert fp.degenerate and fp.area_m2 == 0.0
@@ -267,14 +282,14 @@ class TestColumnFilter:
         pts = np.array([[0.0, 0, 1000], [50, 0, 1000], [20, 0, 1500],
                         [-40, 0, 1200], [-10, 0, 1500], [80, 0, 1300]])
         columns = np.array([3, 3, 3, 3, 3, 5])
-        hull = footprint(pts, columns).hull
+        hull = one_footprint(pts, columns).hull
         # column 3 drops only (-40, 1200), which the full chain would keep
         kept = pts[[0, 1, 2, 4, 5]][:, [0, 2]]
         assert hull.tobytes() == monotone_chain_hull(kept).tobytes()
         assert len(hull) == 5 and len(monotone_chain_hull(pts[:, [0, 2]])) == 6
         # one depth throughout a column: every point is nearest and farthest
         flat = np.column_stack([pts[:, 0], np.zeros(6), np.full(6, 2000.0)])
-        hull = footprint(flat, np.zeros(6, dtype=np.int64)).hull
+        hull = one_footprint(flat, np.zeros(6, dtype=np.int64)).hull
         assert hull.tolist() == [[-40.0, 2000.0], [80.0, 2000.0]]
 
     def test_sparse_column_ids(self):
@@ -284,17 +299,199 @@ class TestColumnFilter:
         ends = [np.flatnonzero(columns == c)[[pts[columns == c, 2].argmin(),
                                               pts[columns == c, 2].argmax()]]
                 for c in (0, 639)]
-        hull = footprint(pts, columns).hull
+        hull = one_footprint(pts, columns).hull
         ref = monotone_chain_hull(pts[np.sort(np.concatenate(ends))][:, [0, 2]])
         assert hull.tobytes() == ref.tobytes()
 
     def test_bad_columns_rejected(self):
         pts = np.zeros((4, 3))
+        rows, labels = np.arange(4), np.zeros(4, dtype=np.int64)
         for columns in (np.arange(3), np.arange(5), np.zeros((4, 1), dtype=int)):
-            with pytest.raises(ValueError, match="one entry per point"):
-                footprint(pts, columns)
+            with pytest.raises(ValueError, match="one entry per row"):
+                footprint(pts, rows, labels, columns)
+        with pytest.raises(ValueError, match="one entry per row"):
+            footprint(pts, rows, labels[:3], np.arange(4))
         with pytest.raises(ValueError, match="non-negative"):
-            footprint(pts, np.array([0, 1, -1, 2]))
+            footprint(pts, rows, labels, np.array([0, 1, -1, 2]))
+        # id 1 has no row
+        with pytest.raises(ValueError, match="empty segment"):
+            footprint(pts, rows, np.array([0, 2, 2, -1]), np.arange(4))
+
+
+@st.composite
+def hull_inputs(draw):
+    """One id's points, of one of five kinds that stress exact hulls."""
+    kind = draw(st.sampled_from(["lattice", "repeats", "ulp_line", "rays",
+                                 "subnormal"]))
+    n = draw(st.integers(1, 40))
+    ints = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                    min_size=n, max_size=n)
+    if kind == "lattice":
+        # integer lattice, some zeros negative
+        pts = np.array(draw(ints), dtype=np.float64) * 100.0
+        flip = np.array(draw(st.lists(st.booleans(), min_size=2 * n,
+                                      max_size=2 * n))).reshape(n, 2)
+        pts[(pts == 0) & flip] = -0.0
+    elif kind == "repeats":
+        # a collinear run a + t d with repeated t, and repeats of three points
+        a = np.array(draw(st.tuples(st.integers(-9, 9), st.integers(-9, 9))),
+                     dtype=np.float64)
+        d = np.array(draw(st.tuples(st.integers(-3, 3), st.integers(1, 3))),
+                     dtype=np.float64)
+        t = np.array(draw(st.lists(st.integers(-6, 6), min_size=n,
+                                   max_size=n)), dtype=np.float64)
+        base = np.array(draw(st.lists(st.tuples(st.integers(-9, 9),
+                                                st.integers(-9, 9)),
+                                      min_size=3, max_size=3)), dtype=np.float64)
+        pick = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        pts = np.vstack([a + t[:, None] * d, base[pick]])
+    elif kind == "ulp_line":
+        # the line z = pi x, each point nudged by 1e-16 or not
+        u = np.array(draw(st.lists(st.integers(-40, 40), min_size=n,
+                                   max_size=n))) / 4.0
+        nudge = np.array(draw(st.lists(st.sampled_from([-1e-16, 0.0, 1e-16]),
+                                       min_size=n, max_size=n)))
+        pts = np.column_stack([u, u * np.pi + nudge])
+    elif kind == "rays":
+        # image rays x = (u - cx) z / fx through a few columns, integer z
+        uz = np.array(draw(st.lists(st.tuples(st.integers(300, 306),
+                                              st.integers(500, 5000)),
+                                    min_size=n, max_size=n)), dtype=np.float64)
+        pts = np.column_stack([(uz[:, 0] - 319.5) * uz[:, 1] / 525.0, uz[:, 1]])
+    else:
+        # subnormal coordinates: every product underflows
+        unit = draw(st.sampled_from([5e-324, 2.0 ** -1060, 1e-310]))
+        pts = np.array(draw(ints), dtype=np.float64) * unit
+    return pts
+
+
+def batch(point_sets, seed):
+    """The sets interleaved at random into one batch, each set's points in
+    their own order: (points, ids)."""
+    ids = np.random.default_rng(seed).permutation(
+        np.repeat(np.arange(len(point_sets)), [len(p) for p in point_sets]))
+    pts = np.empty((ids.size, 2))
+    for i, p in enumerate(point_sets):
+        pts[ids == i] = p
+    return pts, ids
+
+
+class TestBatchedHull:
+    """convex_hull_2d over many ids at once equals the exact chain on each
+    id alone, byte for byte."""
+
+    @settings(max_examples=300)
+    @given(st.lists(hull_inputs(), min_size=1, max_size=6),
+           st.integers(0, 2 ** 32 - 1))
+    def test_each_id_is_the_exact_chain(self, point_sets, seed):
+        hulls = convex_hull_2d(*batch(point_sets, seed))
+        assert len(hulls) == len(point_sets)
+        for hull, pts in zip(hulls, point_sets):
+            ref = monotone_chain_hull(pts)
+            assert hull.shape == ref.shape
+            assert hull.tobytes() == ref.tobytes()
+            # the same hull without the other ids in the batch
+            assert hull_of(pts).tobytes() == hull.tobytes()
+
+    def test_frames_pixel_segments_batched(self):
+        segments = frame_segments(0)
+        pts = np.concatenate([p[:, [0, 2]] for p, _ in segments])
+        ids = np.repeat(np.arange(len(segments)), [len(p) for p, _ in segments])
+        for hull, (points, _) in zip(convex_hull_2d(pts, ids), segments):
+            assert hull.tobytes() == monotone_chain_hull(points[:, [0, 2]]).tobytes()
+
+    def test_cascade_drops_one_point_per_pass(self, monkeypatch):
+        # a convex chain (i, i^2) ended by a point far below: the lower
+        # chain loses its last interior point in each pass, m passes in all
+        m = 30
+        i = np.arange(m + 1.0)
+        pts = np.vstack([np.column_stack([i, i * i]), [[m + 1.0, -1000.0]]])
+        passes = []
+        turns = geomfeat._turns
+        monkeypatch.setattr(geomfeat, "_turns",
+                            lambda *a: passes.append(a) or turns(*a))
+        hull = hull_of(pts)
+        assert hull.tolist() == [[0.0, 0.0], [m + 1.0, -1000.0], [m, m * m]]
+        assert hull.tobytes() == monotone_chain_hull(pts).tobytes()
+        assert len(passes) == m + 1
+
+    def test_no_ids(self):
+        assert convex_hull_2d(np.zeros((0, 2)), np.zeros(0, dtype=np.int64)) == []
+
+    def test_id_without_points_is_empty(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        hulls = convex_hull_2d(pts, np.array([2, 2, 2]))
+        assert [h.shape for h in hulls] == [(0, 2), (0, 2), (3, 2)]
+
+    def test_ids_misaligned(self):
+        with pytest.raises(ValueError, match="one entry per point"):
+            convex_hull_2d(np.zeros((3, 2)), np.zeros(2, dtype=np.int64))
+
+
+@functools.lru_cache(maxsize=None)
+def clutter_analysis(seed, noise_sigma):
+    k = depthio.DEFAULT_INTRINSICS
+    frame, _ = scenegen.render_depth(clutter_spec(seed, noise_sigma), k,
+                                     640, 480)
+    return pipeline.analyze_scene(PipelineConfig(), frame, k)
+
+
+def assert_same_footprint(fp, ref):
+    assert fp.hull.shape == ref.hull.shape
+    assert fp.hull.tobytes() == ref.hull.tobytes()
+    assert np.float64(fp.area_m2).tobytes() == np.float64(ref.area_m2).tobytes()
+    assert fp.barycenter.tobytes() == ref.barycenter.tobytes()
+
+
+class TestFrameFootprint:
+    """footprint over a whole frame equals loop_footprint on each segment
+    alone: hull, area and barycentre, byte for byte."""
+
+    @pytest.mark.parametrize("noise_sigma", [10.0, 0.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_clutter_frames(self, seed, noise_sigma):
+        scene = clutter_analysis(seed, noise_sigma)
+        band = scene.frame
+        fps = footprint(scene.cloud, scene.occupied, scene.labels,
+                        band.pixels[scene.occupied] % band.width)
+        assert len(fps) == len(scene.segments) >= 5
+        for s, fp in zip(scene.segments, fps):
+            assert_same_footprint(
+                fp, loop_footprint(s.points, band.pixels[s.rows] % band.width))
+
+    def test_noise_rows_are_dropped(self):
+        rng = np.random.default_rng(19)
+        cloud = np.empty((3, 3000)).T
+        cloud[:] = rng.normal((0, -600, 2500), 400, size=(3000, 3))
+        rows = np.sort(rng.choice(3000, size=1200, replace=False))
+        labels = rng.integers(-1, 6, size=rows.size)
+        columns = rng.integers(0, 40, size=rows.size)
+        fps = footprint(cloud, rows, labels, columns)
+        assert len(fps) == 6
+        for i, fp in enumerate(fps):
+            mine = labels == i
+            assert_same_footprint(fp, loop_footprint(cloud[rows[mine]],
+                                                     columns[mine]))
+
+    def test_no_segments(self):
+        rows = np.arange(4)
+        assert footprint(np.zeros((4, 3)), rows, np.full(4, -1), rows) == []
+        empty = np.zeros(0, dtype=np.int64)
+        assert footprint(np.zeros((0, 3)), empty, empty, empty) == []
+
+    def test_wall_filling_the_frame_is_degenerate(self, small_cam):
+        # one depth over the whole frame: a single segment whose points
+        # all lie on the line z = 2000, so its hull is two points
+        frame = depthio.DepthFrame(np.full((120, 160), 2000, dtype=np.uint16))
+        cloud = depthio.backproject(frame, small_cam)
+        rows = np.arange(len(cloud))
+        labels = image_segments(frame, cloud, rows, 80.0, 1)
+        columns = frame.pixels % frame.width
+        (fp,) = footprint(cloud, rows, labels, columns)
+        assert fp.degenerate and fp.area_m2 == 0.0
+        assert fp.hull.tolist() == [[cloud[:, 0].min(), 2000.0],
+                                    [cloud[:, 0].max(), 2000.0]]
+        assert_same_footprint(fp, loop_footprint(cloud[rows], columns))
 
 
 class TestPolygonArea:
@@ -379,12 +576,12 @@ class TestFootprint:
     def test_barycenter_is_centroid(self):
         rng = np.random.default_rng(3)
         pts = rng.normal((100, -600, 2500), 80, size=(200, 3))
-        fp = footprint(pts, np.arange(200))
+        fp = one_footprint(pts, np.arange(200))
         np.testing.assert_allclose(fp.barycenter, pts.mean(axis=0))
         assert not fp.degenerate
         assert fp.area_m2 > 0
 
     def test_degenerate_line(self):
         pts = np.array([[0, 0, 0], [0, 5, 0], [0, 9, 0]], dtype=float)
-        fp = footprint(pts, np.arange(3))
+        fp = one_footprint(pts, np.arange(3))
         assert fp.degenerate and fp.area_m2 == 0.0

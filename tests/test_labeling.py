@@ -89,8 +89,10 @@ class TestStairsDirection:
 class TestObjectDescriptor:
     def test_stairs_direction_invariant(self):
         # the label is a glyph tag, so a stairs label carries its direction
-        fp = footprint(np.random.default_rng(0).normal((0, 0, 2000), 100, (30, 3)),
-                       np.arange(30))
+        rows = np.arange(30)
+        (fp,) = footprint(np.random.default_rng(0).normal((0, 0, 2000), 100,
+                                                          (30, 3)),
+                          rows, np.zeros(30, dtype=np.int64), rows)
         geom = classify_geometry(500, 0.3)
         for label in (None, *REQUIRED_TAGS):
             ObjectDescriptor(0, fp, geom, label=label)

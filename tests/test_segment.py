@@ -20,24 +20,15 @@ from hapmap import depthio, pipeline, scenegen, segment
 from hapmap.config import PipelineConfig
 from hapmap.segment import _roots, extract_segments, image_segments
 
-from oracles import csgraph_roots, flood_fill_segments, mask_split_segments
+from oracles import (clutter_spec, csgraph_roots, flood_fill_segments,
+                     mask_split_segments)
 
 
 @functools.lru_cache(maxsize=None)
 def clutter_scene(seed):
     """(frame, scene analysis) of a 640x480 frame of 6-9 boxes and a hole."""
-    rng = np.random.default_rng(seed)
-    slots = [(f * z, z) for z in (1500.0, 2300.0, 3100.0) for f in (-0.33, 0.0, 0.33)]
-    chosen = rng.permutation(len(slots))[:int(rng.integers(6, 10))]
-    boxes = [scenegen.BoxSpec(slots[s][0] + rng.uniform(-50, 50),
-                              slots[s][1] + rng.uniform(-50, 50),
-                              rng.uniform(250, 450), rng.uniform(250, 450),
-                              rng.uniform(300, 1100)) for s in chosen]
-    spec = scenegen.SceneSpec(camera_height=1200, floor_extent=4500, noise_sigma=10,
-                              boxes=boxes, holes=[scenegen.HoleSpec(0, 1900, 300, 200)],
-                              seed=seed)
     k = depthio.DEFAULT_INTRINSICS
-    frame, _ = scenegen.render_depth(spec, k, 640, 480)
+    frame, _ = scenegen.render_depth(clutter_spec(seed), k, 640, 480)
     return frame, pipeline.analyze_scene(PipelineConfig(), frame, k)
 
 
@@ -95,7 +86,10 @@ def segment_count(labels):
 
 
 def assert_same_as_flood_fill(frame, cloud, occupied, link_mm, min_px):
-    got = image_segments(frame, cloud, occupied, link_mm, min_px)
+    """image_segments on the rows that occupied flags against the flood
+    fill on the flags."""
+    got = image_segments(frame, cloud, np.flatnonzero(occupied), link_mm,
+                         min_px)
     ref_labels, ref_k = flood_fill_segments(frame, cloud, occupied, link_mm,
                                             min_px)
     assert segment_count(got) == ref_k
@@ -129,27 +123,26 @@ class TestImageSegments:
         # pixels 2 and 3 follow each other in the index but sit in
         # different rows, at opposite edges of the image
         frame, cloud = image_and_cloud([[0, 0, 500], [500, 0, 0]])
-        labels = image_segments(frame, cloud, np.ones(2, dtype=bool), 80.0, 1)
+        labels = image_segments(frame, cloud, np.arange(2), 80.0, 1)
         assert labels.tolist() == [0, 1]
 
     def test_link_inclusive(self):
         frame, cloud = image_and_cloud([[1000], [1080], [1161]])
-        labels = image_segments(frame, cloud, np.ones(3, dtype=bool), 80.0, 1)
+        labels = image_segments(frame, cloud, np.arange(3), 80.0, 1)
         assert labels.tolist() == [0, 0, 1]
 
     def test_small_components_are_noise_and_ids_follow_scan_order(self):
         frame, cloud = image_and_cloud([[900, 900, 0, 2000],
                                         [0, 0, 0, 2000],
                                         [3000, 3000, 3000, 0]])
-        labels = image_segments(frame, cloud, np.ones(7, dtype=bool), 80.0, 3)
+        labels = image_segments(frame, cloud, np.arange(7), 80.0, 3)
         assert labels.tolist() == [-1, -1, -1, -1, 0, 0, 0]
-        labels = image_segments(frame, cloud, np.ones(7, dtype=bool), 80.0, 2)
+        labels = image_segments(frame, cloud, np.arange(7), 80.0, 2)
         assert labels.tolist() == [0, 0, 1, 1, 2, 2, 2]
 
     def test_unoccupied_rows_break_links(self):
         frame, cloud = image_and_cloud([[700, 700, 700, 700]])
-        occupied = np.array([True, True, False, True])
-        labels = image_segments(frame, cloud, occupied, 80.0, 1)
+        labels = image_segments(frame, cloud, np.array([0, 1, 3]), 80.0, 1)
         assert labels.tolist() == [0, 0, 1]
 
     def test_u_joined_only_through_its_bottom_row(self):
@@ -213,20 +206,18 @@ class TestImageSegments:
 
     def test_nothing_occupied(self):
         frame, cloud = image_and_cloud([[0, 800], [800, 800]])
-        labels = image_segments(frame, cloud, np.zeros(3, dtype=bool), 80.0, 1)
+        labels = image_segments(frame, cloud, np.zeros(0, dtype=np.intp),
+                                80.0, 1)
         assert labels.size == 0
 
     def test_bad_params(self):
         frame, cloud = image_and_cloud([[800]])
-        occupied = np.ones(1, dtype=bool)
         for link_mm, min_px in ((-1.0, 1), (np.nan, 1), (80.0, 0)):
             with pytest.raises(ValueError):
-                image_segments(frame, cloud, occupied, link_mm, min_px)
+                image_segments(frame, cloud, np.arange(1), link_mm, min_px)
         with pytest.raises(ValueError, match="one row per valid pixel"):
-            image_segments(frame, cloud, np.ones(2, dtype=bool), 80.0, 1)
-        with pytest.raises(ValueError, match="one row per valid pixel"):
-            image_segments(frame, np.vstack([cloud, cloud]),
-                           np.ones(2, dtype=bool), 80.0, 1)
+            image_segments(frame, np.vstack([cloud, cloud]), np.arange(1),
+                           80.0, 1)
 
     def test_memory_follows_the_occupied_pixels(self):
         # a 2000x2000 frame with 12 valid pixels: one (height, width)
@@ -389,8 +380,9 @@ class TestExtractSegments:
     def test_partition_sizes(self):
         # every occupied row lands in one segment or in the noise
         frame, cloud, occupied = clutter_occupied(0)
-        labels = image_segments(frame, cloud, occupied, 20.0, 50)
-        segs = extract_segments(cloud, np.flatnonzero(occupied), labels)
+        rows = np.flatnonzero(occupied)
+        labels = image_segments(frame, cloud, rows, 20.0, 50)
+        segs = extract_segments(cloud, rows, labels)
         noise = int((labels == -1).sum())
         assert len(segs) >= 5 and noise > 0
         assert sum(len(s.rows) for s in segs) + noise == occupied.sum()
@@ -441,10 +433,11 @@ class TestExtractMatchesMaskSplit:
     def test_clutter_frames(self, seed):
         frame, cloud, occupied = clutter_occupied(seed)
         cfg = PipelineConfig()
-        labels = image_segments(frame, cloud, occupied, cfg.segment_link_mm,
+        rows = np.flatnonzero(occupied)
+        labels = image_segments(frame, cloud, rows, cfg.segment_link_mm,
                                 cfg.segment_min_px)
         assert segment_count(labels) >= 5
-        assert_same_as_mask_split(cloud, np.flatnonzero(occupied), labels)
+        assert_same_as_mask_split(cloud, rows, labels)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_pixels_back_project_to_the_points(self, seed):
